@@ -16,6 +16,7 @@ from .decode import (
     decode_division,
     decode_eisner,
     decode_joint,
+    decode_table,
     fill_joint_chart,
     max_projective_score,
 )
@@ -54,6 +55,7 @@ from .scoring import (
     ScoreTable,
     oracle_scores,
     read_scores,
+    tree_parts,
     tree_score,
     write_scores,
 )
@@ -111,6 +113,7 @@ __all__ = [
     "decode_division",
     "decode_eisner",
     "decode_joint",
+    "decode_table",
     "decode_with_model",
     "external_heads",
     "fill_joint_chart",
@@ -128,6 +131,7 @@ __all__ = [
     "read_scores",
     "to_division",
     "train_linear",
+    "tree_parts",
     "tree_score",
     "validate",
     "write_bracketed",

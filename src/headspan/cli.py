@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +22,15 @@ import numpy as np
 from . import __version__
 from .decode import (
     BRUTE_FORCE_CAP,
+    ROUTES,
     DecodeConfig,
     brute_force,
     decode_division,
     decode_eisner,
     decode_joint,
+    decode_table,
     max_projective_score,
 )
-from .division import from_division
 from .errors import (
     AlignmentError,
     ScoreFileError,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .evaluate import DEFAULT_PUNCT, attachment_scores, bracket_f1
 from .fuse import fuse, project_constituents, project_dependencies
-from .linear import LinearModel, TrainConfig, decode_with_model, train_linear
+from .linear import LinearModel, TrainConfig, train_linear
 from .scoring import CategoryVocab, read_scores
 from .synth import random_score_table
 from .treebank import (
@@ -88,14 +88,14 @@ def build_parser() -> argparse.ArgumentParser:
                    "(detected by content); only forms and tags are used")
     p.add_argument("--scores", help="score file aligned with the input")
     p.add_argument("--model", help="trained model file")
-    p.add_argument("--decoder", choices=["joint", "division", "eisner"],
-                   default="joint")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
-                   help="span weight, 0 = arcs only, 1 = spans only")
+    p.add_argument("--decoder", choices=ROUTES,
+                   help="default: the model's mode, or joint with --scores")
+    p.add_argument("--lambda", dest="lam", type=float,
+                   help="span weight, 0 = arcs only, 1 = spans only "
+                   "(default: the model's, or 0.5 with --scores)")
     p.add_argument("--len-cap", type=int, default=DEFAULT_LEN_CAP,
                    help="longest sentence the joint decoder accepts before "
                    "falling back to the span decoder")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", help="head-annotated trees output")
     p.add_argument("--out-const", help="constituent projection output")
     p.add_argument("--out-dep", help="dependency projection output")
@@ -178,93 +178,68 @@ def _load_parse_input(path: str):
     return [d.tokens for d in read_conll(text)]
 
 
+def _check_alignment(tables, sentences) -> None:
+    """One score table per sentence, each as long as its sentence."""
+    for ordinal, (tokens, table) in enumerate(zip(sentences, tables),
+                                              start=1):
+        if table.n != len(tokens):
+            raise ScoreFileError(
+                f"sentence {ordinal}: score table covers {table.n} tokens, "
+                f"sentence has {len(tokens)}")
+    if len(tables) < len(sentences):
+        raise ScoreFileError(
+            f"sentence {len(tables) + 1}: no score table ({len(tables)} "
+            f"tables for {len(sentences)} sentences)")
+    if len(tables) > len(sentences):
+        raise ScoreFileError(f"{len(tables)} score tables for "
+                             f"{len(sentences)} sentences")
+
+
 def cmd_parse(args) -> int:
     if (args.scores is None) == (args.model is None):
         raise ValueError("provide exactly one of --scores and --model")
-    if args.decoder == "eisner" and (args.out or args.out_const):
-        raise ValueError("the eisner decoder produces dependencies only; "
-                         "use --out-dep")
     sentences = _load_parse_input(args.input)
-    tables = None
-    model = None
     if args.scores is not None:
         with open(args.scores, encoding="utf-8") as fh:
             tables = read_scores(fh)
+        _check_alignment(tables, sentences)
+        decoder = args.decoder or "joint"
+        lam = 0.5 if args.lam is None else args.lam
     else:
         model = LinearModel.load(args.model)
+        decoder = args.decoder or model.mode
+        lam = model.lam if args.lam is None else args.lam
+        if model.mode == "division" and decoder != "division":
+            raise ValueError(
+                f"a division-mode model has head-marked span labels and no "
+                f"arc weights; use --decoder division, not {decoder}")
+        tables = (model.score_table(tokens) for tokens in sentences)
+    if decoder == "eisner" and (args.out or args.out_const):
+        raise ValueError("the eisner decoder produces dependencies only; "
+                         "use --out-dep")
 
-    failures: list[str] = []
+    parsed = []
+    for ordinal, (tokens, table) in enumerate(zip(sentences, tables),
+                                              start=1):
+        tree, notes = decode_table(table, decoder, lam, tokens, args.len_cap)
+        for note in notes:
+            print(f"sentence {ordinal}: {note}", file=sys.stderr)
+        parsed.append(tree)
 
-    def decode_one(item):
-        ordinal, tokens = item
-        n = len(tokens)
-        if tables is not None:
-            if ordinal > len(tables):
-                failures.append(f"sentence {ordinal}: no score table")
-                return None
-            table = tables[ordinal - 1]
-            if table.n != n:
-                failures.append(
-                    f"sentence {ordinal}: score table covers {table.n} "
-                    f"tokens, sentence has {n}")
-                return None
-        else:
-            table = model.score_table(tokens)
-        if args.decoder == "eisner":
-            dep, _ = decode_eisner(table, tokens)
-            return dep
-        if args.decoder == "division" or n > args.len_cap:
-            if args.decoder == "joint":
-                print(f"sentence {ordinal}: length {n} above cap "
-                      f"{args.len_cap}, using the span decoder",
-                      file=sys.stderr)
-            dtree, _ = decode_division(table, tokens)
-            tree, flags = from_division(dtree)
-            for flag in flags:
-                print(f"sentence {ordinal}: {flag}", file=sys.stderr)
-            return tree
-        tree, _ = decode_joint(table, DecodeConfig(lam=args.lam), tokens)
-        return tree
-
-    items = list(enumerate(sentences, start=1))
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(decode_one, items))
-    else:
-        results = [decode_one(item) for item in items]
-
-    parsed = [r for r in results if r is not None]
-    for line in failures:
-        print(line, file=sys.stderr)
-    if failures:
-        print(f"{len(failures)} of {len(sentences)} sentences failed",
-              file=sys.stderr)
-
-    if args.decoder == "eisner":
-        out = open(args.out_dep, "w", encoding="utf-8") \
-            if args.out_dep else sys.stdout
-        try:
-            write_conll(parsed, out)
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return 0
-
+    # eisner output is already a dependency tree: written as it is
+    as_dep = (lambda t: t) if decoder == "eisner" else project_dependencies
     wrote_any = False
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            write_hpsg(parsed, fh)
-        wrote_any = True
-    if args.out_const:
-        with open(args.out_const, "w", encoding="utf-8") as fh:
-            write_bracketed([project_constituents(t) for t in parsed], fh)
-        wrote_any = True
-    if args.out_dep:
-        with open(args.out_dep, "w", encoding="utf-8") as fh:
-            write_conll([project_dependencies(t) for t in parsed], fh)
-        wrote_any = True
+    for path, write, project in ((args.out, write_hpsg, lambda t: t),
+                                 (args.out_const, write_bracketed,
+                                  project_constituents),
+                                 (args.out_dep, write_conll, as_dep)):
+        if path:
+            with open(path, "w", encoding="utf-8") as fh:
+                write([project(t) for t in parsed], fh)
+            wrote_any = True
     if not wrote_any:
-        write_hpsg(parsed, sys.stdout)
+        write = write_conll if decoder == "eisner" else write_hpsg
+        write(parsed, sys.stdout)
     return 0
 
 

@@ -14,7 +14,10 @@ Time is O(n^5) and memory O(n^3).
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
 (spans ignored), and ``brute_force`` an exhaustive re-derivation used to
-certify the charts on small sentences.
+certify the charts on small sentences. ``decode_table`` is the single route
+from a table to a tree: it picks one of the three decoders, mixes in the
+interpolation weight and applies the sentence-length cap, for the command
+line and for trained models alike.
 
 Ties are broken deterministically everywhere: smaller split point first,
 then smaller sub-head, then smaller category id. A span's left dependent
@@ -29,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import division
 from .errors import SizeGuardError
 from .scoring import ScoreTable
 from .trees import (
@@ -39,8 +43,6 @@ from .trees import (
     HpsgTree,
     Token,
 )
-
-CHAIN_JOINER = "+"
 
 
 @dataclass
@@ -74,17 +76,6 @@ class JointChart:
 
 def _placeholder_tokens(n: int) -> list[Token]:
     return [Token(index=i, form=f"w{i}", pos="X") for i in range(1, n + 1)]
-
-
-def _expand_atom(label: str, children: list[HpsgNode], head: int,
-                 start: int, end: int) -> HpsgNode:
-    parts = label.split(CHAIN_JOINER)
-    node = HpsgNode(label=parts[-1], head=head, children=children,
-                    start=start, end=end)
-    for part in reversed(parts[:-1]):
-        node = HpsgNode(label=part, head=head, children=[node],
-                        start=start, end=end)
-    return node
 
 
 def _real_label_argmax(span_m: np.ndarray) -> np.ndarray:
@@ -191,40 +182,44 @@ def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray) -> JointChart:
                       sub=sub, split=split)
 
 
-def _backtrack_joint(chart: JointChart, span_m: np.ndarray,
-                     vocab, tokens: Sequence[Token], h_root: int,
-                     root_lid: int,
-                     spans_out: list[tuple[int, int, str]]) -> HpsgNode:
+def _build_tree(side: np.ndarray, sub: np.ndarray, split: np.ndarray,
+                span_m: np.ndarray, vocab, tokens: Sequence[Token],
+                h_root: int, root_lid: int
+                ) -> tuple[HpsgNode, list[tuple[int, int, str]]]:
+    """Tree and labeled derivation spans read off chart backpointers.
+
+    ``side``, ``sub`` and ``split`` are laid out as in :class:`JointChart`.
+    """
     cat_any = span_m.argmax(axis=2)
     cat_real = _real_label_argmax(span_m)
     n = span_m.shape[0] - 1
+    spans_out: list[tuple[int, int, str]] = []
 
     def build(i: int, j: int, h: int, is_complete: bool,
               lid: int | None = None) -> list[HpsgNode]:
         if i == j:
-            pret = HpsgNode(label=tokens[i - 1].pos, head=i, start=i, end=i)
+            children = [HpsgNode(label=tokens[i - 1].pos, head=i, start=i,
+                                 end=i)]
             if lid is None:
                 lid = int(cat_any[i, i])
-            spans_out.append((i, i, vocab.category(lid)))
-            if lid == 0:
-                return [pret]
-            return [_expand_atom(vocab.category(lid), [pret], i, i, i)]
-        s = int(chart.side[i, j, h])
-        r = int(chart.sub[i, j, h])
-        k = int(chart.split[i, j, h])
-        if s == 0:
-            children = build(i, k, r, True) + build(k + 1, j, h, False)
         else:
-            children = build(i, k, h, False) + build(k + 1, j, r, True)
-        if lid is None:
-            lid = int(cat_real[i, j]) if is_complete else int(cat_any[i, j])
-        spans_out.append((i, j, vocab.category(lid)))
+            s = int(side[i, j, h])
+            r = int(sub[i, j, h])
+            k = int(split[i, j, h])
+            if s == 0:
+                children = build(i, k, r, True) + build(k + 1, j, h, False)
+            else:
+                children = build(i, k, h, False) + build(k + 1, j, r, True)
+            if lid is None:
+                lid = int((cat_real if is_complete else cat_any)[i, j])
+        label = vocab.category(lid)
+        spans_out.append((i, j, label))
         if lid == 0:
             return children
-        return [_expand_atom(vocab.category(lid), children, h, i, j)]
+        return [division.expand_chain(label, children, h, i, j)]
 
     nodes = build(1, n, h_root, True, root_lid)
-    return nodes[0]
+    return nodes[0], spans_out
 
 
 def decode_joint_mixed(span_m: np.ndarray, arc_m: np.ndarray,
@@ -254,9 +249,8 @@ def decode_joint_mixed(span_m: np.ndarray, arc_m: np.ndarray,
         totals = chart.complete[1, n, 1:n + 1] + adjust + root_m[1:n + 1]
     h_root = int(np.argmax(totals)) + 1
     score = float(totals[h_root - 1])
-    spans: list[tuple[int, int, str]] = []
-    root = _backtrack_joint(chart, span_m, vocab, tokens, h_root, root_lid,
-                            spans)
+    root, spans = _build_tree(chart.side, chart.sub, chart.split, span_m,
+                              vocab, tokens, h_root, root_lid)
     tree = HpsgTree(tokens=list(tokens), root=root)
     return tree, score, spans
 
@@ -404,6 +398,36 @@ def decode_eisner(table: ScoreTable,
     return tree, score
 
 
+ROUTES = ("joint", "division", "eisner")
+
+
+def decode_table(table: ScoreTable, route: str, lam: float,
+                 tokens: Sequence[Token] | None = None,
+                 len_cap: int | None = None
+                 ) -> tuple[HpsgTree | DependencyTree, list[str]]:
+    """Decode one sentence's table along ``route``.
+
+    ``joint`` weighs spans by ``lam`` and falls back to ``division`` above
+    ``len_cap`` tokens; ``division`` recovers heads from the span decoder's
+    labels; ``eisner`` returns a dependency tree. The notes record the
+    fallback and any head-recovery flags.
+    """
+    if route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if route == "eisner":
+        return decode_eisner(table, tokens)[0], []
+    notes = []
+    if route == "joint" and len_cap is not None and table.n > len_cap:
+        notes.append(f"length {table.n} above cap {len_cap}, using the span "
+                     f"decoder")
+        route = "division"
+    if route == "division":
+        dtree, _ = decode_division(table, tokens)
+        tree, flags = division.from_division(dtree)
+        return tree, notes + flags
+    return decode_joint(table, DecodeConfig(lam=lam), tokens)[0], notes
+
+
 BRUTE_FORCE_CAP = 8
 
 
@@ -491,33 +515,23 @@ def brute_force(table: ScoreTable, config: DecodeConfig | None = None,
             best = (head, struct)
 
     assert best is not None
-    cat_any = span_m.argmax(axis=2)
-    cat_real = _real_label_argmax(span_m)
-
-    def build(i: int, j: int, h: int, struct, is_complete: bool,
-              lid: int | None = None) -> list[HpsgNode]:
-        if i == j:
-            pret = HpsgNode(label=tokens[i - 1].pos, head=i, start=i, end=i)
-            if lid is None:
-                lid = int(cat_any[i, i])
-            if lid == 0:
-                return [pret]
-            return [_expand_atom(vocab.category(lid), [pret], i, i, i)]
-        k, dep_side, hl, hr, tl, tr = struct
-        if dep_side == 0:
-            children = build(i, k, hl, tl, True) + build(k + 1, j, hr, tr,
-                                                         False)
-        else:
-            children = build(i, k, hl, tl, False) + build(k + 1, j, hr, tr,
-                                                          True)
-        if lid is None:
-            lid = int(cat_real[i, j]) if is_complete else int(cat_any[i, j])
-        if lid == 0:
-            return children
-        return [_expand_atom(vocab.category(lid), children, h, i, j)]
-
+    # the winning derivation as chart backpointers, for the shared builder
     head, struct = best
-    root = build(1, n, head, struct, True, root_lid)[0]
+    side = np.zeros((n + 1, n + 1, n + 1), dtype=np.int8)
+    sub = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    split = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    stack = [(1, n, head, struct)]
+    while stack:
+        i, j, h, node = stack.pop()
+        if i == j:
+            continue
+        k, dep_side, hl, hr, tl, tr = node
+        side[i, j, h] = dep_side
+        sub[i, j, h] = hl if dep_side == 0 else hr
+        split[i, j, h] = k
+        stack += [(i, k, hl, tl), (k + 1, j, hr, tr)]
+    root, _ = _build_tree(side, sub, split, span_m, vocab, tokens, head,
+                          root_lid)
     return HpsgTree(tokens=list(tokens), root=root), float(best_score)
 
 

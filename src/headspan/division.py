@@ -112,6 +112,18 @@ def to_division(tree: HpsgTree) -> ConstituentTree:
     return ConstituentTree(tokens=list(tree.tokens), root=conv(encoded, False))
 
 
+def expand_chain(label: str, children: list[HpsgNode], head: int,
+                 start: int, end: int) -> HpsgNode:
+    """Unfold a ``+``-joined atom into a unary chain over ``children``."""
+    parts = label.split(CHAIN_JOINER)
+    node = HpsgNode(label=parts[-1], head=head, children=children,
+                    start=start, end=end)
+    for part in reversed(parts[:-1]):
+        node = HpsgNode(label=part, head=head, children=[node],
+                        start=start, end=end)
+    return node
+
+
 def _split_prefix(label: str) -> tuple[str, bool]:
     if label.startswith(HEAD_PREFIX):
         return label[len(HEAD_PREFIX):], True
@@ -156,12 +168,7 @@ def from_division(tree: ConstituentTree) -> tuple[HpsgTree, list[str]]:
             kids.extend(nodes_)
         if label == EMPTY:
             return kids, marked, head
-        chain = label.split(CHAIN_JOINER)
-        built = HpsgNode(label=chain[-1], head=head, children=kids,
-                         start=node.start, end=node.end)
-        for atom in reversed(chain[:-1]):
-            built = HpsgNode(label=atom, head=head, children=[built],
-                             start=node.start, end=node.end)
+        built = expand_chain(label, kids, head, node.start, node.end)
         return [built], marked, head
 
     pieces, _, _ = dec(tree.root)

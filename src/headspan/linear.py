@@ -27,10 +27,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import evaluate
-from .division import binarize_head_outward, from_division, to_division
+# bound here for the traced benchmark run, which wraps them by module name
+# (perfbench/spans.py)
+from .division import binarize_head_outward, to_division  # noqa: F401
 from .fuse import project_constituents, project_dependencies
-from .decode import decode_division, decode_joint_mixed
-from .scoring import CategoryVocab, ScoreTable
+from .decode import decode_division, decode_joint_mixed, decode_table
+from .scoring import (
+    CategoryVocab,
+    ScoreTable,
+    labeled_spans,
+    tree_arcs,
+    tree_spans,
+)
 from .trees import HpsgTree, Token
 
 MODES = ("joint", "division")
@@ -174,29 +182,6 @@ class LinearModel:
                 table.root[head] = w[idx].sum()
         return table
 
-    def tree_parts(self, tree: HpsgTree
-                   ) -> tuple[list[tuple[int, int, str]],
-                              list[tuple[int, int]], int]:
-        """Span labels, arcs, and root of a gold or predicted analysis."""
-        if self.mode == "division":
-            encoded = to_division(tree).root
-        else:
-            encoded = binarize_head_outward(tree)
-        spans = [(nd.start, nd.end, nd.label)
-                 for nd in encoded.iter_nodes() if not nd.is_preterminal]
-        if self.mode == "division":
-            return spans, [], 0
-        deps = project_dependencies(tree)
-        arcs = []
-        root = 0
-        for child in range(1, len(tree) + 1):
-            head = deps.heads[child]
-            if head == 0:
-                root = child
-            else:
-                arcs.append((child, head))
-        return spans, arcs, root
-
     def feature_counts(self, tokens: Sequence[Token],
                        spans: list[tuple[int, int, str]],
                        arcs: list[tuple[int, int]], root: int
@@ -240,15 +225,8 @@ class LinearModel:
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
                       lam: float | None = None) -> HpsgTree:
     """Parse one sentence with a trained model, honoring its mode."""
-    table = model.score_table(tokens)
-    if model.mode == "division":
-        dtree, _ = decode_division(table, tokens)
-        tree, _ = from_division(dtree)
-        return tree
     use = model.lam if lam is None else lam
-    tree, _, _ = decode_joint_mixed(use * table.span, (1.0 - use) * table.arc,
-                                    (1.0 - use) * table.root, model.vocab,
-                                    tokens)
+    tree, _ = decode_table(model.score_table(tokens), model.mode, use, tokens)
     return tree
 
 
@@ -293,7 +271,8 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
 
     prepared = []
     for tree in trees:
-        spans, arcs, root = model.tree_parts(tree)
+        spans = tree_spans(tree, division_mode)
+        arcs, root = ([], 0) if division_mode else tree_arcs(tree)
         gold_span_c, gold_dep_c = model.feature_counts(tree.tokens, spans,
                                                        arcs, root)
         n = len(tree)
@@ -332,23 +311,14 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                 aug = ScoreTable(vocab=vocab, n=n, span=aug_span,
                                  arc=table.arc, root=table.root)
                 pred_tree_raw, pred_score = decode_division(aug, tokens)
-                p_spans = [(nd.start, nd.end, nd.label)
-                           for nd in pred_tree_raw.iter_nodes()
-                           if not nd.is_preterminal]
+                p_spans = labeled_spans(pred_tree_raw.root)
                 p_arcs: list[tuple[int, int]] = []
                 p_root = 0
             else:
                 pred_tree, pred_score, p_spans = decode_joint_mixed(
                     aug_span, (1.0 - lam) * table.arc,
                     (1.0 - lam) * table.root, vocab, tokens)
-                deps = project_dependencies(pred_tree)
-                p_arcs = []
-                p_root = 0
-                for child in range(1, n + 1):
-                    if deps.heads[child] == 0:
-                        p_root = child
-                    else:
-                        p_arcs.append((child, deps.heads[child]))
+                p_arcs, p_root = tree_arcs(pred_tree)
             violation = pred_score - gold_score
             if violation > 1e-12:
                 objective += violation

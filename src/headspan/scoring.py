@@ -84,17 +84,48 @@ class CategoryVocab:
         """
         seen: set[str] = set()
         for tree in trees:
-            if division_labels:
-                for node in division.to_division(tree).iter_nodes():
-                    if not node.is_preterminal:
-                        seen.add(node.label)
-            else:
-                for node in division.binarize_head_outward(tree).iter_nodes():
-                    if not node.is_preterminal:
-                        seen.add(node.label)
+            seen.update(lab for _, _, lab in tree_spans(tree, division_labels))
         seen.discard(EMPTY)
         seen.discard(SPLIT)
         return cls(sorted(seen))
+
+
+def labeled_spans(node) -> list[tuple[int, int, str]]:
+    """(start, end, label) of every non-preterminal node under ``node``."""
+    return [(nd.start, nd.end, nd.label) for nd in node.iter_nodes()
+            if not nd.is_preterminal]
+
+
+def tree_spans(tree: HpsgTree, division_labels: bool = False
+               ) -> list[tuple[int, int, str]]:
+    """Labeled spans of the tree's encoding, empty categories included.
+
+    The encoding is the division one with ``division_labels``, else the bare
+    head-outward binarization.
+    """
+    if division_labels:
+        return labeled_spans(division.to_division(tree).root)
+    return labeled_spans(division.binarize_head_outward(tree))
+
+
+def tree_arcs(tree: HpsgTree) -> tuple[list[tuple[int, int]], int]:
+    """Projected (child, head) arcs in ascending child order, and the root."""
+    heads = project_dependencies(tree).heads
+    arcs = []
+    root = 0
+    for child in range(1, len(tree) + 1):
+        if heads[child] == 0:
+            root = child
+        else:
+            arcs.append((child, heads[child]))
+    return arcs, root
+
+
+def tree_parts(tree: HpsgTree, division_labels: bool = False
+               ) -> tuple[list[tuple[int, int, str]], list[tuple[int, int]],
+                          int]:
+    """Spans, arcs and root of an analysis: every part a table scores."""
+    return (tree_spans(tree, division_labels), *tree_arcs(tree))
 
 
 @dataclass
@@ -135,21 +166,12 @@ def oracle_scores(gold: HpsgTree, vocab: CategoryVocab,
     the gold root gets 1.0. All other entries stay at 0.
     """
     table = ScoreTable.zeros(len(gold), vocab)
-    if division_labels:
-        encoded = division.to_division(gold).root
-    else:
-        encoded = division.binarize_head_outward(gold)
-    for node in encoded.iter_nodes():
-        if node.is_preterminal:
-            continue
-        table.span[node.start, node.end, vocab.index(node.label)] = 1.0
-    deps = project_dependencies(gold)
-    for child in range(1, len(gold) + 1):
-        head = deps.heads[child]
-        if head == 0:
-            table.root[child] = 1.0
-        else:
-            table.arc[child, head] = 1.0
+    spans, arcs, root = tree_parts(gold, division_labels)
+    for i, j, label in spans:
+        table.span[i, j, vocab.index(label)] = 1.0
+    for child, head in arcs:
+        table.arc[child, head] = 1.0
+    table.root[root] = 1.0
     return table
 
 
@@ -164,29 +186,13 @@ def tree_score(tree: HpsgTree | ConstituentTree, table: ScoreTable,
     scaled by ``lam``.
     """
     if isinstance(tree, HpsgTree):
-        encoded = division.binarize_head_outward(tree)
-        span_sum = 0.0
-        for node in encoded.iter_nodes():
-            if node.is_preterminal:
-                continue
-            span_sum += table.span[node.start, node.end,
-                                   table.vocab.index(node.label)]
-        deps = project_dependencies(tree)
-        dep_sum = 0.0
-        for child in range(1, len(tree) + 1):
-            head = deps.heads[child]
-            if head == 0:
-                dep_sum += table.root[child]
-            else:
-                dep_sum += table.arc[child, head]
-        return lam * span_sum + (1.0 - lam) * dep_sum
-    span_sum = 0.0
-    for node in tree.iter_nodes():
-        if node.is_preterminal:
-            continue
-        span_sum += table.span[node.start, node.end,
-                               table.vocab.index(node.label)]
-    return lam * span_sum
+        spans, arcs, root = tree_parts(tree)
+        dep_sum = sum(table.arc[c, h] for c, h in arcs) + table.root[root]
+    else:
+        spans, dep_sum = labeled_spans(tree.root), 0.0
+    span_sum = sum(table.span[i, j, table.vocab.index(label)]
+                   for i, j, label in spans)
+    return lam * span_sum + (1.0 - lam) * dep_sum
 
 
 def write_scores(tables: Sequence[ScoreTable], stream: IO[str]) -> None:

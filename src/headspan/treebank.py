@@ -15,7 +15,9 @@ Three formats are supported:
 * CoNLL dependency format: one token per line, tab (or space-run) separated
   columns ID FORM LEMMA CPOS POS FEATS HEAD DEPREL [...], blank line between
   sentences, ``_`` for absent values. POS is taken from column 5 and falls
-  back to column 4.
+  back to column 4. CoNLL-U extras are skipped with one warning per file:
+  ``#`` comment lines, multiword-token rows (ID ``1-2``) and empty-node rows
+  (ID ``8.1``).
 
 * head-annotated trees, one per line, where every bracket label carries the
   node's head token index as a ``[h]`` suffix:
@@ -211,6 +213,9 @@ def write_bracketed(trees: Iterable[ConstituentTree], stream: IO[str]) -> None:
 # CoNLL
 
 
+_CONLLU_EXTRA_ID = re.compile(r"\d+[-.]\d+")
+
+
 def read_conll(stream: IO[str] | str) -> list[DependencyTree]:
     text = stream if isinstance(stream, str) else stream.read()
     sentences: list[DependencyTree] = []
@@ -260,13 +265,21 @@ def read_conll(stream: IO[str] | str) -> list[DependencyTree]:
         sentences.append(tree)
         rows.clear()
 
+    skipped = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             flush()
             continue
-        rows.append((line_no, line.split()))
+        cols = line.split()
+        if line.startswith("#") or _CONLLU_EXTRA_ID.fullmatch(cols[0]):
+            skipped += 1
+            continue
+        rows.append((line_no, cols))
     flush()
+    if skipped:
+        log.warning("skipped %d CoNLL-U comment, multiword and empty-node "
+                    "lines", skipped)
     return sentences
 
 

@@ -145,17 +145,6 @@ class TestParse:
         with open(out, encoding="utf-8") as fh:
             assert len(read_hpsg(fh)) == 5
 
-    def test_threads_match_serial_output(self, tmp_path, multihead_files,
-                                         score_file):
-        _, conll = multihead_files
-        serial = tmp_path / "serial.hpsg"
-        threaded = tmp_path / "threaded.hpsg"
-        assert main(["parse", "--input", conll, "--scores", score_file,
-                     "--out", str(serial)]) == 0
-        assert main(["parse", "--input", conll, "--scores", score_file,
-                     "--threads", "4", "--out", str(threaded)]) == 0
-        assert serial.read_text() == threaded.read_text()
-
     def test_bracketed_input_detected(self, tmp_path, multihead_files,
                                       score_file):
         const, _ = multihead_files
@@ -174,11 +163,24 @@ class TestParse:
         code = main(["parse", "--input", str(short), "--scores", score_file,
                      "--out", str(out)])
         captured = capsys.readouterr()
-        assert code == 0
-        assert "score table covers 9 tokens, sentence has 1" in captured.err
-        assert "1 of 1 sentences failed" in captured.err
-        with open(out, encoding="utf-8") as fh:
-            assert read_hpsg(fh) == []
+        assert code == 2
+        assert "sentence 1: score table covers 9 tokens, sentence has 1" \
+            in captured.err
+        assert not out.exists()
+
+    def test_missing_table_reported(self, tmp_path, multihead_files,
+                                    score_file, capsys):
+        _, conll = multihead_files
+        with open(score_file, encoding="utf-8") as fh:
+            text = fh.read()
+        short = tmp_path / "short.txt"
+        short.write_text(text[:text.index("#sent 4 ")], encoding="utf-8")
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", conll, "--scores", str(short),
+                     "--out", str(out)])
+        assert code == 2
+        assert "sentence 4: no score table" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scores_and_model_conflict(self, multihead_files, score_file,
                                        capsys):
@@ -269,6 +271,30 @@ class TestTrainAndModelParse:
             assert 0.0 <= float(values[key]) <= 100.0
         # parser output has no dependency labels, so no labeled score
         assert "las" not in values
+
+    def test_division_model_parses_with_its_own_decoder(self, tmp_path,
+                                                        data_dir, fused_file,
+                                                        capsys):
+        model = tmp_path / "division.model"
+        assert main(["train", "--hpsg", fused_file, "--model-out",
+                     str(model), "--mode", "division", "--epochs", "2",
+                     "--dim", str(2 ** 16)]) == 0
+        conll = str(data_dir / "multihead.conll")
+        default = tmp_path / "default.hpsg"
+        explicit = tmp_path / "explicit.hpsg"
+        assert main(["parse", "--input", conll, "--model", str(model),
+                     "--out", str(default)]) == 0
+        assert main(["parse", "--input", conll, "--model", str(model),
+                     "--decoder", "division", "--out", str(explicit)]) == 0
+        assert "H_" not in default.read_text()
+        assert default.read_text() == explicit.read_text()
+        capsys.readouterr()
+        for decoder in ("joint", "eisner"):
+            code = main(["parse", "--input", conll, "--model", str(model),
+                         "--decoder", decoder, "--out-dep",
+                         str(tmp_path / "x.conll")])
+            assert code == 1
+            assert "division-mode model" in capsys.readouterr().err
 
     def test_conflicting_inputs(self, tmp_path, fused_file, data_dir,
                                 capsys):

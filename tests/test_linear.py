@@ -16,7 +16,7 @@ from headspan.linear import (
     span_features,
     train_linear,
 )
-from headspan.scoring import CategoryVocab
+from headspan.scoring import CategoryVocab, tree_parts
 from headspan.synth import sample_corpus
 from headspan.trees import HEAD_PREFIX
 
@@ -94,28 +94,27 @@ class TestLinearModel:
 
     def test_tree_parts_joint_mode(self, sample_fused):
         tree = sample_fused[0]
-        vocab = CategoryVocab.from_trees([tree])
-        model = LinearModel(vocab)
-        spans, arcs, root = model.tree_parts(tree)
+        spans, arcs, root = tree_parts(tree)
         n = len(tree)
         assert len(spans) == 2 * n - 1
         assert len(arcs) == n - 1
         deps = project_dependencies(tree)
         assert deps.heads[root] == 0
+        assert arcs == [(c, deps.heads[c]) for c in range(1, n + 1)
+                        if c != root]
 
     def test_tree_parts_division_mode(self, sample_fused):
         tree = sample_fused[0]
-        vocab = CategoryVocab.from_trees([tree], division_labels=True)
-        model = LinearModel(vocab, mode="division")
-        spans, arcs, root = model.tree_parts(tree)
-        assert arcs == [] and root == 0
+        spans, arcs, root = tree_parts(tree, division_labels=True)
         assert any(label.startswith(HEAD_PREFIX) for _, _, label in spans)
+        # the dependency half does not depend on the span encoding
+        assert (arcs, root) == tree_parts(tree)[1:]
 
     def test_identical_gold_features_cancel(self, sample_fused):
         tree = sample_fused[0]
         vocab = CategoryVocab.from_trees([tree])
         model = LinearModel(vocab)
-        spans, arcs, root = model.tree_parts(tree)
+        spans, arcs, root = tree_parts(tree)
         a = model.feature_counts(tree.tokens, spans, arcs, root)
         b = model.feature_counts(tree.tokens, spans, arcs, root)
         assert a == b

@@ -100,6 +100,25 @@ class TestConll:
             read_conll(gap)
         assert err.value.line == 2
 
+    def test_conllu_extras_skipped_with_one_warning(self, caplog):
+        rows = "\n".join([
+            "# sent_id = 1",
+            "# text = dogs ran off",
+            "1-2\tdogsran\t_\t_\t_\t_\t_\t_\t_\t_",
+            "1\tdogs\t_\tNNS\tNNS\t_\t2\tnsubj\t_\t_",
+            "2\tran\t_\tVBD\tVBD\t_\t0\troot\t_\t_",
+            "2.1\tgone\t_\tVBN\tVBN\t_\t_\t_\t2:conj\t_",
+            "3\toff\t_\tRP\tRP\t_\t2\tprt\t_\t_",
+        ])
+        with caplog.at_level("WARNING", logger="headspan.treebank"):
+            trees = read_conll(rows)
+        assert len(trees) == 1
+        assert [t.form for t in trees[0].tokens] == ["dogs", "ran", "off"]
+        assert trees[0].heads == [0, 2, 0, 2]
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "skipped 4" in warnings[0].getMessage()
+
     def test_short_row_rejected(self):
         with pytest.raises(TreebankError):
             read_conll("1\tdogs\tNNS")
