@@ -373,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SizeGuardError, ValueError) as exc:
         print(f"headspan {args.command}: {exc}", file=sys.stderr)
         return 1
+    except RecursionError:
+        print(f"headspan {args.command}: input nested deeper than the "
+              f"recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

@@ -3,13 +3,23 @@
 ``decode_joint`` finds the best head-annotated tree under the interpolated
 objective: ``lam`` times the sum of labeled span scores of the binarized
 encoding plus ``1 - lam`` times the sum of arc scores and the root score.
-Its chart is indexed by (start, end, head) and tracks two quantities per
-cell: the best score with the span acting as a complete dependent (a real
-category is then required on spans longer than one token) and as a
-continuation of a phrase still collecting dependents (the empty category is
-then allowed). Each merge of two adjacent cells realizes exactly one arc
-between their heads, so the dependency part is accumulated merge by merge.
-Time is O(n^5) and memory O(n^3).
+Its chart is indexed by (start, end, head) and scores each cell two ways:
+with the span acting as a complete dependent (a real category is then
+required on spans longer than one token) and as a continuation of a phrase
+still collecting dependents (the empty category is then allowed). The two
+differ by a per-span label constant, so one inner score per cell serves
+both. Each merge of two adjacent cells realizes exactly one arc between
+their heads, so the dependency part is accumulated merge by merge.
+
+The merge uses the hooks of Eisner & Satta (1999): the best way to attach
+a finished span (i, k) to an outside head h, max over its heads r of the
+span's score plus arc[r, h], does not depend on the continuation it joins.
+It is computed once when (i, k) is finished and stored in the chart slots
+of heads outside the span, which the inner scores never use. A cell (i, j)
+then takes one masked max over split points k and heads h, so time is
+O(n^4). Memory is O(n^3) at 12 bytes per cell: a float64 for the inner
+score or hook and an int32 split point. The dependent's head is not stored;
+the backtrack recomputes it from the hooks' inputs in O(n) per node.
 
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
@@ -28,7 +38,7 @@ split points are all smaller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,20 +68,43 @@ class DecodeConfig:
 
 @dataclass
 class JointChart:
-    """Filled joint chart: scores and backpointers indexed [i, j, h].
+    """Filled joint chart over spans (i, j) and heads h, indexed [i, j, h].
 
-    ``complete[i, j, h]`` is the best score of span (i, j) headed by ``h``
-    when the span stands as a finished dependent; ``partial`` allows the
-    empty category on top. ``side`` records whether the best split attached
-    a left (0) or right (1) dependent, ``sub`` the dependent's head, and
-    ``split`` the boundary between dependent and continuation.
+    ``inner`` holds two kinds of score in one float64 array. At heads
+    inside the span (i <= h <= j) it is the best score of span (i, j)
+    headed by ``h`` without the span's own label: plus ``best_real[i, j]``
+    the span stands as a finished dependent (a real category on top), plus
+    ``best_any[i, j]`` it continues a phrase still collecting dependents
+    (the empty category allowed). A single token keeps its whole score in
+    ``inner`` and -0.0 as both constants. At heads outside the span it is
+    the hook: the best finished subtree of (i, j) attached as a dependent
+    of ``h``, max over r of its score headed by r plus ``arc[r, h]``.
+    ``split[i, j, h]`` is the boundary between dependent and continuation
+    of the best split; the dependent lies left of the head when h > split.
+    The dependent's own head is recomputed by :meth:`backpointer`, not
+    stored.
     """
 
-    complete: np.ndarray
-    partial: np.ndarray
-    side: np.ndarray
-    sub: np.ndarray
+    inner: np.ndarray
     split: np.ndarray
+    best_real: np.ndarray
+    best_any: np.ndarray
+    arc: np.ndarray
+
+    def complete(self, i: int, j: int) -> np.ndarray:
+        """Scores of span (i, j) as a finished dependent, heads i..j."""
+        return self.inner[i, j, i:j + 1] + self.best_real[i, j]
+
+    def backpointer(self, i: int, j: int, h: int) -> tuple[int, int, int]:
+        """(side, dependent head, split) of the best split of (i, j, h).
+
+        Side 0 attaches the dependent on the left, 1 on the right. The
+        dependent's head is the first head that attains the hook's maximum.
+        """
+        k = int(self.split[i, j, h])
+        side, a, b = (0, i, k) if h > k else (1, k + 1, j)
+        hooked = self.complete(a, b) + self.arc[a:b + 1, h]
+        return side, a + int(np.argmax(hooked)), k
 
 
 def _placeholder_tokens(n: int) -> list[Token]:
@@ -124,71 +157,54 @@ def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray) -> JointChart:
     n = span_m.shape[0] - 1
     best_any = span_m.max(axis=2)
     best_real = span_m[:, :, 1:].max(axis=2)
-
-    neg = -np.inf
-    complete = np.full((n + 1, n + 1, n + 1), neg)
-    partial = np.full((n + 1, n + 1, n + 1), neg)
-    side = np.zeros((n + 1, n + 1, n + 1), dtype=np.int8)
-    sub = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
-    split = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
-
     idx = np.arange(1, n + 1)
-    complete[idx, idx, idx] = best_any[idx, idx]
-    partial[idx, idx, idx] = best_any[idx, idx]
+    single = best_any[idx, idx].copy()
+    # a single token scores best_any either way; x + -0.0 == x for every
+    # float x, so its label constants add nothing, bit for bit
+    best_any[idx, idx] = -0.0
+    best_real[idx, idx] = -0.0
 
-    for length in range(2, n + 1):
+    inner = np.full((n + 1, n + 1, n + 1), -np.inf)
+    split = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    inner[idx, idx, idx] = single
+    cols = np.arange(n + 1)
+    dep_left = cols[None, :n] > cols[:n, None]   # [k - i, h - i]: h > k
+
+    for length in range(1, n + 1):
         for i in range(1, n - length + 2):
             j = i + length - 1
-            best = np.full(length, neg)
-            bside = np.zeros(length, dtype=np.int8)
-            bsub = np.zeros(length, dtype=np.int32)
-            bsplit = np.zeros(length, dtype=np.int32)
-            for k in range(i, j):
-                # dependent on the left: spans [i,k] head r, [k+1,j] head h
-                left_c = complete[i, k, i:k + 1]
-                grid = left_c[:, None] + arc_m[i:k + 1, k + 1:j + 1]
-                colmax = grid.max(axis=0)
-                colarg = grid.argmax(axis=0)
-                cand = colmax + partial[k + 1, j, k + 1:j + 1]
-                seg = slice(k + 1 - i, j + 1 - i)
-                cur = best[seg]
-                mask = cand > cur
-                if mask.any():
-                    cur[mask] = cand[mask]
-                    bside[seg][mask] = 0
-                    bsub[seg][mask] = colarg[mask] + i
-                    bsplit[seg][mask] = k
-                # dependent on the right: spans [k+1,j] head r, [i,k] head h
-                right_c = complete[k + 1, j, k + 1:j + 1]
-                grid = right_c[:, None] + arc_m[k + 1:j + 1, i:k + 1]
-                colmax = grid.max(axis=0)
-                colarg = grid.argmax(axis=0)
-                cand = colmax + partial[i, k, i:k + 1]
-                seg = slice(0, k + 1 - i)
-                cur = best[seg]
-                mask = cand > cur
-                if mask.any():
-                    cur[mask] = cand[mask]
-                    bside[seg][mask] = 1
-                    bsub[seg][mask] = colarg[mask] + k + 1
-                    bsplit[seg][mask] = k
-            complete[i, j, i:j + 1] = best + best_real[i, j]
-            partial[i, j, i:j + 1] = best + best_any[i, j]
-            side[i, j, i:j + 1] = bside
-            sub[i, j, i:j + 1] = bsub
-            split[i, j, i:j + 1] = bsplit
+            if length > 1:
+                # rows are split points k = i..j-1, columns heads h = i..j.
+                # a[k, h] = inner[i, k, h] is the hook of (i, k) where h > k
+                # and its inner score where h <= k; b[k, h] = inner[k+1, j,
+                # h] is the hook of (k+1, j) where h <= k and its inner
+                # score where h > k. argmax keeps the first k among ties.
+                a = inner[i, i:j, i:j + 1]
+                b = inner[i + 1:j + 1, j, i:j + 1]
+                left = a + (b + best_any[i + 1:j + 1, j, None])
+                right = b + (a + best_any[i, i:j, None])
+                cand = np.where(dep_left[:length - 1, :length], left, right)
+                ks = cand.argmax(axis=0)
+                inner[i, j, i:j + 1] = cand[ks, cols[:length]]
+                split[i, j, i:j + 1] = ks + i
+            if length < n:
+                comp = inner[i, j, i:j + 1, None] + best_real[i, j]
+                hooks = (comp + arc_m[i:j + 1]).max(axis=0)
+                inner[i, j, 1:i] = hooks[1:i]
+                inner[i, j, j + 1:] = hooks[j + 1:]
 
-    return JointChart(complete=complete, partial=partial, side=side,
-                      sub=sub, split=split)
+    return JointChart(inner=inner, split=split, best_real=best_real,
+                      best_any=best_any, arc=arc_m)
 
 
-def _build_tree(side: np.ndarray, sub: np.ndarray, split: np.ndarray,
+def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
                 span_m: np.ndarray, vocab, tokens: Sequence[Token],
                 h_root: int, root_lid: int
                 ) -> tuple[HpsgNode, list[tuple[int, int, str]]]:
     """Tree and labeled derivation spans read off chart backpointers.
 
-    ``side``, ``sub`` and ``split`` are laid out as in :class:`JointChart`.
+    ``backpointer(i, j, h)`` gives (side, dependent head, split) as
+    :meth:`JointChart.backpointer` does.
     """
     cat_any = span_m.argmax(axis=2)
     cat_real = _real_label_argmax(span_m)
@@ -203,9 +219,7 @@ def _build_tree(side: np.ndarray, sub: np.ndarray, split: np.ndarray,
             if lid is None:
                 lid = int(cat_any[i, i])
         else:
-            s = int(side[i, j, h])
-            r = int(sub[i, j, h])
-            k = int(split[i, j, h])
+            s, r, k = backpointer(i, j, h)
             if s == 0:
                 children = build(i, k, r, True) + build(k + 1, j, h, False)
             else:
@@ -246,11 +260,11 @@ def decode_joint_mixed(span_m: np.ndarray, arc_m: np.ndarray,
         # the chart baked the unrestricted best real label into the top
         # cells; swap it for the best label the sentence span may take
         adjust = root_span_best - float(span_m[1, n, 1:].max())
-        totals = chart.complete[1, n, 1:n + 1] + adjust + root_m[1:n + 1]
+        totals = chart.complete(1, n) + adjust + root_m[1:n + 1]
     h_root = int(np.argmax(totals)) + 1
     score = float(totals[h_root - 1])
-    root, spans = _build_tree(chart.side, chart.sub, chart.split, span_m,
-                              vocab, tokens, h_root, root_lid)
+    root, spans = _build_tree(chart.backpointer, span_m, vocab, tokens,
+                              h_root, root_lid)
     tree = HpsgTree(tokens=list(tokens), root=root)
     return tree, score, spans
 
@@ -517,21 +531,17 @@ def brute_force(table: ScoreTable, config: DecodeConfig | None = None,
     assert best is not None
     # the winning derivation as chart backpointers, for the shared builder
     head, struct = best
-    side = np.zeros((n + 1, n + 1, n + 1), dtype=np.int8)
-    sub = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
-    split = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    pointers = {}
     stack = [(1, n, head, struct)]
     while stack:
         i, j, h, node = stack.pop()
         if i == j:
             continue
         k, dep_side, hl, hr, tl, tr = node
-        side[i, j, h] = dep_side
-        sub[i, j, h] = hl if dep_side == 0 else hr
-        split[i, j, h] = k
+        pointers[i, j, h] = (dep_side, hl if dep_side == 0 else hr, k)
         stack += [(i, k, hl, tl), (k + 1, j, hr, tr)]
-    root, _ = _build_tree(side, sub, split, span_m, vocab, tokens, head,
-                          root_lid)
+    root, _ = _build_tree(lambda i, j, h: pointers[i, j, h], span_m, vocab,
+                          tokens, head, root_lid)
     return HpsgTree(tokens=list(tokens), root=root), float(best_score)
 
 

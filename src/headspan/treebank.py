@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import re
+import sys
 from typing import IO, Iterable, Iterator, Optional
 
 from .errors import AlignmentError, TreebankError
@@ -175,7 +176,12 @@ def read_bracketed(stream: IO[str] | str, strip_tags: bool = True) -> list[Const
         while sx[0] == "" and len(sx) == 2 and isinstance(sx[1], list):
             sx = sx[1]
         tokens: list[Token] = []
-        root = _sexpr_to_const(sx, line, tokens, strip_tags)
+        try:
+            root = _sexpr_to_const(sx, line, tokens, strip_tags)
+        except RecursionError:
+            raise TreebankError(
+                f"tree nested deeper than the reader's recursion limit "
+                f"({sys.getrecursionlimit()})", line) from None
         if root is None or not tokens:
             log.warning("skipping tree %d (line %d): empty after trace removal",
                         ordinal, line)

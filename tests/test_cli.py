@@ -76,6 +76,26 @@ class TestConvert:
         assert code == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_deep_tree_exits_2_without_traceback(self, tmp_path):
+        # right-branching, 1200 levels: deeper than the recursion limit
+        depth = 1200
+        const = tmp_path / "deep.brackets"
+        const.write_text(
+            "(S " + "".join(f"(X (T w{i}) " for i in range(depth))
+            + f"(T w{depth})" + ")" * (depth + 1) + "\n", encoding="utf-8")
+        conll = tmp_path / "deep.conll"
+        conll.write_text("".join(
+            f"{i + 1}\tw{i}\t_\tT\tT\t_\t{(i + 2) % (depth + 2)}\tdep\n"
+            for i in range(depth + 1)) + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "headspan", "convert", "--const",
+             str(const), "--conll", str(conll), "--out",
+             str(tmp_path / "x")], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "line 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_missing_file(self, tmp_path, multihead_files):
         _, conll = multihead_files
         code = main(["convert", "--const", str(tmp_path / "absent"),

@@ -3,7 +3,8 @@
 The two-token case below is fully worked by hand in comments; the random
 agreement tests certify the vectorized charts against an exhaustive
 re-derivation that shares no search or scoring code with them, only the
-step that turns the winning derivation into a tree.
+step that turns the winning derivation into a tree. The joint chart is also
+held cell by cell to the plain O(n^5) recurrence kept here as a reference.
 """
 
 import random
@@ -11,6 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from headspan.decode import (
     BRUTE_FORCE_CAP,
@@ -21,6 +25,7 @@ from headspan.decode import (
     decode_eisner,
     decode_joint,
     decode_joint_mixed,
+    fill_joint_chart,
     max_projective_score,
 )
 from headspan.division import from_division
@@ -131,6 +136,37 @@ class TestJointAgainstBruteForce:
                 if 0.0 < lam < 1.0:
                     assert fast_tree == slow_tree, (n, trial, lam)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 7),
+           lam=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_score_property_on_tied_tables(self, data, n, lam):
+        # small integers: ties among splits, heads and labels everywhere
+        vocab = CategoryVocab(["A", "B"])
+        table = ScoreTable.zeros(n, vocab)
+        ints = st.integers(-2, 2)
+        table.span[1:, 1:] = data.draw(arrays(np.int64, (n, n, len(vocab)),
+                                              elements=ints))
+        table.arc[1:, 1:] = data.draw(arrays(np.int64, (n, n),
+                                             elements=ints))
+        table.root[1:] = data.draw(arrays(np.int64, n, elements=ints))
+        config = DecodeConfig(lam=lam)
+        _, fast = decode_joint(table, config)
+        _, slow = brute_force(table, config)
+        assert fast == pytest.approx(slow, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 7),
+           lam=st.floats(0.05, 0.95))
+    def test_tree_property_on_continuous_tables(self, seed, n, lam):
+        # continuous scores have no ties, so both searches pick one tree
+        table = random_score_table(np.random.default_rng(seed), n,
+                                   CategoryVocab(["A", "B", "C"]))
+        config = DecodeConfig(lam=lam)
+        fast_tree, fast = decode_joint(table, config)
+        slow_tree, slow = brute_force(table, config)
+        assert fast == pytest.approx(slow, abs=1e-9)
+        assert fast_tree == slow_tree
+
     def test_derivation_spans_account_for_the_score(self):
         rng = np.random.default_rng(31)
         vocab = CategoryVocab(["A", "B"])
@@ -151,6 +187,116 @@ class TestJointAgainstBruteForce:
                     else (1.0 - lam) * table.arc[t, deps.heads[t]]
                     for t in range(1, n + 1))
                 assert span_part + dep_part == pytest.approx(score, abs=1e-9)
+
+
+def reference_joint_chart(span_m, arc_m):
+    """The O(n^5) joint chart the hook recurrence replaced, kept as oracle.
+
+    Returns (complete, partial, side, sub, split), each indexed [i, j, h].
+    """
+    n = span_m.shape[0] - 1
+    best_any = span_m.max(axis=2)
+    best_real = span_m[:, :, 1:].max(axis=2)
+
+    neg = -np.inf
+    complete = np.full((n + 1, n + 1, n + 1), neg)
+    partial = np.full((n + 1, n + 1, n + 1), neg)
+    side = np.zeros((n + 1, n + 1, n + 1), dtype=np.int8)
+    sub = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    split = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+
+    idx = np.arange(1, n + 1)
+    complete[idx, idx, idx] = best_any[idx, idx]
+    partial[idx, idx, idx] = best_any[idx, idx]
+
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            best = np.full(length, neg)
+            bside = np.zeros(length, dtype=np.int8)
+            bsub = np.zeros(length, dtype=np.int32)
+            bsplit = np.zeros(length, dtype=np.int32)
+            for k in range(i, j):
+                # dependent on the left: spans [i,k] head r, [k+1,j] head h
+                left_c = complete[i, k, i:k + 1]
+                grid = left_c[:, None] + arc_m[i:k + 1, k + 1:j + 1]
+                colmax = grid.max(axis=0)
+                colarg = grid.argmax(axis=0)
+                cand = colmax + partial[k + 1, j, k + 1:j + 1]
+                seg = slice(k + 1 - i, j + 1 - i)
+                cur = best[seg]
+                mask = cand > cur
+                if mask.any():
+                    cur[mask] = cand[mask]
+                    bside[seg][mask] = 0
+                    bsub[seg][mask] = colarg[mask] + i
+                    bsplit[seg][mask] = k
+                # dependent on the right: spans [k+1,j] head r, [i,k] head h
+                right_c = complete[k + 1, j, k + 1:j + 1]
+                grid = right_c[:, None] + arc_m[k + 1:j + 1, i:k + 1]
+                colmax = grid.max(axis=0)
+                colarg = grid.argmax(axis=0)
+                cand = colmax + partial[i, k, i:k + 1]
+                seg = slice(0, k + 1 - i)
+                cur = best[seg]
+                mask = cand > cur
+                if mask.any():
+                    cur[mask] = cand[mask]
+                    bside[seg][mask] = 1
+                    bsub[seg][mask] = colarg[mask] + k + 1
+                    bsplit[seg][mask] = k
+            complete[i, j, i:j + 1] = best + best_real[i, j]
+            partial[i, j, i:j + 1] = best + best_any[i, j]
+            side[i, j, i:j + 1] = bside
+            sub[i, j, i:j + 1] = bsub
+            split[i, j, i:j + 1] = bsplit
+
+    return complete, partial, side, sub, split
+
+
+def assert_chart_matches_reference(span_m, arc_m):
+    """Bitwise-equal cell scores and identical backpointers."""
+    want_c, want_p, want_side, want_sub, want_split = reference_joint_chart(
+        span_m, arc_m)
+    chart = fill_joint_chart(span_m, arc_m)
+    n = span_m.shape[0] - 1
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            heads = slice(i, j + 1)
+            assert chart.complete(i, j).tobytes() == \
+                want_c[i, j, heads].tobytes(), (i, j)
+            partial = chart.inner[i, j, heads] + chart.best_any[i, j]
+            assert partial.tobytes() == want_p[i, j, heads].tobytes(), (i, j)
+            if i == j:
+                continue
+            for h in range(i, j + 1):
+                want = (want_side[i, j, h], want_sub[i, j, h],
+                        want_split[i, j, h])
+                assert chart.backpointer(i, j, h) == want, (i, j, h)
+
+
+class TestChartAgainstReference:
+    def test_random_tables(self):
+        rng = np.random.default_rng(43)
+        vocab = CategoryVocab(["A", "B", "C"])
+        for trial in range(300):
+            n = trial % 13 + 1
+            table = random_score_table(rng, n, vocab)
+            if trial % 2:
+                # small integers make ties between splits and heads common
+                table.span[:] = np.rint(3 * table.span)
+                table.arc[:] = np.rint(3 * table.arc)
+            lam = (0.0, 0.5, 1.0, 0.3)[trial % 4]
+            assert_chart_matches_reference(lam * table.span,
+                                           (1.0 - lam) * table.arc)
+
+    def test_bundled_oracle_tables(self, sample_fused):
+        vocab = CategoryVocab.from_trees(sample_fused)
+        for tree in sample_fused:
+            table = oracle_scores(tree, vocab)
+            for lam in (0.0, 0.5, 1.0):
+                assert_chart_matches_reference(lam * table.span,
+                                               (1.0 - lam) * table.arc)
 
 
 class TestExactRecovery:
