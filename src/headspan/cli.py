@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .decode import (
     BRUTE_FORCE_CAP,
+    LEN_CAP,
     ROUTES,
     DecodeConfig,
     brute_force,
@@ -33,6 +34,7 @@ from .decode import (
 )
 from .errors import (
     AlignmentError,
+    ModelFileError,
     ScoreFileError,
     SizeGuardError,
     StructureError,
@@ -54,8 +56,6 @@ from .treebank import (
 )
 
 log = logging.getLogger(__name__)
-
-DEFAULT_LEN_CAP = 240
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float,
                    help="span weight, 0 = arcs only, 1 = spans only "
                    "(default: the model's, or 0.5 with --scores)")
-    p.add_argument("--len-cap", type=int, default=DEFAULT_LEN_CAP,
+    p.add_argument("--len-cap", type=int, default=LEN_CAP,
                    help="longest sentence the joint decoder accepts before "
                    "falling back to the span decoder")
     p.add_argument("--out", help="head-annotated trees output")
@@ -367,7 +367,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (TreebankError, AlignmentError, ScoreFileError, StructureError,
-            FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+            ModelFileError, FileNotFoundError, IsADirectoryError,
+            PermissionError) as exc:
         print(f"headspan {args.command}: {exc}", file=sys.stderr)
         return 2
     except (SizeGuardError, ValueError) as exc:

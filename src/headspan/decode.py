@@ -52,6 +52,7 @@ from .trees import (
     HpsgNode,
     HpsgTree,
     Token,
+    fold,
 )
 
 
@@ -211,19 +212,26 @@ def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
     n = span_m.shape[0] - 1
     spans_out: list[tuple[int, int, str]] = []
 
-    def build(i: int, j: int, h: int, is_complete: bool,
-              lid: int | None = None) -> list[HpsgNode]:
+    # a state (i, j, h, is_complete, lid) is span (i, j) headed by h; lid
+    # fixes its label (the root's), None takes the best one for the span
+    def halves(state: tuple) -> tuple:
+        i, j, h = state[:3]
+        if i == j:
+            return ()
+        s, r, k = backpointer(i, j, h)
+        if s == 0:
+            return (i, k, r, True, None), (k + 1, j, h, False, None)
+        return (i, k, h, False, None), (k + 1, j, r, True, None)
+
+    def build(state: tuple, parts: list[list[HpsgNode]]) -> list[HpsgNode]:
+        i, j, h, is_complete, lid = state
         if i == j:
             children = [HpsgNode(label=tokens[i - 1].pos, head=i, start=i,
                                  end=i)]
             if lid is None:
                 lid = int(cat_any[i, i])
         else:
-            s, r, k = backpointer(i, j, h)
-            if s == 0:
-                children = build(i, k, r, True) + build(k + 1, j, h, False)
-            else:
-                children = build(i, k, h, False) + build(k + 1, j, r, True)
+            children = parts[0] + parts[1]
             if lid is None:
                 lid = int((cat_real if is_complete else cat_any)[i, j])
         label = vocab.category(lid)
@@ -232,7 +240,7 @@ def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
             return children
         return [division.expand_chain(label, children, h, i, j)]
 
-    nodes = build(1, n, h_root, True, root_lid)
+    nodes = fold((1, n, h_root, True, root_lid), halves, build)
     return nodes[0], spans_out
 
 
@@ -320,17 +328,23 @@ def decode_division(table: ScoreTable,
     else:
         score = float(inner[1, n]) + root_span_best
 
-    def build(i: int, j: int, is_root: bool) -> ConstNode:
-        lid = root_lid if is_root else int(cat_any[i, j])
+    def halves(state: tuple[int, int, int]) -> tuple:
+        i, j, _ = state
+        if i == j:
+            return ()
+        k = int(split[i, j])
+        return (i, k, -1), (k + 1, j, -1)
+
+    def build(state: tuple[int, int, int], kids: list[ConstNode]
+              ) -> ConstNode:
+        i, j, lid = state
         if i == j:
             kids = [ConstNode(label=tokens[i - 1].pos, start=i, end=i)]
-        else:
-            k = int(split[i, j])
-            kids = [build(i, k, False), build(k + 1, j, False)]
-        return ConstNode(label=vocab.category(lid), children=kids,
-                         start=i, end=j)
+        label = vocab.category(int(cat_any[i, j]) if lid < 0 else lid)
+        return ConstNode(label=label, children=kids, start=i, end=j)
 
-    tree = ConstituentTree(tokens=list(tokens), root=build(1, n, True))
+    tree = ConstituentTree(tokens=list(tokens),
+                           root=fold((1, n, root_lid), halves, build))
     return tree, score
 
 
@@ -377,42 +391,32 @@ def decode_eisner(table: ScoreTable,
     h_root = int(np.argmax(totals)) + 1
     score = float(totals[h_root - 1])
 
+    # complete (c) and incomplete (i) items, headed at their left (r) or
+    # right (l) end; each incomplete item sets one head
     heads = [0] * (n + 1)
-
-    def rec_cr(i: int, j: int) -> None:
-        if i == j:
-            return
-        k = int(bp_cr[i, j])
-        rec_ir(i, k)
-        rec_cr(k, j)
-
-    def rec_cl(i: int, j: int) -> None:
-        if i == j:
-            return
-        k = int(bp_cl[i, j])
-        rec_cl(i, k)
-        rec_il(k, j)
-
-    def rec_ir(i: int, j: int) -> None:
-        heads[j] = i
-        k = int(bp_i[i, j])
-        rec_cr(i, k)
-        rec_cl(k + 1, j)
-
-    def rec_il(i: int, j: int) -> None:
-        heads[i] = j
-        k = int(bp_i[i, j])
-        rec_cr(i, k)
-        rec_cl(k + 1, j)
-
-    heads[h_root] = 0
-    rec_cl(1, h_root)
-    rec_cr(h_root, n)
+    stack = [("cl", 1, h_root), ("cr", h_root, n)]
+    while stack:
+        kind, i, j = stack.pop()
+        if kind == "cr" and i < j:
+            k = int(bp_cr[i, j])
+            stack += [("ir", i, k), ("cr", k, j)]
+        elif kind == "cl" and i < j:
+            k = int(bp_cl[i, j])
+            stack += [("cl", i, k), ("il", k, j)]
+        elif kind[0] == "i":
+            if kind == "ir":
+                heads[j] = i
+            else:
+                heads[i] = j
+            k = int(bp_i[i, j])
+            stack += [("cr", i, k), ("cl", k + 1, j)]
     tree = DependencyTree(tokens=list(tokens), heads=heads)
     return tree, score
 
 
 ROUTES = ("joint", "division", "eisner")
+# longest sentence for the joint chart, 12 (n+1)^3 bytes: 174 MB at 240
+LEN_CAP = 240
 
 
 def decode_table(table: ScoreTable, route: str, lam: float,

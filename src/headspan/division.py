@@ -34,6 +34,8 @@ from .trees import (
     HpsgNode,
     HpsgTree,
     Token,
+    children_of,
+    fold,
 )
 
 CHAIN_JOINER = "+"
@@ -54,62 +56,61 @@ def binarize_head_outward(tree: HpsgTree) -> HpsgNode:
                             start=node.start, end=node.end)
         return node
 
-    def encode(node: HpsgNode) -> HpsgNode:
+    def encode(node: HpsgNode, kids: list[HpsgNode]) -> HpsgNode:
         if node.is_preterminal:
             return HpsgNode(label=node.label, head=node.head,
                             start=node.start, end=node.end)
-        # collapse unary chains of internal nodes into one atom
-        labels = [node.label]
-        cur = node
-        while len(cur.children) == 1 and not cur.children[0].is_preterminal:
-            cur = cur.children[0]
-            labels.append(cur.label)
-        label = CHAIN_JOINER.join(labels)
-        if len(cur.children) == 1:
+        labels = [nd.label for nd in _unary_chain(node)]
+        if len(kids) == 1:
             # atom directly over a preterminal
-            child = encode(cur.children[0])
-            return HpsgNode(label=label, head=node.head, children=[child],
-                            start=node.start, end=node.end)
-        kids = [wrap_bare(encode(ch)) for ch in cur.children]
-
-        def nest(sub: list[HpsgNode]) -> list[HpsgNode]:
-            if len(sub) == 2:
-                return sub
-            t = next(k for k, ch in enumerate(sub) if ch.head == node.head)
-            if t == 0:
-                inner = sub[:-1]
-                mid = HpsgNode(label=EMPTY, head=node.head, children=nest(inner),
-                               start=inner[0].start, end=inner[-1].end)
-                return [mid, sub[-1]]
-            inner = sub[1:]
-            mid = HpsgNode(label=EMPTY, head=node.head, children=nest(inner),
-                           start=inner[0].start, end=inner[-1].end)
-            return [sub[0], mid]
-
-        return HpsgNode(label=label, head=node.head, children=nest(kids),
-                        start=node.start, end=node.end)
+            return HpsgNode(label=CHAIN_JOINER.join(labels), head=node.head,
+                            children=kids, start=node.start, end=node.end)
+        kids = [wrap_bare(kid) for kid in kids]
+        t = next((k for k, kid in enumerate(kids) if kid.head == node.head),
+                 0 if len(kids) == 2 else None)
+        if t is None:
+            raise StructureError(f"no child of {node.label}{node.span()} "
+                                 f"has its head {node.head}")
+        # attach right siblings nearest first, then left ones, each pair
+        # becoming an empty-category node before the next attaches
+        pair = [kids[t]]
+        for k in [*range(t + 1, len(kids)), *range(t - 1, -1, -1)]:
+            if len(pair) == 2:
+                pair = [HpsgNode(label=EMPTY, head=node.head, children=pair,
+                                 start=pair[0].start, end=pair[1].end)]
+            pair = pair + [kids[k]] if k > t else [kids[k]] + pair
+        return HpsgNode(label=CHAIN_JOINER.join(labels), head=node.head,
+                        children=pair, start=node.start, end=node.end)
 
     tree.validate_spans()
-    return wrap_bare(encode(tree.root))
+    return wrap_bare(fold(tree.root, lambda nd: _unary_chain(nd)[-1].children,
+                          encode))
+
+
+def _unary_chain(node: HpsgNode) -> list[HpsgNode]:
+    """The node and the internal nodes below it that are only children."""
+    chain = [node]
+    while (len(chain[-1].children) == 1
+           and not chain[-1].children[0].is_preterminal):
+        chain.append(chain[-1].children[0])
+    return chain
 
 
 def to_division(tree: HpsgTree) -> ConstituentTree:
     """Encode a head-annotated tree as a labeled binary constituent tree."""
 
-    def conv(node: HpsgNode, prefixed: bool) -> ConstNode:
-        label = HEAD_PREFIX + node.label if prefixed else node.label
-        if node.is_preterminal:
-            return ConstNode(label=label, start=node.start, end=node.end)
-        if len(node.children) == 1:
-            kids = [conv(node.children[0], True)]
-        else:
-            left, right = node.children
-            kids = [conv(left, True), conv(right, right.head == node.head)]
-        return ConstNode(label=label, children=kids,
+    def conv(node: HpsgNode, kids: list[ConstNode]) -> ConstNode:
+        # the parent marks its children: the left or only child always,
+        # the right child when it holds the head
+        for child, kid in zip(node.children, kids):
+            if child is node.children[0] or child.head == node.head:
+                kid.label = HEAD_PREFIX + kid.label
+        return ConstNode(label=node.label, children=kids,
                          start=node.start, end=node.end)
 
     encoded = binarize_head_outward(tree)
-    return ConstituentTree(tokens=list(tree.tokens), root=conv(encoded, False))
+    return ConstituentTree(tokens=list(tree.tokens),
+                           root=fold(encoded, children_of, conv))
 
 
 def expand_chain(label: str, children: list[HpsgNode], head: int,
@@ -140,7 +141,8 @@ def from_division(tree: ConstituentTree) -> tuple[HpsgTree, list[str]]:
     flags: list[str] = []
     tokens: list[Token] = []
 
-    def dec(node: ConstNode) -> tuple[list[HpsgNode], bool, int]:
+    def dec(node: ConstNode, parts: list[tuple[list[HpsgNode], bool, int]]
+            ) -> tuple[list[HpsgNode], bool, int]:
         label, marked = _split_prefix(node.label)
         if node.is_preterminal:
             src = tree.tokens[node.start - 1]
@@ -148,30 +150,24 @@ def from_division(tree: ConstituentTree) -> tuple[HpsgTree, list[str]]:
             pret = HpsgNode(label=label, head=node.start,
                             start=node.start, end=node.end)
             return [pret], marked, node.start
-        parts = [dec(ch) for ch in node.children]
         if len(parts) == 1:
             # an only child is the head daughter whether or not it is marked
             head = parts[0][2]
         else:
-            head = None
-            for nodes_, marked_, head_ in parts:
-                if marked_:
-                    head = head_
+            head = next((h for _, m, h in reversed(parts) if m), None)
             if head is None:
                 flags.append(
                     f"span ({node.start},{node.end}): no H-marked child, "
                     f"defaulting to leftmost head"
                 )
                 head = parts[0][2]
-        kids: list[HpsgNode] = []
-        for nodes_, _, _ in parts:
-            kids.extend(nodes_)
+        kids = [kid for nodes, _, _ in parts for kid in nodes]
         if label == EMPTY:
             return kids, marked, head
         built = expand_chain(label, kids, head, node.start, node.end)
         return [built], marked, head
 
-    pieces, _, _ = dec(tree.root)
+    pieces, _, _ = fold(tree.root, children_of, dec)
     if len(pieces) != 1:
         raise StructureError(
             "division root is an empty category over multiple children"

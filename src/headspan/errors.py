@@ -38,3 +38,7 @@ class StructureError(HeadspanError):
 
 class SizeGuardError(HeadspanError):
     """Refusal to run an exhaustive routine above its size guard."""
+
+
+class ModelFileError(HeadspanError):
+    """A file that is not a saved model, or one that names foreign code."""

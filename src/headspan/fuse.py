@@ -6,8 +6,8 @@ than one element cannot carry a single head: such a phrase is divided into
 maximal left-to-right runs of children whose combined span has a singleton
 external-head set, each run of two or more children is wrapped in a node with
 the reserved split category ``#``, and the runs replace the phrase in its
-parent. Division recurses bottom-up, so a dissolved child's runs take part in
-the grouping of its parent.
+parent. Phrases are fused bottom-up, children before parents, so a dissolved
+child's runs take part in the grouping of its parent.
 
 After division every surviving node is single-headed whenever the dependency
 tree is projective and decomposable under the constituent structure; whatever
@@ -23,14 +23,15 @@ from typing import Optional
 
 from .errors import StructureError
 from .trees import (
-    EMPTY,
     SPLIT,
     ConstituentTree,
     ConstNode,
     DependencyTree,
     HpsgNode,
     HpsgTree,
-    Token,
+    children_of,
+    fold,
+    iter_nodes,
     make_const_node,
     make_node,
 )
@@ -135,13 +136,11 @@ def fuse(
             s = chosen + 1
         return groups
 
-    def build(node: ConstNode) -> list[HpsgNode]:
+    def build(node: ConstNode, parts: list[list[HpsgNode]]) -> list[HpsgNode]:
         if node.is_preterminal:
             return [HpsgNode(label=node.label, head=node.start,
                              start=node.start, end=node.end)]
-        kids: list[HpsgNode] = []
-        for child in node.children:
-            kids.extend(build(child))
+        kids = [kid for part in parts for kid in part]
         ext = external_heads(heads, node.start, node.end)
         if len(ext) == 1:
             return [make_node(node.label, kids, ext[0])]
@@ -149,7 +148,7 @@ def fuse(
         report.multihead_before += 1
         return group_runs(kids)
 
-    pieces = build(c.root)
+    pieces = fold(c.root, children_of, build)
     if len(pieces) != 1:
         # can only happen on a multi-headed root span, which a valid
         # dependency tree rules out (exactly one token attaches to 0)
@@ -205,17 +204,15 @@ def validate(tree: HpsgTree, ordinal: int = 0) -> HeadAuditReport:
 def project_constituents(tree: HpsgTree) -> ConstituentTree:
     """Drop head annotations; split nodes (``#``) dissolve into their parent."""
 
-    def conv(node: HpsgNode) -> list[ConstNode]:
+    def conv(node: HpsgNode, parts: list[list[ConstNode]]) -> list[ConstNode]:
         if node.is_preterminal:
             return [ConstNode(label=node.label, start=node.start, end=node.end)]
-        kids: list[ConstNode] = []
-        for child in node.children:
-            kids.extend(conv(child))
+        kids = [kid for part in parts for kid in part]
         if node.label == SPLIT:
             return kids
         return [make_const_node(node.label, kids)]
 
-    pieces = conv(tree.root)
+    pieces = fold(tree.root, children_of, conv)
     if len(pieces) != 1:
         raise StructureError("root is a split node; cannot project")
     return ConstituentTree(tokens=list(tree.tokens), root=pieces[0])
@@ -227,13 +224,10 @@ def project_dependencies(tree: HpsgTree) -> DependencyTree:
     n = len(tree)
     heads = [0] * (n + 1)
 
-    def walk(node: HpsgNode) -> None:
+    for node in iter_nodes(tree.root):
         for child in node.children:
             if child.head != node.head:
                 heads[child.head] = node.head
-            walk(child)
-
-    walk(tree.root)
     heads[tree.root.head] = 0
     labels: Optional[list[Optional[str]]] = (
         list(tree.dep_labels) if tree.dep_labels is not None else None

@@ -31,7 +31,8 @@ from . import evaluate
 # (perfbench/spans.py)
 from .division import binarize_head_outward, to_division  # noqa: F401
 from .fuse import project_constituents, project_dependencies
-from .decode import decode_division, decode_joint_mixed, decode_table
+from .decode import LEN_CAP, decode_division, decode_joint_mixed, decode_table
+from .errors import ModelFileError, SizeGuardError
 from .scoring import (
     CategoryVocab,
     ScoreTable,
@@ -215,11 +216,41 @@ class LinearModel:
 
     @classmethod
     def load(cls, path: str) -> "LinearModel":
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-        vocab = CategoryVocab(payload["categories"])
-        return cls(vocab=vocab, dim=payload["dim"], mode=payload["mode"],
-                   lam=payload["lam"], weights=payload["weights"])
+        """Read a saved model; the file can name numpy arrays and no code."""
+        try:
+            with open(path, "rb") as fh:
+                payload = _ModelUnpickler(fh).load()
+            weights = payload["weights"]
+            if (set(payload) != _MODEL_KEYS
+                    or not isinstance(payload["lam"], (int, float))
+                    or not isinstance(weights, np.ndarray)
+                    or weights.dtype != np.float64
+                    or weights.shape != (payload["dim"],)):
+                raise ValueError("unexpected contents")
+            return cls(vocab=CategoryVocab(payload["categories"]),
+                       dim=payload["dim"], mode=payload["mode"],
+                       lam=payload["lam"], weights=weights)
+        except OSError:
+            raise
+        except Exception as exc:
+            # outside bytes can fail to unpickle or build in many ways;
+            # each one is a file that is not a model
+            raise ModelFileError(f"{path}: not a model file ({exc})") from None
+
+
+_MODEL_KEYS = {"dim", "mode", "lam", "categories", "weights"}
+_MODEL_GLOBALS = {("numpy._core.multiarray", "_reconstruct"),
+                  ("numpy.core.multiarray", "_reconstruct"),
+                  ("numpy", "ndarray"), ("numpy", "dtype")}
+
+
+class _ModelUnpickler(pickle.Unpickler):
+    """Unpickler that admits only the globals a saved weight array names."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) not in _MODEL_GLOBALS:
+            raise pickle.UnpicklingError(f"it names {module}.{name}")
+        return super().find_class(module, name)
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
@@ -264,6 +295,11 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     if config is None:
         config = TrainConfig()
     division_mode = config.mode == "division"
+    for ordinal, tree in enumerate([*trees, *(dev or ())], start=1):
+        if not division_mode and len(tree) > LEN_CAP:
+            raise SizeGuardError(
+                f"sentence {ordinal}: {len(tree)} tokens, above the joint "
+                f"decoder's cap of {LEN_CAP}; train with --mode division")
     vocab = CategoryVocab.from_trees(trees, division_labels=division_mode)
     model = LinearModel(vocab=vocab, dim=config.dim, mode=config.mode,
                         lam=config.lam)

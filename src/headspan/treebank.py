@@ -25,14 +25,19 @@ Three formats are supported:
 
 PTB escape tokens (``-LRB-`` and friends) pass through verbatim in both
 forms and POS tags.
+
+Bracketed trees are read in one pass, each node built as its bracket closes,
+and written from an explicit stack, so any depth works; errors come in file
+order and name the line a tree starts on.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-import sys
-from typing import IO, Iterable, Iterator, Optional
+from functools import partial
+from operator import attrgetter
+from typing import IO, Any, Callable, Iterable, Iterator, Optional
 
 from .errors import AlignmentError, TreebankError
 from .trees import (
@@ -42,6 +47,8 @@ from .trees import (
     HpsgNode,
     HpsgTree,
     Token,
+    make_const_node,
+    make_node,
 )
 
 log = logging.getLogger(__name__)
@@ -66,123 +73,129 @@ def strip_function_tags(label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# s-expression scanning
+# s-expressions
 
 
-def _tokenize_sexpr(text: str, lineno_base: int) -> Iterator[tuple[str, str, int]]:
-    """Yield (kind, value, lineno) with kind in {'(', ')', 'atom'}."""
-    line = lineno_base
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-        elif ch.isspace():
-            i += 1
-        elif ch in "()":
-            yield ch, ch, line
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            yield "atom", text[i:j], line
-            i = j
+_SEXPR_TOKEN = re.compile(r"[()\n]|[^\s()]+")
 
 
-def _parse_sexprs(text: str, lineno_base: int = 1):
-    """Parse every top-level s-expression in text into nested lists.
+def _read_sexprs(text: str, close: Callable[..., Any]) -> Iterator[tuple]:
+    """Yield (value, tokens, line) for every top-level bracket, in order.
 
-    Returns a list of (tree, lineno) where tree is either an atom string or a
-    list whose first element is the (possibly empty) label atom.
+    Each bracket is built as it closes, by ``close(label, parts, tokens,
+    line)``: ``parts`` are its atoms and its sub-brackets' values in order,
+    ``tokens`` one list per top-level tree for ``close`` to fill, ``line``
+    the line that tree starts on. A tree is yielded before the rest is read.
     """
-    out = []
-    stack: list[list] = []
-    open_lines: list[int] = []
-    expecting_label = False
-    for kind, value, line in _tokenize_sexpr(text, lineno_base):
-        if kind == "(":
-            node: list = [""]
-            if stack:
-                stack[-1].append(node)
-            stack.append(node)
-            open_lines.append(line)
-            expecting_label = True
-        elif kind == ")":
+    line = start = 1
+    tokens: list[Token] = []
+    stack: list[list] = []      # [label, parts] of each open bracket
+    for m in _SEXPR_TOKEN.finditer(text):
+        tok = m.group()
+        if tok == "\n":
+            line += 1
+        elif tok == "(":
+            if not stack:
+                start, tokens = line, []
+            stack.append([None, []])
+        elif tok == ")":
             if not stack:
                 raise TreebankError("unbalanced ')'", line)
-            node = stack.pop()
-            start_line = open_lines.pop()
-            if not stack:
-                out.append((node, start_line))
-            expecting_label = False
-        else:
-            if not stack:
-                raise TreebankError(f"stray token {value!r} outside brackets", line)
-            if expecting_label:
-                stack[-1][0] = value
-                expecting_label = False
+            label, parts = stack.pop()
+            value = close(label or "", parts, tokens, start)
+            if stack:
+                stack[-1][1].append(value)
             else:
-                stack[-1].append(value)
+                yield value, tokens, start
+        elif not stack:
+            raise TreebankError(f"stray token {tok!r} outside brackets", line)
+        elif stack[-1][0] is None and not stack[-1][1]:
+            stack[-1][0] = tok
+        else:
+            stack[-1][1].append(tok)
     if stack:
-        raise TreebankError("unbalanced '(' at end of input", open_lines[0])
-    return out
+        raise TreebankError("unbalanced '(' at end of input", start)
 
 
-def _sexpr_to_const(sx, line: int, tokens: list[Token], strip_tags: bool) -> Optional[ConstNode]:
-    """Build a ConstNode, appending tokens in order. Returns None for -NONE-."""
-    label = sx[0]
-    rest = sx[1:]
-    if not rest:
+def _leaf_or_children(label: str, parts: list, tokens: list[Token],
+                      line: int) -> Token | list:
+    """The new token of a ``(POS form)`` bracket, else the child values."""
+    if not parts:
         raise TreebankError(f"empty bracket under label {label!r}", line)
-    if len(rest) == 1 and isinstance(rest[0], str):
-        # preterminal: (POS form)
+    if len(parts) == 1 and isinstance(parts[0], str):
+        return Token(index=len(tokens) + 1, form=parts[0], pos=label)
+    if any(isinstance(part, str) for part in parts):
+        raise TreebankError(f"mixed token/bracket children under {label!r}",
+                            line)
+    return parts
+
+
+def _close_const(label: str, parts: list, tokens: list[Token], line: int,
+                 strip_tags: bool) -> Optional[ConstNode]:
+    """One constituent bracket; None for ``-NONE-`` and emptied brackets."""
+    got = _leaf_or_children(label, parts, tokens, line)
+    if isinstance(got, Token):
         if label == NONE_LABEL:
             return None
-        index = len(tokens) + 1
-        tokens.append(Token(index=index, form=rest[0], pos=label))
-        return ConstNode(label=label, start=index, end=index)
-    children = []
-    for part in rest:
-        if isinstance(part, str):
-            raise TreebankError(
-                f"mixed token/bracket children under {label!r}", line
-            )
-        child = _sexpr_to_const(part, line, tokens, strip_tags)
-        if child is not None:
-            children.append(child)
+        tokens.append(got)
+        return ConstNode(label=label, start=got.index, end=got.index)
+    children = [child for child in got if child is not None]
     if not children:
         return None  # all children were empty elements
-    if strip_tags:
-        label = strip_function_tags(label)
-    return ConstNode(
-        label=label,
-        children=children,
-        start=children[0].start,
-        end=children[-1].end,
-    )
+    return make_const_node(strip_function_tags(label) if strip_tags
+                           else label, children)
+
+
+def _close_hpsg(label: str, parts: list, tokens: list[Token],
+                line: int) -> HpsgNode:
+    m = _HEAD_LABEL.match(label)
+    if not m:
+        raise TreebankError(f"label {label!r} lacks a [head] suffix", line)
+    label, head = m.group(1), int(m.group(2))
+    got = _leaf_or_children(label, parts, tokens, line)
+    if isinstance(got, Token):
+        tokens.append(got)
+        if head != got.index:
+            raise TreebankError(
+                f"preterminal at position {got.index} claims head {head}",
+                line)
+        return HpsgNode(label=label, head=head, start=head, end=head)
+    node = make_node(label, got, head)
+    if not node.start <= head <= node.end:
+        raise TreebankError(
+            f"head {head} outside span ({node.start},{node.end}) at "
+            f"{label!r}", line)
+    return node
+
+
+def _format_tree(root, tokens: list[Token], name: Callable[..., str]) -> str:
+    """Bracketed text of a tree, each node written as ``(name ...)``."""
+    out: list[str] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is None:            # pushed to close the bracket above it
+            out.append(")")
+        elif node.children:
+            out.append(f" ({name(node)}")
+            stack.append(None)
+            stack += node.children[::-1]
+        else:
+            out.append(f" ({name(node)} {tokens[node.start - 1].form})")
+    return "".join(out)[1:]
 
 
 def read_bracketed(stream: IO[str] | str, strip_tags: bool = True) -> list[ConstituentTree]:
     """Read every bracketed tree from a stream or string."""
     text = stream if isinstance(stream, str) else stream.read()
+    close = partial(_close_const, strip_tags=strip_tags)
     trees = []
-    for ordinal, (sx, line) in enumerate(_parse_sexprs(text), start=1):
-        if isinstance(sx, str):
-            raise TreebankError(f"expected a tree, found atom {sx!r}", line)
+    for ordinal, (root, tokens, line) in enumerate(_read_sexprs(text, close),
+                                                   start=1):
         # unwrap an anonymous top-level pair: ( (S ...) )
-        while sx[0] == "" and len(sx) == 2 and isinstance(sx[1], list):
-            sx = sx[1]
-        tokens: list[Token] = []
-        try:
-            root = _sexpr_to_const(sx, line, tokens, strip_tags)
-        except RecursionError:
-            raise TreebankError(
-                f"tree nested deeper than the reader's recursion limit "
-                f"({sys.getrecursionlimit()})", line) from None
-        if root is None or not tokens:
+        while root and not root.label and len(root.children) == 1:
+            root = root.children[0]
+        if root is None:
             log.warning("skipping tree %d (line %d): empty after trace removal",
                         ordinal, line)
             continue
@@ -192,21 +205,8 @@ def read_bracketed(stream: IO[str] | str, strip_tags: bool = True) -> list[Const
     return trees
 
 
-def _write_const_node(node: ConstNode, tokens: list[Token], out: list[str]) -> None:
-    if node.is_preterminal:
-        out.append(f"({node.label} {tokens[node.start - 1].form})")
-        return
-    out.append(f"({node.label}")
-    for child in node.children:
-        out.append(" ")
-        _write_const_node(child, tokens, out)
-    out.append(")")
-
-
 def format_bracketed(tree: ConstituentTree) -> str:
-    parts: list[str] = []
-    _write_const_node(tree.root, tree.tokens, parts)
-    return "".join(parts)
+    return _format_tree(tree.root, tree.tokens, attrgetter("label"))
 
 
 def write_bracketed(trees: Iterable[ConstituentTree], stream: IO[str]) -> None:
@@ -315,70 +315,19 @@ def write_conll(trees: Iterable[DependencyTree], stream: IO[str]) -> None:
 # head-annotated trees
 
 
-def _sexpr_to_hpsg(sx, line: int, tokens: list[Token]) -> HpsgNode:
-    m = _HEAD_LABEL.match(sx[0])
-    if not m:
-        raise TreebankError(f"label {sx[0]!r} lacks a [head] suffix", line)
-    label, head = m.group(1), int(m.group(2))
-    rest = sx[1:]
-    if not rest:
-        raise TreebankError(f"empty bracket under label {label!r}", line)
-    if len(rest) == 1 and isinstance(rest[0], str):
-        index = len(tokens) + 1
-        tokens.append(Token(index=index, form=rest[0], pos=label))
-        if head != index:
-            raise TreebankError(
-                f"preterminal at position {index} claims head {head}", line
-            )
-        return HpsgNode(label=label, head=head, start=index, end=index)
-    children = []
-    for part in rest:
-        if isinstance(part, str):
-            raise TreebankError(f"mixed token/bracket children under {label!r}", line)
-        children.append(_sexpr_to_hpsg(part, line, tokens))
-    node = HpsgNode(
-        label=label,
-        head=head,
-        children=children,
-        start=children[0].start,
-        end=children[-1].end,
-    )
-    if not node.start <= head <= node.end:
-        raise TreebankError(
-            f"head {head} outside span ({node.start},{node.end}) at {label!r}", line
-        )
-    return node
-
-
 def read_hpsg(stream: IO[str] | str) -> list[HpsgTree]:
     text = stream if isinstance(stream, str) else stream.read()
     trees = []
-    for sx, line in _parse_sexprs(text):
-        if isinstance(sx, str):
-            raise TreebankError(f"expected a tree, found atom {sx!r}", line)
-        tokens: list[Token] = []
-        root = _sexpr_to_hpsg(sx, line, tokens)
+    for root, tokens, _ in _read_sexprs(text, _close_hpsg):
         tree = HpsgTree(tokens=tokens, root=root)
         tree.validate_spans()
         trees.append(tree)
     return trees
 
 
-def _write_hpsg_node(node: HpsgNode, tokens: list[Token], out: list[str]) -> None:
-    if node.is_preterminal:
-        out.append(f"({node.label}[{node.head}] {tokens[node.start - 1].form})")
-        return
-    out.append(f"({node.label}[{node.head}]")
-    for child in node.children:
-        out.append(" ")
-        _write_hpsg_node(child, tokens, out)
-    out.append(")")
-
-
 def format_hpsg(tree: HpsgTree) -> str:
-    parts: list[str] = []
-    _write_hpsg_node(tree.root, tree.tokens, parts)
-    return "".join(parts)
+    return _format_tree(tree.root, tree.tokens,
+                        lambda nd: f"{nd.label}[{nd.head}]")
 
 
 def write_hpsg(trees: Iterable[HpsgTree], stream: IO[str]) -> None:

@@ -10,7 +10,8 @@ for the root attachment in dependency trees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Optional
 
 from .errors import StructureError
 
@@ -32,8 +33,35 @@ class Token:
     pos: str
 
 
+class _Node:
+    """What constituent and head-annotated nodes share."""
+
+    @property
+    def is_preterminal(self) -> bool:
+        return not self.children
+
+    def iter_nodes(self) -> Iterator:
+        return iter_nodes(self)
+
+    def span(self) -> tuple[int, int]:
+        return (self.start, self.end)
+
+
+class _Tree:
+    """What constituent and head-annotated trees share."""
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+    def iter_nodes(self) -> Iterator:
+        return iter_nodes(self.root)
+
+    def internal_nodes(self) -> Iterator:
+        return (nd for nd in self.iter_nodes() if not nd.is_preterminal)
+
+
 @dataclass
-class ConstNode:
+class ConstNode(_Node):
     """Node of a plain constituent tree (no head annotation)."""
 
     label: str
@@ -41,54 +69,15 @@ class ConstNode:
     start: int = 0
     end: int = 0
 
-    @property
-    def is_preterminal(self) -> bool:
-        return not self.children
-
-    def iter_nodes(self) -> Iterator["ConstNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
-
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 @dataclass
-class ConstituentTree:
+class ConstituentTree(_Tree):
     tokens: list[Token]
     root: ConstNode
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def iter_nodes(self) -> Iterator[ConstNode]:
-        return self.root.iter_nodes()
-
-    def internal_nodes(self) -> Iterator[ConstNode]:
-        return (nd for nd in self.iter_nodes() if not nd.is_preterminal)
-
     def validate(self) -> None:
         """Check span bookkeeping: contiguous leaves, children partition parents."""
-        leaves = [nd for nd in self.iter_nodes() if nd.is_preterminal]
-        if [nd.start for nd in leaves] != list(range(1, len(self.tokens) + 1)):
-            raise StructureError("preterminal spans must cover 1..n in order")
-        for nd in self.iter_nodes():
-            if nd.is_preterminal:
-                if nd.start != nd.end:
-                    raise StructureError(f"preterminal with span {nd.span()}")
-                continue
-            pos = nd.start
-            for child in nd.children:
-                if child.start != pos:
-                    raise StructureError(
-                        f"children of {nd.label}{nd.span()} do not partition the span"
-                    )
-                pos = child.end + 1
-            if pos != nd.end + 1:
-                raise StructureError(
-                    f"children of {nd.label}{nd.span()} do not cover the span"
-                )
+        check_spans(self.root, len(self.tokens))
 
 
 @dataclass
@@ -133,20 +122,9 @@ class DependencyTree:
                 seen.add(j)
                 j = self.heads[j]
 
-    def is_projective(self) -> bool:
-        n = len(self.tokens)
-        arcs = [(min(i, self.heads[i]), max(i, self.heads[i]))
-                for i in range(1, n + 1) if self.heads[i] != 0]
-        arcs.append((0, self.root))  # root arc from a virtual position 0
-        for a, b in arcs:
-            for c, d in arcs:
-                if a < c < b < d:
-                    return False
-        return True
-
 
 @dataclass
-class HpsgNode:
+class HpsgNode(_Node):
     """Phrase node carrying both a category and a head token index.
 
     Every internal node's head equals the head of exactly one child (the head
@@ -159,21 +137,9 @@ class HpsgNode:
     start: int = 0
     end: int = 0
 
-    @property
-    def is_preterminal(self) -> bool:
-        return not self.children
-
-    def iter_nodes(self) -> Iterator["HpsgNode"]:
-        yield self
-        for child in self.children:
-            yield from child.iter_nodes()
-
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
-
 
 @dataclass(eq=False)
-class HpsgTree:
+class HpsgTree(_Tree):
     """Head-annotated constituent tree.
 
     dep_heads/dep_labels optionally carry the token-level dependency
@@ -187,70 +153,95 @@ class HpsgTree:
     dep_heads: Optional[list[int]] = None
     dep_labels: Optional[list[Optional[str]]] = None
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, HpsgTree):
             return NotImplemented
-        return self.tokens == other.tokens and self.root == other.root
-
-    def iter_nodes(self) -> Iterator[HpsgNode]:
-        return self.root.iter_nodes()
-
-    def internal_nodes(self) -> Iterator[HpsgNode]:
-        return (nd for nd in self.iter_nodes() if not nd.is_preterminal)
+        return self.tokens == other.tokens and all(
+            (a.label, a.head, a.start, a.end, len(a.children))
+            == (b.label, b.head, b.start, b.end, len(b.children))
+            for a, b in zip(iter_nodes(self.root), iter_nodes(other.root)))
 
     def validate_spans(self) -> None:
-        leaves = [nd for nd in self.iter_nodes() if nd.is_preterminal]
-        if [nd.start for nd in leaves] != list(range(1, len(self.tokens) + 1)):
-            raise StructureError("preterminal spans must cover 1..n in order")
-        for nd in self.iter_nodes():
-            if not nd.start <= nd.head <= nd.end:
-                raise StructureError(
-                    f"head {nd.head} outside span {nd.span()} at {nd.label}"
-                )
-            if nd.is_preterminal:
-                continue
-            pos = nd.start
-            for child in nd.children:
-                if child.start != pos:
-                    raise StructureError(
-                        f"children of {nd.label}{nd.span()} do not partition the span"
-                    )
-                pos = child.end + 1
-            if pos != nd.end + 1:
-                raise StructureError(
-                    f"children of {nd.label}{nd.span()} do not cover the span"
-                )
+        check_spans(self.root, len(self.tokens), heads=True)
 
 
 def preterminal(index: int, pos: str) -> HpsgNode:
     return HpsgNode(label=pos, head=index, start=index, end=index)
 
 
-def const_preterminal(index: int, pos: str) -> ConstNode:
-    return ConstNode(label=pos, start=index, end=index)
-
-
 def make_node(label: str, children: list[HpsgNode], head: int) -> HpsgNode:
     if not children:
         raise StructureError("internal node needs children")
-    return HpsgNode(
-        label=label,
-        head=head,
-        children=children,
-        start=children[0].start,
-        end=children[-1].end,
-    )
+    return HpsgNode(label=label, head=head, children=children,
+                    start=children[0].start, end=children[-1].end)
 
 
 def make_const_node(label: str, children: list[ConstNode]) -> ConstNode:
     if not children:
         raise StructureError("internal node needs children")
-    return ConstNode(
-        label=label,
-        children=children,
-        start=children[0].start,
-        end=children[-1].end,
-    )
+    return ConstNode(label=label, children=children,
+                     start=children[0].start, end=children[-1].end)
+
+
+children_of = attrgetter("children")
+
+
+def iter_nodes(root) -> Iterator:
+    """Every node under ``root`` in pre-order, children left to right."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack += node.children[::-1]
+
+
+def fold(root, children: Callable[[Any], list],
+         leave: Callable[[Any, list], Any]) -> Any:
+    """Bottom-up fold without recursion: ``leave(node, child_results)``.
+
+    ``leave`` runs children first and left to right, as a recursive
+    post-order walk would: the order is one right-first pre-order pass,
+    read backwards. ``children(node)`` is asked once per node in that pass.
+    """
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        kids = children(node)
+        order.append((node, len(kids)))
+        stack += kids
+    results: list = []
+    for node, k in reversed(order):
+        cut = len(results) - k
+        value = leave(node, results[cut:])
+        del results[cut:]
+        results.append(value)
+    return results[0]
+
+
+def check_spans(root, n: int, heads: bool = False) -> None:
+    """Preterminals cover 1..n in order and children partition each span.
+
+    With ``heads`` every node's head must also lie inside its span.
+    """
+    leaves = [nd.start for nd in iter_nodes(root) if nd.is_preterminal]
+    if leaves != list(range(1, n + 1)):
+        raise StructureError("preterminal spans must cover 1..n in order")
+    for nd in iter_nodes(root):
+        if heads and not nd.start <= nd.head <= nd.end:
+            raise StructureError(
+                f"head {nd.head} outside span {nd.span()} at {nd.label}")
+        if nd.is_preterminal:
+            if nd.start != nd.end:
+                raise StructureError(f"preterminal with span {nd.span()}")
+            continue
+        pos = nd.start
+        for child in nd.children:
+            if child.start != pos:
+                raise StructureError(
+                    f"children of {nd.label}{nd.span()} do not partition "
+                    f"the span")
+            pos = child.end + 1
+        if pos != nd.end + 1:
+            raise StructureError(
+                f"children of {nd.label}{nd.span()} do not cover the span")

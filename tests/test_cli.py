@@ -4,6 +4,8 @@ Commands run in process through ``main(argv)`` so exit codes and output
 are asserted directly; one subprocess test covers the module entry point.
 """
 
+import os
+import pickle
 import subprocess
 import sys
 
@@ -12,7 +14,7 @@ import pytest
 
 from headspan.cli import main
 from headspan.fuse import project_dependencies
-from headspan.scoring import CategoryVocab, write_scores
+from headspan.scoring import CategoryVocab, oracle_scores, write_scores
 from headspan.synth import random_score_table
 from headspan.treebank import read_bracketed, read_conll, read_hpsg
 
@@ -75,26 +77,6 @@ class TestConvert:
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert "line 1" in capsys.readouterr().err
-
-    def test_deep_tree_exits_2_without_traceback(self, tmp_path):
-        # right-branching, 1200 levels: deeper than the recursion limit
-        depth = 1200
-        const = tmp_path / "deep.brackets"
-        const.write_text(
-            "(S " + "".join(f"(X (T w{i}) " for i in range(depth))
-            + f"(T w{depth})" + ")" * (depth + 1) + "\n", encoding="utf-8")
-        conll = tmp_path / "deep.conll"
-        conll.write_text("".join(
-            f"{i + 1}\tw{i}\t_\tT\tT\t_\t{(i + 2) % (depth + 2)}\tdep\n"
-            for i in range(depth + 1)) + "\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "headspan", "convert", "--const",
-             str(const), "--conll", str(conll), "--out",
-             str(tmp_path / "x")], capture_output=True, text=True)
-        assert proc.returncode == 2
-        assert "line 1" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert len(proc.stderr.splitlines()) == 1
 
     def test_missing_file(self, tmp_path, multihead_files):
         _, conll = multihead_files
@@ -316,6 +298,54 @@ class TestTrainAndModelParse:
             assert code == 1
             assert "division-mode model" in capsys.readouterr().err
 
+    def test_train_refuses_sentences_above_the_length_cap(self, tmp_path,
+                                                         fused_file, capsys):
+        # the joint chart of a 250-token sentence would take 190 MB; the
+        # long sentence comes last, in the holdout, so it is sentence 6
+        n = 250
+        long_tree = "(S[1] " + " ".join(f"(T[{i}] w{i})"
+                                          for i in range(1, n + 1)) + ")"
+        path = tmp_path / "long.hpsg"
+        path.write_text(open(fused_file, encoding="utf-8").read()
+                        + long_tree + "\n", encoding="utf-8")
+        code = main(["train", "--hpsg", str(path), "--model-out",
+                     str(tmp_path / "m"), "--holdout", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""       # refused before the first epoch
+        assert captured.err == (
+            "headspan train: sentence 6: 250 tokens, above the joint "
+            "decoder's cap of 240; train with --mode division\n")
+        assert not (tmp_path / "m").exists()
+
+    def test_model_file_that_names_code_is_refused(self, tmp_path, data_dir,
+                                                   capsys):
+        marker = tmp_path / "ran"
+
+        class Payload:
+            def __reduce__(self):
+                return os.system, (f"touch {marker}",)
+
+        model = tmp_path / "evil.bin"
+        model.write_bytes(pickle.dumps(Payload()))
+        code = main(["parse", "--input", str(data_dir / "multihead.conll"),
+                     "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not marker.exists()
+        assert err.startswith(f"headspan parse: {model}: not a model file")
+        assert "system" in err
+
+    def test_text_file_is_not_a_model(self, tmp_path, data_dir, capsys):
+        model = tmp_path / "notes.txt"
+        model.write_text("hello\n", encoding="utf-8")
+        code = main(["parse", "--input", str(data_dir / "multihead.conll"),
+                     "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"{model}: not a model file" in err
+
     def test_conflicting_inputs(self, tmp_path, fused_file, data_dir,
                                 capsys):
         code = main(["train", "--hpsg", fused_file,
@@ -325,6 +355,98 @@ class TestTrainAndModelParse:
         assert main(["train", "--model-out", str(tmp_path / "m")]) == 1
         assert main(["train", "--hpsg", fused_file, "--holdout", "5",
                      "--model-out", str(tmp_path / "m")]) == 1
+
+
+def tree_depth(node) -> int:
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack += [(child, depth + 1) for child in node.children]
+    return deepest
+
+
+CHAIN = 3000
+
+
+@pytest.fixture(scope="module")
+def deep_files(tmp_path_factory):
+    """A 3-token sentence under a 3000-deep unary chain, far deeper than
+    the interpreter's recursion limit, in all three input formats."""
+    d = tmp_path_factory.mktemp("deep")
+    const = d / "deep.brackets"
+    const.write_text("(X " * CHAIN + "(S (A a) (B b) (C c))" + ")" * CHAIN
+                     + "\n", encoding="utf-8")
+    conll = d / "deep.conll"
+    conll.write_text("1\ta\t_\tA\tA\t_\t2\tdep\t_\t_\n"
+                     "2\tb\t_\tB\tB\t_\t0\troot\t_\t_\n"
+                     "3\tc\t_\tC\tC\t_\t2\tdep\t_\t_\n\n",
+                     encoding="utf-8")
+    fused = d / "deep.hpsg"
+    assert main(["convert", "--const", str(const), "--conll", str(conll),
+                 "--out", str(fused)]) == 0
+    return const, conll, fused
+
+
+class TestDeepInput:
+    """Input depth is no way to fail: every command takes the deep tree."""
+
+    DEPTH = CHAIN + 2           # the chain, S and a preterminal
+
+    def run(self, capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def check_outputs(self, tmp_path):
+        with open(tmp_path / "pred.hpsg", encoding="utf-8") as fh:
+            (tree,) = read_hpsg(fh)
+        with open(tmp_path / "pred.brackets", encoding="utf-8") as fh:
+            (const,) = read_bracketed(fh)
+        assert tree_depth(tree.root) == tree_depth(const.root) == self.DEPTH
+        with open(tmp_path / "pred.conll", encoding="utf-8") as fh:
+            assert read_conll(fh)[0].heads == [0, 2, 0, 2]
+
+    def test_convert(self, deep_files):
+        const, _, fused = deep_files
+        with open(const, encoding="utf-8") as fh:
+            assert tree_depth(read_bracketed(fh)[0].root) == self.DEPTH
+        with open(fused, encoding="utf-8") as fh:
+            (tree,) = read_hpsg(fh)
+        assert tree_depth(tree.root) == self.DEPTH
+        assert project_dependencies(tree).heads == [0, 2, 0, 2]
+
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_train_and_parse_with_model(self, tmp_path, deep_files, capsys,
+                                        mode):
+        const, conll, fused = deep_files
+        model = tmp_path / "m.bin"
+        self.run(capsys, ["train", "--const", str(const), "--conll",
+                          str(conll), "--model-out", str(model), "--mode",
+                          mode, "--epochs", "3", "--dim", str(2 ** 16)])
+        self.run(capsys, ["train", "--hpsg", str(fused), "--model-out",
+                          str(model), "--mode", mode, "--epochs", "3",
+                          "--dim", str(2 ** 16)])
+        self.run(capsys, ["parse", "--input", str(conll), "--model",
+                          str(model), "--out", str(tmp_path / "pred.hpsg"),
+                          "--out-const", str(tmp_path / "pred.brackets"),
+                          "--out-dep", str(tmp_path / "pred.conll")])
+        self.check_outputs(tmp_path)
+
+    def test_parse_with_scores(self, tmp_path, deep_files, capsys):
+        _, conll, fused = deep_files
+        with open(fused, encoding="utf-8") as fh:
+            gold = read_hpsg(fh)
+        scores = tmp_path / "scores.txt"
+        with open(scores, "w", encoding="utf-8") as fh:
+            write_scores([oracle_scores(gold[0],
+                                        CategoryVocab.from_trees(gold))], fh)
+        self.run(capsys, ["parse", "--input", str(conll), "--scores",
+                          str(scores), "--out", str(tmp_path / "pred.hpsg"),
+                          "--out-const", str(tmp_path / "pred.brackets"),
+                          "--out-dep", str(tmp_path / "pred.conll")])
+        self.check_outputs(tmp_path)
+        assert (tmp_path / "pred.hpsg").read_text() == fused.read_text()
 
 
 class TestEval:

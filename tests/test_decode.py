@@ -7,7 +7,10 @@ step that turns the winning derivation into a tree. The joint chart is also
 held cell by cell to the plain O(n^5) recurrence kept here as a reference.
 """
 
+import inspect
 import random
+import sys
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -25,15 +28,17 @@ from headspan.decode import (
     decode_eisner,
     decode_joint,
     decode_joint_mixed,
+    decode_table,
     fill_joint_chart,
     max_projective_score,
 )
-from headspan.division import from_division
+from headspan.division import from_division, to_division
 from headspan.errors import SizeGuardError
 from headspan.fuse import project_dependencies
 from headspan.scoring import CategoryVocab, ScoreTable, oracle_scores
 from headspan.synth import random_score_table, random_tree
-from headspan.treebank import read_hpsg
+from headspan.treebank import format_hpsg, read_hpsg
+from headspan.trees import HpsgTree, Token, make_node, preterminal
 
 
 def hand_table() -> ScoreTable:
@@ -428,3 +433,56 @@ class TestEdgesAndGuards:
         table = oracle_scores(tree, vocab)
         got, _ = decode_joint(table, tokens=tree.tokens)
         assert [t.form for t in got.tokens] == [t.form for t in tree.tokens]
+
+
+def right_branching(n: int) -> HpsgTree:
+    """(X w1 (X w2 (... (X w(n-1) wn)))), each phrase headed on its left."""
+    tokens = [Token(index=i, form=f"w{i}", pos="T") for i in range(1, n + 1)]
+    node = preterminal(n, "T")
+    for i in range(n - 1, 0, -1):
+        node = make_node("X", [preterminal(i, "T"), node], i)
+    return HpsgTree(tokens=tokens, root=node)
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Allow only ``frames`` Python frames beyond the caller's depth."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(saved)
+
+
+class TestLongAndDeep:
+    """Backtracks and encoders walk with explicit stacks, so the length
+    of a right-branching sentence is no way to exhaust the Python stack."""
+
+    def test_long_sentence_takes_the_span_decoder(self):
+        # the route parse takes above --len-cap; 1100 levels of nesting
+        # is beyond the default recursion limit
+        gold = right_branching(1100)
+        vocab = CategoryVocab.from_trees([gold], division_labels=True)
+        table = oracle_scores(gold, vocab, division_labels=True)
+        tree, notes = decode_table(table, "joint", 0.5, gold.tokens, 240)
+        assert notes == ["length 1100 above cap 240, using the span decoder"]
+        assert tree == gold
+
+    def test_every_walk_runs_in_fixed_stack_depth(self):
+        gold = right_branching(100)
+        table = oracle_scores(gold, CategoryVocab.from_trees([gold]))
+        div_table = oracle_scores(
+            gold, CategoryVocab.from_trees([gold], division_labels=True),
+            division_labels=True)
+        with recursion_headroom(60):
+            joint, _ = decode_joint(table, tokens=gold.tokens)
+            deps, _ = decode_eisner(table, tokens=gold.tokens)
+            spans, _ = decode_division(div_table, tokens=gold.tokens)
+            recovered, flags = from_division(spans)
+            encoded, _ = from_division(to_division(gold))
+            text = format_hpsg(gold)
+            (reread,) = read_hpsg(text)
+            assert joint == recovered == encoded == reread == gold
+        assert deps.heads == project_dependencies(gold).heads
+        assert flags == []

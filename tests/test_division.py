@@ -53,6 +53,12 @@ class TestEncoding:
         assert got == "(S (H_<E> (H_NN dogs)) (<E> (H_VBD ran)))"
 
 
+    def test_flat_phrase_without_head_daughter_rejected(self):
+        # S's head 2 lies inside its span but no child carries it
+        with pytest.raises(StructureError, match="no child of S"):
+            encode_text("(S[2] (A[1] a) (B[3] (C[2] b) (D[3] c)) (E[4] e))")
+
+
 class TestBinaryInvariants:
     def test_every_node_has_at_most_two_children(self, sample_fused):
         for tree in sample_fused:

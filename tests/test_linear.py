@@ -1,10 +1,12 @@
 """Feature hashing, scoring, and perceptron training."""
 
+import pickle
 import zlib
 
 import numpy as np
 import pytest
 
+from headspan.errors import ModelFileError
 from headspan.fuse import project_constituents, project_dependencies
 from headspan.linear import (
     LinearModel,
@@ -134,6 +136,18 @@ class TestLinearModel:
         tokens = sample_fused[0].tokens
         np.testing.assert_array_equal(again.score_table(tokens).span,
                                       model.score_table(tokens).span)
+
+    @pytest.mark.parametrize("payload", [
+        {"weights": np.zeros(4)},
+        {"dim": 4, "mode": "joint", "lam": 0.5, "categories": ["A"],
+         "weights": np.zeros(4, dtype=np.int64)},
+        [1, 2, 3],
+    ])
+    def test_load_refuses_other_pickles(self, tmp_path, payload):
+        path = tmp_path / "other.pkl"
+        path.write_bytes(pickle.dumps(payload, protocol=4))
+        with pytest.raises(ModelFileError, match="not a model file"):
+            LinearModel.load(str(path))
 
     def test_save_is_deterministic(self, tmp_path, sample_fused):
         vocab = CategoryVocab.from_trees(sample_fused[:5])

@@ -57,6 +57,14 @@ class TestBracketed:
             read_bracketed("(S (NP (NN dog))")
         assert err.value.line == 1
 
+    def test_errors_come_in_file_order_naming_the_tree_line(self):
+        # each tree is built as its brackets close, so the fault inside the
+        # tree that starts on line 2 is met before the stray ')' on line 4
+        text = "(S (NN a))\n(S (NP b\n (NN c)))\n)"
+        with pytest.raises(TreebankError, match="mixed token") as err:
+            read_bracketed(text)
+        assert err.value.line == 2
+
     def test_stray_token_rejected(self):
         with pytest.raises(TreebankError):
             read_bracketed("dog (S (NN dog))")
