@@ -10,7 +10,6 @@ serves both readings at once.
 import numpy as np
 
 from headspan.decode import (
-    DecodeConfig,
     brute_force,
     decode_division,
     decode_eisner,
@@ -28,7 +27,7 @@ gold = trees[0]
 vocab = CategoryVocab.from_trees(trees)
 table = oracle_scores(gold, vocab)
 
-pred, score = decode_joint(table, DecodeConfig(lam=0.5), tokens=gold.tokens)
+pred, score = decode_joint(table, 0.5, tokens=gold.tokens)
 n = len(gold)
 # the binarized gold tree has 2n - 1 scored spans, plus n arc or root hits
 wanted = 0.5 * (2 * n - 1) + 0.5 * n
@@ -42,12 +41,12 @@ print(" ", format_hpsg(pred))
 rng = np.random.default_rng(3)
 table = random_score_table(rng, 7, vocab)
 
-_, spans_only = decode_joint(table, DecodeConfig(lam=1.0))
+_, spans_only = decode_joint(table, 1.0)
 _, div_score = decode_division(table)
 print(f"lam=1 vs bracket-only decoder: {spans_only:.6f} vs {div_score:.6f}")
 assert abs(spans_only - div_score) < 1e-9
 
-joint0, arcs_only = decode_joint(table, DecodeConfig(lam=0.0))
+joint0, arcs_only = decode_joint(table, 0.0)
 dep, dep_score = decode_eisner(table)
 print(f"lam=0 vs dependency-only decoder: {arcs_only:.6f} vs {dep_score:.6f}")
 assert abs(arcs_only - dep_score) < 1e-9
@@ -58,9 +57,8 @@ worst = 0.0
 for n in (2, 3, 4, 5):
     for lam in (0.0, 0.5, 1.0):
         t = random_score_table(rng, n, vocab)
-        cfg = DecodeConfig(lam=lam)
-        _, fast = decode_joint(t, cfg)
-        _, slow = brute_force(t, cfg)
+        _, fast = decode_joint(t, lam)
+        _, slow = brute_force(t, lam)
         worst = max(worst, abs(fast - slow))
 print(f"chart vs exhaustive search, 12 random tables: worst gap {worst:.2e}")
 assert worst < 1e-9

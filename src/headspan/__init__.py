@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .decode import (
     BRUTE_FORCE_CAP,
-    DecodeConfig,
     JointChart,
     brute_force,
     decode_division,
@@ -54,6 +53,7 @@ from .scoring import (
     CategoryVocab,
     ScoreTable,
     oracle_scores,
+    parts_score,
     read_scores,
     tree_parts,
     tree_score,
@@ -87,7 +87,6 @@ __all__ = [
     "ConstNode",
     "ConstituentTree",
     "DEFAULT_PUNCT",
-    "DecodeConfig",
     "DependencyTree",
     "EMPTY",
     "EvalReport",
@@ -123,6 +122,7 @@ __all__ = [
     "max_projective_score",
     "oracle_scores",
     "pair_treebanks",
+    "parts_score",
     "project_constituents",
     "project_dependencies",
     "read_bracketed",

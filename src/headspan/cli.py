@@ -13,7 +13,6 @@ malformed data, 3 failed verification in ``check``.
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 
@@ -24,7 +23,6 @@ from .decode import (
     BRUTE_FORCE_CAP,
     LEN_CAP,
     ROUTES,
-    DecodeConfig,
     brute_force,
     decode_division,
     decode_eisner,
@@ -54,8 +52,6 @@ from .treebank import (
     write_bracketed,
     write_hpsg,
 )
-
-log = logging.getLogger(__name__)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -95,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "(default: the model's, or 0.5 with --scores)")
     p.add_argument("--len-cap", type=int, default=LEN_CAP,
                    help="longest sentence the joint decoder accepts before "
-                   "falling back to the span decoder")
+                   f"falling back to the span decoder, at most {LEN_CAP}")
     p.add_argument("--out", help="head-annotated trees output")
     p.add_argument("--out-const", help="constituent projection output")
     p.add_argument("--out-dep", help="dependency projection output")
@@ -198,6 +194,10 @@ def _check_alignment(tables, sentences) -> None:
 def cmd_parse(args) -> int:
     if (args.scores is None) == (args.model is None):
         raise ValueError("provide exactly one of --scores and --model")
+    if args.len_cap > LEN_CAP:
+        raise SizeGuardError(
+            f"--len-cap above {LEN_CAP} would fill joint charts past their "
+            f"memory bound")
     sentences = _load_parse_input(args.input)
     if args.scores is not None:
         with open(args.scores, encoding="utf-8") as fh:
@@ -320,13 +320,13 @@ def cmd_check(args) -> int:
     for n in range(2, args.n_cap + 1):
         for trial in range(args.trials):
             table = random_score_table(rng, n, vocab)
-            _, joint = decode_joint(table, DecodeConfig(lam=args.lam))
-            _, brute = brute_force(table, DecodeConfig(lam=args.lam))
+            _, joint = decode_joint(table, args.lam)
+            _, brute = brute_force(table, args.lam)
             if abs(joint - brute) > tol:
                 failed.append(
                     f"n={n} trial={trial}: joint {joint!r} vs exhaustive "
                     f"{brute!r}")
-            _, dep_joint = decode_joint(table, DecodeConfig(lam=0.0))
+            _, dep_joint = decode_joint(table, 0.0)
             _, eisner = decode_eisner(table)
             best_dep = max_projective_score(table)
             if abs(dep_joint - eisner) > tol or abs(eisner - best_dep) > tol:
@@ -334,7 +334,7 @@ def cmd_check(args) -> int:
                     f"n={n} trial={trial}: arcs-only routes disagree "
                     f"(joint {dep_joint!r}, eisner {eisner!r}, exhaustive "
                     f"{best_dep!r})")
-            _, span_joint = decode_joint(table, DecodeConfig(lam=1.0))
+            _, span_joint = decode_joint(table, 1.0)
             _, division = decode_division(table)
             if span_joint > division + tol:
                 failed.append(

@@ -24,10 +24,11 @@ the backtrack recomputes it from the hooks' inputs in O(n) per node.
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
 (spans ignored), and ``brute_force`` an exhaustive re-derivation used to
-certify the charts on small sentences. ``decode_table`` is the single route
-from a table to a tree: it picks one of the three decoders, mixes in the
-interpolation weight and applies the sentence-length cap, for the command
-line and for trained models alike.
+certify the charts on small sentences. The joint decoder and brute force
+see the table through :meth:`ScoreTable.mixed`, the one place the
+interpolation weight meets the scores. ``decode_table`` is the single route
+from a table to a tree: it picks one of the three decoders and applies the
+sentence-length cap, for the command line and for trained models alike.
 
 Ties are broken deterministically everywhere: smaller split point first,
 then smaller sub-head, then smaller category id. A span's left dependent
@@ -54,17 +55,6 @@ from .trees import (
     Token,
     fold,
 )
-
-
-@dataclass
-class DecodeConfig:
-    """Interpolation weight between span scores (1.0) and arc scores (0.0)."""
-
-    lam: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
 
 
 @dataclass
@@ -244,11 +234,11 @@ def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
     return nodes[0], spans_out
 
 
-def decode_joint_mixed(span_m: np.ndarray, arc_m: np.ndarray,
-                       root_m: np.ndarray, vocab,
+def decode_joint_mixed(mixed: ScoreTable,
                        tokens: Sequence[Token] | None = None
                        ) -> tuple[HpsgTree, float, list[tuple[int, int, str]]]:
-    """Joint decode over arrays that already carry interpolation weights.
+    """Joint decode over a table that already carries its interpolation
+    weights (see :meth:`ScoreTable.mixed`).
 
     Besides the tree and its score, returns the labeled spans of the exact
     derivation the chart chose (2n - 1 of them, empty categories included).
@@ -257,11 +247,11 @@ def decode_joint_mixed(span_m: np.ndarray, arc_m: np.ndarray,
     tree may touch different chart cells; the span list is the record of
     what was actually scored.
     """
-    n = span_m.shape[0] - 1
+    n, span_m, root_m = mixed.n, mixed.span, mixed.root
     if tokens is None:
         tokens = _placeholder_tokens(n)
     root_lid, root_span_best = _root_label(span_m, n)
-    chart = fill_joint_chart(span_m, arc_m)
+    chart = fill_joint_chart(span_m, mixed.arc)
     if n == 1:
         totals = root_span_best + root_m[1:2]
     else:
@@ -271,23 +261,17 @@ def decode_joint_mixed(span_m: np.ndarray, arc_m: np.ndarray,
         totals = chart.complete(1, n) + adjust + root_m[1:n + 1]
     h_root = int(np.argmax(totals)) + 1
     score = float(totals[h_root - 1])
-    root, spans = _build_tree(chart.backpointer, span_m, vocab, tokens,
-                              h_root, root_lid)
+    root, spans = _build_tree(chart.backpointer, span_m, mixed.vocab,
+                              tokens, h_root, root_lid)
     tree = HpsgTree(tokens=list(tokens), root=root)
     return tree, score, spans
 
 
-def decode_joint(table: ScoreTable, config: DecodeConfig | None = None,
+def decode_joint(table: ScoreTable, lam: float = 0.5,
                  tokens: Sequence[Token] | None = None
                  ) -> tuple[HpsgTree, float]:
-    """Best head-annotated tree under the interpolated objective."""
-    if config is None:
-        config = DecodeConfig()
-    lam = config.lam
-    tree, score, _ = decode_joint_mixed(lam * table.span,
-                                        (1.0 - lam) * table.arc,
-                                        (1.0 - lam) * table.root,
-                                        table.vocab, tokens)
+    """Best head-annotated tree under the objective interpolated by ``lam``."""
+    tree, score, _ = decode_joint_mixed(table.mixed(lam), tokens)
     return tree, score
 
 
@@ -421,7 +405,7 @@ LEN_CAP = 240
 
 def decode_table(table: ScoreTable, route: str, lam: float,
                  tokens: Sequence[Token] | None = None,
-                 len_cap: int | None = None
+                 len_cap: int = LEN_CAP
                  ) -> tuple[HpsgTree | DependencyTree, list[str]]:
     """Decode one sentence's table along ``route``.
 
@@ -435,7 +419,7 @@ def decode_table(table: ScoreTable, route: str, lam: float,
     if route == "eisner":
         return decode_eisner(table, tokens)[0], []
     notes = []
-    if route == "joint" and len_cap is not None and table.n > len_cap:
+    if route == "joint" and table.n > len_cap:
         notes.append(f"length {table.n} above cap {len_cap}, using the span "
                      f"decoder")
         route = "division"
@@ -443,7 +427,7 @@ def decode_table(table: ScoreTable, route: str, lam: float,
         dtree, _ = decode_division(table, tokens)
         tree, flags = division.from_division(dtree)
         return tree, notes + flags
-    return decode_joint(table, DecodeConfig(lam=lam), tokens)[0], notes
+    return decode_joint(table, lam, tokens)[0], notes
 
 
 BRUTE_FORCE_CAP = 8
@@ -455,8 +439,13 @@ def _enumerate_derivations(n: int) -> list[tuple]:
     Each derivation is (head, arcs, spans, struct): arcs as (dependent,
     head) pairs, spans as (start, end, stands_complete) for every internal
     span strictly inside (1, n), and struct a nested tuple for rebuilding
-    the tree. Sub-lists are cached per span; scoring never is.
+    the tree. Sub-lists are cached per span; scoring never is. Refuses
+    sentences longer than ``BRUTE_FORCE_CAP`` tokens: the number of
+    derivations grows too fast beyond that to be worth enumerating.
     """
+    if n > BRUTE_FORCE_CAP:
+        raise SizeGuardError(
+            f"brute force handles up to {BRUTE_FORCE_CAP} tokens, got {n}")
     memo: dict[tuple[int, int], list[tuple]] = {}
 
     def ders(i: int, j: int) -> list[tuple]:
@@ -488,27 +477,18 @@ def _enumerate_derivations(n: int) -> list[tuple]:
     return ders(1, n)
 
 
-def brute_force(table: ScoreTable, config: DecodeConfig | None = None,
+def brute_force(table: ScoreTable, lam: float = 0.5,
                 tokens: Sequence[Token] | None = None
                 ) -> tuple[HpsgTree, float]:
-    """Exhaustive maximizer over every derivation, scored from scratch.
-
-    Refuses sentences longer than ``BRUTE_FORCE_CAP`` tokens: the number of
-    derivations grows too fast beyond that to be worth enumerating.
-    """
-    if config is None:
-        config = DecodeConfig()
+    """Exhaustive maximizer over every derivation, scored from scratch."""
     n = table.n
-    if n > BRUTE_FORCE_CAP:
-        raise SizeGuardError(
-            f"brute force handles up to {BRUTE_FORCE_CAP} tokens, got {n}")
+    derivations = _enumerate_derivations(n)
     if tokens is None:
         tokens = _placeholder_tokens(n)
-    lam = config.lam
-    vocab = table.vocab
-    span_m = lam * table.span
-    arc_l = ((1.0 - lam) * table.arc).tolist()
-    root_l = ((1.0 - lam) * table.root).tolist()
+    mixed = table.mixed(lam)
+    span_m = mixed.span
+    arc_l = mixed.arc.tolist()
+    root_l = mixed.root.tolist()
     any_l = span_m.max(axis=2).tolist()
     real_l = span_m[:, :, 1:].max(axis=2).tolist()
 
@@ -522,7 +502,7 @@ def brute_force(table: ScoreTable, config: DecodeConfig | None = None,
 
     best_score = -np.inf
     best = None
-    for head, arcs, spans, struct in _enumerate_derivations(n):
+    for head, arcs, spans, struct in derivations:
         score = base + top + root_l[head]
         for child, parent in arcs:
             score += arc_l[child][parent]
@@ -544,21 +524,17 @@ def brute_force(table: ScoreTable, config: DecodeConfig | None = None,
         k, dep_side, hl, hr, tl, tr = node
         pointers[i, j, h] = (dep_side, hl if dep_side == 0 else hr, k)
         stack += [(i, k, hl, tl), (k + 1, j, hr, tr)]
-    root, _ = _build_tree(lambda i, j, h: pointers[i, j, h], span_m, vocab,
-                          tokens, head, root_lid)
+    root, _ = _build_tree(lambda i, j, h: pointers[i, j, h], span_m,
+                          table.vocab, tokens, head, root_lid)
     return HpsgTree(tokens=list(tokens), root=root), float(best_score)
 
 
 def max_projective_score(table: ScoreTable) -> float:
     """Exhaustive best dependency score, the slow twin of decode_eisner."""
-    n = table.n
-    if n > BRUTE_FORCE_CAP:
-        raise SizeGuardError(
-            f"brute force handles up to {BRUTE_FORCE_CAP} tokens, got {n}")
     arc_l = table.arc.tolist()
     root_l = table.root.tolist()
     best = -np.inf
-    for head, arcs, _, _ in _enumerate_derivations(n):
+    for head, arcs, _, _ in _enumerate_derivations(table.n):
         score = root_l[head]
         for child, parent in arcs:
             score += arc_l[child][parent]

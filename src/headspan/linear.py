@@ -37,12 +37,20 @@ from .scoring import (
     CategoryVocab,
     ScoreTable,
     labeled_spans,
+    parts_score,
     tree_arcs,
+    tree_parts,
     tree_spans,
 )
 from .trees import HpsgTree, Token
 
 MODES = ("joint", "division")
+
+
+def _check_dim(dim: int) -> None:
+    # a power of two lets every hash index be a mask of its low bits
+    if dim < 2 or dim & (dim - 1):
+        raise ValueError(f"dim must be a power of two, at least 2; got {dim}")
 
 
 def _bucket(value: int, edges: Sequence[int] = (1, 2, 3, 4, 5, 8, 12)) -> bytes:
@@ -121,8 +129,7 @@ class TrainConfig:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
-        if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+        _check_dim(self.dim)
 
 
 class LinearModel:
@@ -133,27 +140,24 @@ class LinearModel:
                  weights: np.ndarray | None = None):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        _check_dim(dim)
         self.vocab = vocab
         self.dim = dim
         self.mode = mode
         self.lam = lam
         self.weights = (np.zeros(dim) if weights is None else weights)
         self._cat_bytes = [c.encode() for c in vocab]
-        self._mask = dim - 1 if dim & (dim - 1) == 0 else None
+        self._mask = dim - 1
 
     def _combine(self, bases: list[int], cid: int) -> list[int]:
         cat = self._cat_bytes[cid]
-        if self._mask is not None:
-            return [zlib.crc32(cat, b) & self._mask for b in bases]
-        return [zlib.crc32(cat, b) % self.dim for b in bases]
+        return [zlib.crc32(cat, b) & self._mask for b in bases]
 
     def _span_idx(self, feats: list[bytes], cid: int) -> list[int]:
         return self._combine([zlib.crc32(f) for f in feats], cid)
 
     def _plain_idx(self, feats: list[bytes]) -> list[int]:
-        if self._mask is not None:
-            return [zlib.crc32(f) & self._mask for f in feats]
-        return [zlib.crc32(f) % self.dim for f in feats]
+        return [zlib.crc32(f) & self._mask for f in feats]
 
     def score_table(self, tokens: Sequence[Token]) -> ScoreTable:
         """Dense scores for one sentence under the current weights."""
@@ -307,15 +311,13 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
 
     prepared = []
     for tree in trees:
-        spans = tree_spans(tree, division_mode)
-        arcs, root = ([], 0) if division_mode else tree_arcs(tree)
-        gold_span_c, gold_dep_c = model.feature_counts(tree.tokens, spans,
-                                                       arcs, root)
+        gold = ((tree_spans(tree, True), [], 0) if division_mode
+                else tree_parts(tree))
         n = len(tree)
         indicator = np.zeros((n + 1, n + 1, len(vocab)))
-        for i, j, label in spans:
+        for i, j, label in gold[0]:
             indicator[i, j, vocab.index(label)] = 1.0
-        prepared.append((tree, spans, arcs, root, gold_span_c, gold_dep_c,
+        prepared.append((tree, gold, model.feature_counts(tree.tokens, *gold),
                          indicator))
 
     avg = _Averager(acc=np.zeros(config.dim),
@@ -326,57 +328,39 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     best_weights: np.ndarray | None = None
     rng = random.Random(config.seed)
     order = list(range(len(prepared)))
+    # span weights move by step * lam, arc and root weights by the rest;
+    # division-mode parts have no arcs or root, so that delta stays empty
+    scales = (config.step * lam, config.step * (1.0 - lam))
 
     for epoch in range(1, config.epochs + 1):
         objective = 0.0
         updates = 0
         rng.shuffle(order)
-        for tree, spans, arcs, root, gold_span_c, gold_dep_c, ind in (
-                prepared[pos] for pos in order):
+        for tree, gold, gold_counts, ind in (prepared[pos] for pos in order):
             tokens = tree.tokens
-            n = len(tree)
             table = model.score_table(tokens)
-            gold_score = lam * sum(
-                table.span[i, j, vocab.index(lab)] for i, j, lab in spans)
-            if not division_mode:
-                gold_score += (1.0 - lam) * (
-                    sum(table.arc[c, h] for c, h in arcs)
-                    + table.root[root])
-            aug_span = lam * table.span + (1.0 - ind)
+            aug = table.mixed(lam)
+            aug.span += 1.0 - ind
             if division_mode:
-                aug = ScoreTable(vocab=vocab, n=n, span=aug_span,
-                                 arc=table.arc, root=table.root)
-                pred_tree_raw, pred_score = decode_division(aug, tokens)
-                p_spans = labeled_spans(pred_tree_raw.root)
-                p_arcs: list[tuple[int, int]] = []
-                p_root = 0
+                pred_tree, pred_score = decode_division(aug, tokens)
+                pred = (labeled_spans(pred_tree.root), [], 0)
             else:
-                pred_tree, pred_score, p_spans = decode_joint_mixed(
-                    aug_span, (1.0 - lam) * table.arc,
-                    (1.0 - lam) * table.root, vocab, tokens)
-                p_arcs, p_root = tree_arcs(pred_tree)
-            violation = pred_score - gold_score
+                pred_tree, pred_score, p_spans = decode_joint_mixed(aug,
+                                                                    tokens)
+                pred = (p_spans, *tree_arcs(pred_tree))
+            violation = pred_score - parts_score(table, gold, lam)
             if violation > 1e-12:
                 objective += violation
                 updates += 1
-                pred_span_c, pred_dep_c = model.feature_counts(
-                    tokens, p_spans, p_arcs, p_root)
-                span_delta = gold_span_c - pred_span_c
-                span_delta.subtract(pred_span_c - gold_span_c)
-                dep_delta = gold_dep_c - pred_dep_c
-                dep_delta.subtract(pred_dep_c - gold_dep_c)
-                scale_span = config.step * lam
-                scale_dep = config.step * (1.0 - lam)
-                if span_delta:
-                    idx = list(span_delta)
+                pred_counts = model.feature_counts(tokens, *pred)
+                for gold_c, pred_c, scale in zip(gold_counts, pred_counts,
+                                                 scales):
+                    delta = gold_c - pred_c
+                    delta.subtract(pred_c - gold_c)
+                    idx = list(delta)
                     avg.touch(idx, w)
                     for x in idx:
-                        w[x] += scale_span * span_delta[x]
-                if dep_delta and not division_mode:
-                    idx = list(dep_delta)
-                    avg.touch(idx, w)
-                    for x in idx:
-                        w[x] += scale_dep * dep_delta[x]
+                        w[x] += scale * delta[x]
             avg.steps += 1
 
         record = {"epoch": epoch, "objective": objective, "updates": updates}

@@ -26,6 +26,10 @@ from .trees import EMPTY, SPLIT, ConstituentTree, HpsgTree
 
 log = logging.getLogger(__name__)
 
+# an analysis as the parts a table scores: labeled spans, (child, head)
+# arcs and the root, 0 when the analysis has no dependency part
+Parts = tuple[list[tuple[int, int, str]], list[tuple[int, int]], int]
+
 
 class CategoryVocab:
     """Stable mapping between category strings and integer ids.
@@ -121,9 +125,7 @@ def tree_arcs(tree: HpsgTree) -> tuple[list[tuple[int, int]], int]:
     return arcs, root
 
 
-def tree_parts(tree: HpsgTree, division_labels: bool = False
-               ) -> tuple[list[tuple[int, int, str]], list[tuple[int, int]],
-                          int]:
+def tree_parts(tree: HpsgTree, division_labels: bool = False) -> Parts:
     """Spans, arcs and root of an analysis: every part a table scores."""
     return (tree_spans(tree, division_labels), *tree_arcs(tree))
 
@@ -150,6 +152,16 @@ class ScoreTable:
         return ScoreTable(vocab=self.vocab, n=self.n, span=self.span.copy(),
                           arc=self.arc.copy(), root=self.root.copy())
 
+    def mixed(self, lam: float) -> "ScoreTable":
+        """The table under interpolation ``lam``, the weight every decoder
+        and training see: spans times ``lam``, arcs and root times
+        ``1 - lam``."""
+        if not 0.0 <= lam <= 1.0:
+            raise ValueError(f"lam must lie in [0, 1], got {lam}")
+        return ScoreTable(vocab=self.vocab, n=self.n, span=lam * self.span,
+                          arc=(1.0 - lam) * self.arc,
+                          root=(1.0 - lam) * self.root)
+
     def check_finite(self) -> None:
         for name, arr in (("span", self.span), ("arc", self.arc),
                           ("root", self.root)):
@@ -175,6 +187,17 @@ def oracle_scores(gold: HpsgTree, vocab: CategoryVocab,
     return table
 
 
+def parts_score(table: ScoreTable, parts: Parts, lam: float) -> float:
+    """Score of an analysis's parts under a table with interpolation
+    ``lam``; without a root only the spans count, still scaled by ``lam``."""
+    spans, arcs, root = parts
+    span_sum = sum(table.span[i, j, table.vocab.index(label)]
+                   for i, j, label in spans)
+    dep_sum = (sum(table.arc[c, h] for c, h in arcs) + table.root[root]
+               if root else 0.0)
+    return lam * span_sum + (1.0 - lam) * dep_sum
+
+
 def tree_score(tree: HpsgTree | ConstituentTree, table: ScoreTable,
                lam: float) -> float:
     """Score of a fixed analysis under a table with interpolation ``lam``.
@@ -182,17 +205,11 @@ def tree_score(tree: HpsgTree | ConstituentTree, table: ScoreTable,
     Head-annotated trees are scored exactly as the joint decoder sees them:
     the span part sums over every node of the binarized encoding, the
     dependency part over the projected arcs plus the root. A plain
-    constituent tree (a division encoding) has only the span part, still
-    scaled by ``lam``.
+    constituent tree (a division encoding) has only the span part.
     """
     if isinstance(tree, HpsgTree):
-        spans, arcs, root = tree_parts(tree)
-        dep_sum = sum(table.arc[c, h] for c, h in arcs) + table.root[root]
-    else:
-        spans, dep_sum = labeled_spans(tree.root), 0.0
-    span_sum = sum(table.span[i, j, table.vocab.index(label)]
-                   for i, j, label in spans)
-    return lam * span_sum + (1.0 - lam) * dep_sum
+        return parts_score(table, tree_parts(tree), lam)
+    return parts_score(table, (labeled_spans(tree.root), [], 0), lam)
 
 
 def write_scores(tables: Sequence[ScoreTable], stream: IO[str]) -> None:

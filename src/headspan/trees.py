@@ -34,7 +34,25 @@ class Token:
 
 
 class _Node:
-    """What constituent and head-annotated nodes share."""
+    """What constituent and head-annotated nodes share; ``==`` walks
+    :func:`iter_nodes` and ``repr`` shows one node, so neither recurses."""
+
+    _shown: tuple[str, ...] = ()
+
+    def _shallow(self) -> tuple:
+        return (*(getattr(self, f) for f in self._shown), len(self.children))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # equal child counts at every pre-order position fix the shape,
+        # so the shorter walk ends only where both do
+        return all(a._shallow() == b._shallow()
+                   for a, b in zip(iter_nodes(self), iter_nodes(other)))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._shown)
+        return f"{type(self).__name__}({shown})"
 
     @property
     def is_preterminal(self) -> bool:
@@ -48,7 +66,13 @@ class _Node:
 
 
 class _Tree:
-    """What constituent and head-annotated trees share."""
+    """What constituent and head-annotated trees share; equal trees have
+    equal tokens and nodes, whatever else they carry."""
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.tokens == other.tokens and self.root == other.root
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -60,7 +84,7 @@ class _Tree:
         return (nd for nd in self.iter_nodes() if not nd.is_preterminal)
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class ConstNode(_Node):
     """Node of a plain constituent tree (no head annotation)."""
 
@@ -69,8 +93,10 @@ class ConstNode(_Node):
     start: int = 0
     end: int = 0
 
+    _shown = ("label", "start", "end")
 
-@dataclass
+
+@dataclass(eq=False)
 class ConstituentTree(_Tree):
     tokens: list[Token]
     root: ConstNode
@@ -123,7 +149,7 @@ class DependencyTree:
                 j = self.heads[j]
 
 
-@dataclass
+@dataclass(eq=False, repr=False)
 class HpsgNode(_Node):
     """Phrase node carrying both a category and a head token index.
 
@@ -136,6 +162,8 @@ class HpsgNode(_Node):
     children: list["HpsgNode"] = field(default_factory=list)
     start: int = 0
     end: int = 0
+
+    _shown = ("label", "head", "start", "end")
 
 
 @dataclass(eq=False)
@@ -152,14 +180,6 @@ class HpsgTree(_Tree):
     root: HpsgNode
     dep_heads: Optional[list[int]] = None
     dep_labels: Optional[list[Optional[str]]] = None
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HpsgTree):
-            return NotImplemented
-        return self.tokens == other.tokens and all(
-            (a.label, a.head, a.start, a.end, len(a.children))
-            == (b.label, b.head, b.start, b.end, len(b.children))
-            for a, b in zip(iter_nodes(self.root), iter_nodes(other.root)))
 
     def validate_spans(self) -> None:
         check_spans(self.root, len(self.tokens), heads=True)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from headspan.decode import (
-    DecodeConfig,
     brute_force,
     decode_division,
     decode_eisner,
@@ -73,14 +72,13 @@ def test_oracle_tables_decode_back_to_their_trees(sample_fused, announce):
     """Check 1: joint decoding at half weight recovers every corpus tree
     from its own oracle scores, exactly and within the time budget."""
     vocab = CategoryVocab.from_trees(sample_fused)
-    config = DecodeConfig(lam=0.5)
     started = time.perf_counter()
     exact = 0
     score_drift = 0.0
     golds_c, preds_c, golds_d, preds_d = [], [], [], []
     for gold in sample_fused:
         table = oracle_scores(gold, vocab)
-        decoded, score = decode_joint(table, config, gold.tokens)
+        decoded, score = decode_joint(table, 0.5, gold.tokens)
         n = len(gold)
         # one point per binarized span, arc, and root, half weight each
         wanted = 0.5 * (2 * n - 1) + 0.5 * n
@@ -120,9 +118,9 @@ def test_joint_chart_matches_exhaustive_search(announce):
     for n in range(2, 7):
         for trial in range(200):
             table = random_score_table(rng, n, vocab)
-            config = DecodeConfig(lam=lams[trial % len(lams)])
-            _, fast = decode_joint(table, config)
-            _, slow = brute_force(table, config)
+            lam = lams[trial % len(lams)]
+            _, fast = decode_joint(table, lam)
+            _, slow = brute_force(table, lam)
             worst = max(worst, abs(fast - slow))
             trials += 1
     elapsed = time.perf_counter() - started
@@ -146,10 +144,10 @@ def test_degenerate_weights_match_specialist_decoders(announce):
     for _ in range(100):
         n = int(rng.integers(2, 13))
         table = random_score_table(rng, n, vocab)
-        _, spans_only = decode_joint(table, DecodeConfig(lam=1.0))
+        _, spans_only = decode_joint(table, 1.0)
         _, division = decode_division(table)
         span_violation = max(span_violation, spans_only - division)
-        _, arcs_only = decode_joint(table, DecodeConfig(lam=0.0))
+        _, arcs_only = decode_joint(table, 0.0)
         _, eisner = decode_eisner(table)
         dep_gap = max(dep_gap, abs(arcs_only - eisner))
     ok = span_violation <= TOL and dep_gap <= TOL
@@ -270,7 +268,7 @@ def _median_decode_time(n: int, rng, vocab, reps: int = 9) -> float:
     for _ in range(reps):
         table = random_score_table(rng, n, vocab)
         started = time.perf_counter()
-        decode_joint(table, DecodeConfig(lam=0.5))
+        decode_joint(table, 0.5)
         times.append(time.perf_counter() - started)
     return statistics.median(times)
 
@@ -278,7 +276,7 @@ def _median_decode_time(n: int, rng, vocab, reps: int = 9) -> float:
 def _peak_decode_memory(n: int, rng, vocab) -> int:
     table = random_score_table(rng, n, vocab)
     tracemalloc.start()
-    decode_joint(table, DecodeConfig(lam=0.5))
+    decode_joint(table, 0.5)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     return peak

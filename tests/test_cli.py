@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from headspan.cli import main
+from headspan.decode import LEN_CAP
 from headspan.fuse import project_dependencies
 from headspan.scoring import CategoryVocab, oracle_scores, write_scores
 from headspan.synth import random_score_table
@@ -146,6 +147,17 @@ class TestParse:
         assert captured.err.count("above cap") == 2
         with open(out, encoding="utf-8") as fh:
             assert len(read_hpsg(fh)) == 5
+
+    def test_len_cap_above_the_chart_bound_refused(self, tmp_path,
+                                                   multihead_files,
+                                                   score_file, capsys):
+        _, conll = multihead_files
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", conll, "--scores", score_file,
+                     "--len-cap", str(LEN_CAP + 1), "--out", str(out)])
+        assert code == 1
+        assert f"--len-cap above {LEN_CAP}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bracketed_input_detected(self, tmp_path, multihead_files,
                                       score_file):

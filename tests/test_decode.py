@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from headspan.decode import (
     BRUTE_FORCE_CAP,
-    DecodeConfig,
+    LEN_CAP,
     _enumerate_derivations,
     brute_force,
     decode_division,
@@ -63,14 +63,14 @@ class TestHandWorkedCase:
         #   head 1: .15 + 0 (arc 2->1 unset) + .10 + .50 = .75,
         #           plus root(1) = .35
         # so head 2 wins at 1.20 and position 1 keeps its A label
-        tree, score = decode_joint(hand_table(), DecodeConfig(lam=0.5))
+        tree, score = decode_joint(hand_table(), 0.5)
         assert score == pytest.approx(1.2, abs=1e-12)
         want = read_hpsg("(A[2] (A[1] (X[1] w1)) (X[2] w2))")[0]
         assert tree == want
 
     def test_lambda_zero_reduces_to_dependencies(self):
         table = hand_table()
-        tree, score = decode_joint(table, DecodeConfig(lam=0.0))
+        tree, score = decode_joint(table, 0.0)
         dep, eisner_score = decode_eisner(table)
         # arc(1,2) + root(2) = 0.9 beats root(1) = 0.7
         assert score == pytest.approx(0.9, abs=1e-12)
@@ -80,7 +80,7 @@ class TestHandWorkedCase:
 
     def test_lambda_one_reduces_to_spans(self):
         table = hand_table()
-        _, score = decode_joint(table, DecodeConfig(lam=1.0))
+        _, score = decode_joint(table, 1.0)
         _, div_score = decode_division(table)
         # span(1,1,A) + span(2,2,E) + span(1,2,A) = 1.5 on both routes
         assert score == pytest.approx(1.5, abs=1e-12)
@@ -132,9 +132,8 @@ class TestJointAgainstBruteForce:
             for trial in range(20):
                 table = random_score_table(rng, n, vocab)
                 lam = lams[trial % len(lams)]
-                config = DecodeConfig(lam=lam)
-                fast_tree, fast = decode_joint(table, config)
-                slow_tree, slow = brute_force(table, config)
+                fast_tree, fast = decode_joint(table, lam)
+                slow_tree, slow = brute_force(table, lam)
                 assert fast == pytest.approx(slow, abs=1e-9), (n, trial, lam)
                 # at lam 0 or 1 one score part vanishes and ties among
                 # heads or labels break differently in the two searches
@@ -154,9 +153,8 @@ class TestJointAgainstBruteForce:
         table.arc[1:, 1:] = data.draw(arrays(np.int64, (n, n),
                                              elements=ints))
         table.root[1:] = data.draw(arrays(np.int64, n, elements=ints))
-        config = DecodeConfig(lam=lam)
-        _, fast = decode_joint(table, config)
-        _, slow = brute_force(table, config)
+        _, fast = decode_joint(table, lam)
+        _, slow = brute_force(table, lam)
         assert fast == pytest.approx(slow, abs=1e-9)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -166,9 +164,8 @@ class TestJointAgainstBruteForce:
         # continuous scores have no ties, so both searches pick one tree
         table = random_score_table(np.random.default_rng(seed), n,
                                    CategoryVocab(["A", "B", "C"]))
-        config = DecodeConfig(lam=lam)
-        fast_tree, fast = decode_joint(table, config)
-        slow_tree, slow = brute_force(table, config)
+        fast_tree, fast = decode_joint(table, lam)
+        slow_tree, slow = brute_force(table, lam)
         assert fast == pytest.approx(slow, abs=1e-9)
         assert fast_tree == slow_tree
 
@@ -180,9 +177,7 @@ class TestJointAgainstBruteForce:
                 table = random_score_table(rng, n, vocab)
                 lam = 0.5
                 span_m = lam * table.span
-                tree, score, spans = decode_joint_mixed(
-                    span_m, (1.0 - lam) * table.arc,
-                    (1.0 - lam) * table.root, vocab)
+                tree, score, spans = decode_joint_mixed(table.mixed(lam))
                 assert len(spans) == 2 * n - 1
                 span_part = sum(span_m[i, j, vocab.index(cat)]
                                 for i, j, cat in spans)
@@ -309,7 +304,7 @@ class TestExactRecovery:
         vocab = CategoryVocab.from_trees(sample_fused)
         for tree in sample_fused[:60]:
             table = oracle_scores(tree, vocab)
-            got, score = decode_joint(table, DecodeConfig(lam=0.5),
+            got, score = decode_joint(table, 0.5,
                                       tokens=tree.tokens)
             assert got == tree
             n = len(tree)
@@ -322,7 +317,7 @@ class TestExactRecovery:
             tree = random_tree(rng, rng.randint(1, 10))
             vocab = CategoryVocab.from_trees([tree])
             table = oracle_scores(tree, vocab)
-            got, _ = decode_joint(table, DecodeConfig(lam=0.5),
+            got, _ = decode_joint(table, 0.5,
                                   tokens=tree.tokens)
             assert got == tree
 
@@ -344,7 +339,7 @@ class TestDegenerationToSingleTaskDecoders:
         for n in (2, 3, 5, 8, 12):
             for _ in range(10):
                 table = random_score_table(rng, n, vocab)
-                _, joint = decode_joint(table, DecodeConfig(lam=0.0))
+                _, joint = decode_joint(table, 0.0)
                 dep, eisner = decode_eisner(table)
                 assert joint == pytest.approx(eisner, abs=1e-9)
                 if n <= BRUTE_FORCE_CAP:
@@ -357,7 +352,7 @@ class TestDegenerationToSingleTaskDecoders:
         for n in (2, 3, 5, 9):
             for _ in range(15):
                 table = random_score_table(rng, n, vocab)
-                _, joint = decode_joint(table, DecodeConfig(lam=1.0))
+                _, joint = decode_joint(table, 1.0)
                 _, division = decode_division(table)
                 assert joint <= division + 1e-9
 
@@ -392,14 +387,14 @@ class TestEdgesAndGuards:
         table = ScoreTable.zeros(1, vocab)
         table.span[1, 1, vocab.index("A")] = 0.4
         table.root[1] = 0.3
-        tree, score = decode_joint(table, DecodeConfig(lam=0.5))
+        tree, score = decode_joint(table, 0.5)
         assert score == pytest.approx(0.35, abs=1e-12)
         assert tree.root.label == "A"
         assert project_dependencies(tree).heads == [0, 0]
 
         # with the empty category on top the root is a bare preterminal
         table.span[1, 1, 0] = 0.9
-        tree, score = decode_joint(table, DecodeConfig(lam=0.5))
+        tree, score = decode_joint(table, 0.5)
         assert tree.root.is_preterminal
         assert score == pytest.approx(0.45 + 0.15, abs=1e-12)
 
@@ -412,10 +407,12 @@ class TestEdgesAndGuards:
             max_projective_score(table)
 
     def test_lambda_range_checked(self):
-        with pytest.raises(ValueError):
-            DecodeConfig(lam=1.5)
-        with pytest.raises(ValueError):
-            DecodeConfig(lam=-0.1)
+        table = hand_table()
+        for decoder in (decode_joint, brute_force):
+            with pytest.raises(ValueError):
+                decoder(table, 1.5)
+            with pytest.raises(ValueError):
+                decoder(table, -0.1)
 
     def test_ties_resolve_deterministically_without_split_labels(self):
         vocab = CategoryVocab(["A", "B"])
@@ -468,6 +465,17 @@ class TestLongAndDeep:
         tree, notes = decode_table(table, "joint", 0.5, gold.tokens, 240)
         assert notes == ["length 1100 above cap 240, using the span decoder"]
         assert tree == gold
+
+    def test_joint_route_is_capped_by_default(self):
+        # a library caller passes no cap and still gets no joint chart of
+        # 12 (n+1)^3 bytes above LEN_CAP
+        gold = right_branching(LEN_CAP + 1)
+        vocab = CategoryVocab.from_trees([gold], division_labels=True)
+        table = oracle_scores(gold, vocab, division_labels=True)
+        tree, notes = decode_table(table, "joint", 0.5)
+        assert notes == [f"length {LEN_CAP + 1} above cap {LEN_CAP}, using "
+                         f"the span decoder"]
+        assert len(tree) == LEN_CAP + 1
 
     def test_every_walk_runs_in_fixed_stack_depth(self):
         gold = right_branching(100)

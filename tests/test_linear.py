@@ -83,6 +83,8 @@ class TestTrainConfig:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(dim=1)
+        with pytest.raises(ValueError, match="power of two"):
+            TrainConfig(dim=1000)
 
 
 class TestLinearModel:
@@ -141,6 +143,8 @@ class TestLinearModel:
         {"weights": np.zeros(4)},
         {"dim": 4, "mode": "joint", "lam": 0.5, "categories": ["A"],
          "weights": np.zeros(4, dtype=np.int64)},
+        {"dim": 1000, "mode": "joint", "lam": 0.5, "categories": ["A"],
+         "weights": np.zeros(1000)},
         [1, 2, 3],
     ])
     def test_load_refuses_other_pickles(self, tmp_path, payload):

@@ -22,6 +22,16 @@ import pathlib
 
 import pytest
 
+from headspan.trees import (
+    ConstituentTree,
+    ConstNode,
+    HpsgTree,
+    Token,
+    make_const_node,
+    make_node,
+    preterminal,
+)
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "headspan"
 
 # recursion that stays shallow by construction, with the reason
@@ -164,3 +174,29 @@ def test_no_recursion_outside_the_allowed_list():
 ])
 def test_guard_finds_each_kind_of_cycle(source, expected):
     assert recursive_functions(call_graph(source, "m")) == expected
+
+
+def _chain(depth: int, bottom: str, heads: bool):
+    """One token under ``depth`` unary phrases, the lowest labelled
+    ``bottom``, as a head-annotated or a plain constituent tree."""
+    tokens = [Token(index=1, form="w", pos="T")]
+    if heads:
+        node = preterminal(1, "T")
+        for level in range(depth):
+            node = make_node(bottom if level == 0 else "X", [node], 1)
+        return HpsgTree(tokens=tokens, root=node)
+    node = ConstNode(label="T", start=1, end=1)
+    for level in range(depth):
+        node = make_const_node(bottom if level == 0 else "X", [node])
+    return ConstituentTree(tokens=tokens, root=node)
+
+
+@pytest.mark.parametrize("heads", [False, True], ids=["const", "hpsg"])
+def test_deep_trees_compare_and_print(heads):
+    # the guard above reads source and cannot see methods that dataclass
+    # generates; the tree and node classes replace the recursive ones
+    a, b = _chain(3000, "Y", heads), _chain(3000, "Y", heads)
+    other = _chain(3000, "Z", heads)   # differs 3000 levels down only
+    assert a == b and a.root == b.root
+    assert a != other and a.root != other.root
+    assert len(repr(a)) < 200 and len(repr(a.root)) < 100
