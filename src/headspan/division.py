@@ -66,11 +66,8 @@ def binarize_head_outward(tree: HpsgTree) -> HpsgNode:
             return HpsgNode(label=CHAIN_JOINER.join(labels), head=node.head,
                             children=kids, start=node.start, end=node.end)
         kids = [wrap_bare(kid) for kid in kids]
-        t = next((k for k, kid in enumerate(kids) if kid.head == node.head),
-                 0 if len(kids) == 2 else None)
-        if t is None:
-            raise StructureError(f"no child of {node.label}{node.span()} "
-                                 f"has its head {node.head}")
+        # the tree is validated before the fold: one child carries the head
+        t = next(k for k, kid in enumerate(kids) if kid.head == node.head)
         # attach right siblings nearest first, then left ones, each pair
         # becoming an empty-category node before the next attaches
         pair = [kids[t]]

@@ -29,6 +29,7 @@ from .trees import (
     DependencyTree,
     HpsgNode,
     HpsgTree,
+    check_spans,
     children_of,
     fold,
     iter_nodes,
@@ -169,17 +170,16 @@ def fuse(
 def validate(tree: HpsgTree, ordinal: int = 0) -> HeadAuditReport:
     """Re-derive head sets bottom-up and report head-principle violations.
 
-    Structural checks (head inside span, head shared with exactly one child)
-    always run. When the tree carries the dependency annotation it was fused
-    from, external-head sets are recomputed against it and any span whose set
-    is not exactly {assigned head} is reported, along with token-level
-    projection mismatches.
+    A node breaking the head principle (a preterminal heads its position, a
+    phrase shares its head with one child) is reported. When the tree
+    carries its fused dependency annotation, external-head sets are
+    recomputed against it and any span whose set is not exactly {assigned
+    head} is reported, along with token-level projection mismatches.
     """
     report = HeadAuditReport(ordinal=ordinal)
-    tree.validate_spans()
-    for nd in tree.internal_nodes():
-        sharers = [ch for ch in nd.children if ch.head == nd.head]
-        if len(sharers) != 1:
+    check_spans(tree.root, len(tree))
+    for nd in tree.iter_nodes():
+        if not nd.keeps_head_principle():
             report.residuals += 1
             report.offending_spans.append(nd.span())
     if tree.dep_heads is not None:

@@ -2,7 +2,9 @@
 
 The model scores spans, arcs, and roots from sparse binary features hashed
 into one flat weight vector (crc32 is the hash so scores are identical
-across processes and platforms). Training is a structured perceptron with
+across processes and platforms). Label ``c``'s span feature ``f`` lands at
+``crc32(c, crc32(f))``, which :func:`_crc_shift` gives for every label at
+once. Training is a structured perceptron with
 loss-augmented decoding: at each sentence the decoder runs on scores where
 every non-gold span label earns a bonus of 1, so the update targets the
 highest-scoring wrong analysis within a margin. Weight averaging uses the
@@ -20,9 +22,8 @@ from __future__ import annotations
 import pickle
 import random
 import zlib
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,12 +46,25 @@ from .scoring import (
 from .trees import HpsgTree, Token
 
 MODES = ("joint", "division")
+Hashes = tuple[np.ndarray, np.ndarray, np.ndarray]  # LinearModel.hashes
 
 
 def _check_dim(dim: int) -> None:
     # a power of two lets every hash index be a mask of its low bits
     if dim < 2 or dim & (dim - 1):
         raise ValueError(f"dim must be a power of two, at least 2; got {dim}")
+
+
+def _crc_shift(k: int) -> np.ndarray:
+    """(4, 256) table of what a start value adds to crc32 over k bytes.
+
+    crc32 is affine in its start value: ``crc32(data, b) == crc32(data) ^
+    L(b)`` with L linear over GF(2) and fixed by ``len(data)``, so L(b) is
+    the XOR of ``table[p, b >> 8p & 255]`` over the four bytes p of b."""
+    zero = bytes(k)
+    base = zlib.crc32(zero)
+    return np.array([[zlib.crc32(zero, v << 8 * p) ^ base for v in range(256)]
+                     for p in range(4)], dtype=np.int64)
 
 
 def _bucket(value: int, edges: Sequence[int] = (1, 2, 3, 4, 5, 8, 12)) -> bytes:
@@ -146,66 +160,80 @@ class LinearModel:
         self.mode = mode
         self.lam = lam
         self.weights = (np.zeros(dim) if weights is None else weights)
-        self._cat_bytes = [c.encode() for c in vocab]
         self._mask = dim - 1
+        cats = [c.encode() for c in vocab]
+        lengths = sorted({len(c) for c in cats})
+        self._shift = np.stack([_crc_shift(k) for k in lengths]) & self._mask
+        self._group = np.array([lengths.index(len(c)) for c in cats])
+        self._cat_crc = np.array([zlib.crc32(c) & self._mask for c in cats])
 
-    def _combine(self, bases: list[int], cid: int) -> list[int]:
-        cat = self._cat_bytes[cid]
-        return [zlib.crc32(cat, b) & self._mask for b in bases]
+    def hashes(self, tokens: Sequence[Token]) -> Hashes:
+        """Label-free crc32 of the sentence's features, as uint32 rows: 12
+        per span (i, j), i <= j, ordered by i then j; 11 per arc (child,
+        head), child != head, in the same order; 3 per root. Arcs and roots
+        are left empty in division mode."""
+        def crc_rows(rows: Iterable[list[bytes]], width: int) -> np.ndarray:
+            return np.array([[zlib.crc32(f) for f in row] for row in rows],
+                            dtype=np.uint32).reshape(-1, width)
 
-    def _span_idx(self, feats: list[bytes], cid: int) -> list[int]:
-        return self._combine([zlib.crc32(f) for f in feats], cid)
-
-    def _plain_idx(self, feats: list[bytes]) -> list[int]:
-        return [zlib.crc32(f) & self._mask for f in feats]
-
-    def score_table(self, tokens: Sequence[Token]) -> ScoreTable:
-        """Dense scores for one sentence under the current weights."""
         n = len(tokens)
         words = _pad([t.form for t in tokens])
         tags = _pad([t.pos for t in tokens])
+        pos = range(1, n + 1)
+        deps = pos if self.mode == "joint" else ()
+        return (crc_rows((span_features(words, tags, i, j)
+                          for i in pos for j in range(i, n + 1)), 12),
+                crc_rows((arc_features(words, tags, c, h)
+                          for c in deps for h in pos if c != h), 11),
+                crc_rows((root_features(words, tags, h, n) for h in deps), 3))
+
+    def _shifted(self, bases: np.ndarray) -> np.ndarray:
+        """L(bases) under each label byte length, masked: (lengths, *shape)."""
+        t = self._shift
+        return (t[:, 0, bases & 255] ^ t[:, 1, bases >> 8 & 255]
+                ^ t[:, 2, bases >> 16 & 255] ^ t[:, 3, bases >> 24])
+
+    def score_table(self, tokens: Sequence[Token],
+                    hashes: Hashes | None = None) -> ScoreTable:
+        """Dense scores for one sentence from its :meth:`hashes` (built here
+        when not given), a start position at a time to bound memory."""
+        span, arc, root = hashes or self.hashes(tokens)
+        n = len(tokens)
         table = ScoreTable.zeros(n, self.vocab)
         w = self.weights
-        v = len(self.vocab)
+        lo = 0
         for i in range(1, n + 1):
-            for j in range(i, n + 1):
-                bases = [zlib.crc32(f)
-                         for f in span_features(words, tags, i, j)]
-                for cid in range(v):
-                    idx = self._combine(bases, cid)
-                    table.span[i, j, cid] = w[idx].sum()
+            hi = lo + n + 1 - i
+            # (labels, spans starting at i, features)
+            idx = (self._shifted(span[lo:hi])[self._group]
+                   ^ self._cat_crc[:, None, None])
+            table.span[i, i:] = w[idx].sum(-1).T
+            lo = hi
         if self.mode == "joint":
-            for child in range(1, n + 1):
-                for head in range(1, n + 1):
-                    if child == head:
-                        continue
-                    idx = self._plain_idx(arc_features(words, tags, child,
-                                                       head))
-                    table.arc[child, head] = w[idx].sum()
-            for head in range(1, n + 1):
-                idx = self._plain_idx(root_features(words, tags, head, n))
-                table.root[head] = w[idx].sum()
+            off_diagonal = ~np.eye(n, dtype=bool)
+            table.arc[1:, 1:][off_diagonal] = w[arc & self._mask].sum(-1)
+            table.root[1:] = w[root & self._mask].sum(-1)
         return table
 
     def feature_counts(self, tokens: Sequence[Token],
                        spans: list[tuple[int, int, str]],
-                       arcs: list[tuple[int, int]], root: int
-                       ) -> tuple[Counter, Counter]:
-        """Hashed feature index counts, spans separate from arcs and root."""
-        words = _pad([t.form for t in tokens])
-        tags = _pad([t.pos for t in tokens])
-        span_c: Counter = Counter()
-        dep_c: Counter = Counter()
-        for i, j, label in spans:
-            feats = span_features(words, tags, i, j)
-            span_c.update(self._span_idx(feats, self.vocab.index(label)))
-        for child, head in arcs:
-            dep_c.update(self._plain_idx(arc_features(words, tags, child,
-                                                      head)))
-        if root:
-            dep_c.update(self._plain_idx(root_features(words, tags, root,
-                                                       len(tokens))))
-        return span_c, dep_c
+                       arcs: list[tuple[int, int]], root: int,
+                       hashes: Hashes | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Feature indices of an analysis, repeats kept: spans', then the
+        arcs' and root's."""
+        span_h, arc_h, root_h = hashes or self.hashes(tokens)
+        n = len(tokens)
+        rows = [(i - 1) * (2 * n + 2 - i) // 2 + j - i for i, j, _ in spans]
+        cid = np.array([self.vocab.index(c) for _, _, c in spans], dtype=int)
+        span_idx = (self._shifted(span_h[rows])[self._group[cid],
+                                                np.arange(len(rows))]
+                    ^ self._cat_crc[cid, None])
+        arc_rows = [(c - 1) * (n - 1) + h - 1 - (h > c) for c, h in arcs]
+        # root 0 (none) slices no row
+        dep = np.concatenate([arc_h[arc_rows], root_h[root - 1:root]],
+                             axis=None)
+        return span_idx.ravel(), dep & self._mask
 
     def save(self, path: str) -> None:
         payload = {
@@ -226,7 +254,7 @@ class LinearModel:
                 payload = _ModelUnpickler(fh).load()
             weights = payload["weights"]
             if (set(payload) != _MODEL_KEYS
-                    or not isinstance(payload["lam"], (int, float))
+                    or not 0.0 <= payload["lam"] <= 1.0
                     or not isinstance(weights, np.ndarray)
                     or weights.dtype != np.float64
                     or weights.shape != (payload["dim"],)):
@@ -258,10 +286,12 @@ class _ModelUnpickler(pickle.Unpickler):
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
-                      lam: float | None = None) -> HpsgTree:
+                      lam: float | None = None,
+                      hashes: Hashes | None = None) -> HpsgTree:
     """Parse one sentence with a trained model, honoring its mode."""
     use = model.lam if lam is None else lam
-    tree, _ = decode_table(model.score_table(tokens), model.mode, use, tokens)
+    tree, _ = decode_table(model.score_table(tokens, hashes), model.mode,
+                           use, tokens)
     return tree
 
 
@@ -273,15 +303,22 @@ class _Averager:
     last: np.ndarray
     steps: int = 0
 
-    def touch(self, idx: list[int], w: np.ndarray) -> None:
-        for x in idx:
-            self.acc[x] += (self.steps - self.last[x]) * w[x]
-            self.last[x] = self.steps
+    def touch(self, idx: np.ndarray, w: np.ndarray) -> None:
+        self.acc[idx] += (self.steps - self.last[idx]) * w[idx]
+        self.last[idx] = self.steps
 
     def snapshot(self, w: np.ndarray) -> np.ndarray:
         if self.steps == 0:
             return w.copy()
         return (self.acc + (self.steps - self.last) * w) / self.steps
+
+
+def _count_difference(gold: np.ndarray, pred: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct indices whose counts differ, with gold's count minus pred's."""
+    idx, inv = np.unique(np.concatenate([gold, pred]), return_inverse=True)
+    delta = np.bincount(inv, np.repeat([1.0, -1.0], [len(gold), len(pred)]))
+    return idx[delta != 0], delta[delta != 0]
 
 
 def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
@@ -309,6 +346,7 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                         lam=config.lam)
     lam = 1.0 if division_mode else config.lam
 
+    # every sentence's feature hashes serve all epochs and dev passes
     prepared = []
     for tree in trees:
         gold = ((tree_spans(tree, True), [], 0) if division_mode
@@ -317,8 +355,11 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         indicator = np.zeros((n + 1, n + 1, len(vocab)))
         for i, j, label in gold[0]:
             indicator[i, j, vocab.index(label)] = 1.0
-        prepared.append((tree, gold, model.feature_counts(tree.tokens, *gold),
+        hashes = model.hashes(tree.tokens)
+        prepared.append((tree.tokens, hashes, gold,
+                         model.feature_counts(tree.tokens, *gold, hashes),
                          indicator))
+    dev_hashes = [model.hashes(tree.tokens) for tree in dev or ()]
 
     avg = _Averager(acc=np.zeros(config.dim),
                     last=np.zeros(config.dim, dtype=np.int64))
@@ -327,7 +368,6 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     best_dev = -1.0
     best_weights: np.ndarray | None = None
     rng = random.Random(config.seed)
-    order = list(range(len(prepared)))
     # span weights move by step * lam, arc and root weights by the rest;
     # division-mode parts have no arcs or root, so that delta stays empty
     scales = (config.step * lam, config.step * (1.0 - lam))
@@ -335,10 +375,9 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     for epoch in range(1, config.epochs + 1):
         objective = 0.0
         updates = 0
-        rng.shuffle(order)
-        for tree, gold, gold_counts, ind in (prepared[pos] for pos in order):
-            tokens = tree.tokens
-            table = model.score_table(tokens)
+        rng.shuffle(prepared)
+        for tokens, hashes, gold, gold_counts, ind in prepared:
+            table = model.score_table(tokens, hashes)
             aug = table.mixed(lam)
             aug.span += 1.0 - ind
             if division_mode:
@@ -352,22 +391,19 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
             if violation > 1e-12:
                 objective += violation
                 updates += 1
-                pred_counts = model.feature_counts(tokens, *pred)
+                pred_counts = model.feature_counts(tokens, *pred, hashes)
                 for gold_c, pred_c, scale in zip(gold_counts, pred_counts,
                                                  scales):
-                    delta = gold_c - pred_c
-                    delta.subtract(pred_c - gold_c)
-                    idx = list(delta)
+                    idx, delta = _count_difference(gold_c, pred_c)
                     avg.touch(idx, w)
-                    for x in idx:
-                        w[x] += scale * delta[x]
+                    w[idx] += scale * delta
             avg.steps += 1
 
         record = {"epoch": epoch, "objective": objective, "updates": updates}
         if dev is not None:
             snap = LinearModel(vocab=vocab, dim=config.dim, mode=config.mode,
                                lam=config.lam, weights=avg.snapshot(w))
-            f1, uas = _dev_scores(snap, dev)
+            f1, uas = _dev_scores(snap, dev, dev_hashes)
             record["dev_f1"] = f1
             record["dev_uas"] = uas
             if f1 + uas > best_dev:
@@ -389,11 +425,12 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     return model, history
 
 
-def _dev_scores(model: LinearModel, dev: Sequence[HpsgTree]
-                ) -> tuple[float, float]:
+def _dev_scores(model: LinearModel, dev: Sequence[HpsgTree],
+                hashes: list[Hashes]) -> tuple[float, float]:
     gold_const = [project_constituents(t) for t in dev]
     gold_dep = [project_dependencies(t) for t in dev]
-    pred = [decode_with_model(model, t.tokens) for t in dev]
+    pred = [decode_with_model(model, t.tokens, hashes=h)
+            for t, h in zip(dev, hashes)]
     pred_const = [project_constituents(t) for t in pred]
     pred_dep = [project_dependencies(t) for t in pred]
     rep = evaluate.bracket_f1(gold_const, pred_const)

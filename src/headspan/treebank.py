@@ -39,7 +39,7 @@ from functools import partial
 from operator import attrgetter
 from typing import IO, Any, Callable, Iterable, Iterator, Optional
 
-from .errors import AlignmentError, TreebankError
+from .errors import AlignmentError, StructureError, TreebankError
 from .trees import (
     ConstituentTree,
     ConstNode,
@@ -160,12 +160,7 @@ def _close_hpsg(label: str, parts: list, tokens: list[Token],
                 f"preterminal at position {got.index} claims head {head}",
                 line)
         return HpsgNode(label=label, head=head, start=head, end=head)
-    node = make_node(label, got, head)
-    if not node.start <= head <= node.end:
-        raise TreebankError(
-            f"head {head} outside span ({node.start},{node.end}) at "
-            f"{label!r}", line)
-    return node
+    return make_node(label, got, head)
 
 
 def _format_tree(root, tokens: list[Token], name: Callable[..., str]) -> str:
@@ -318,9 +313,12 @@ def write_conll(trees: Iterable[DependencyTree], stream: IO[str]) -> None:
 def read_hpsg(stream: IO[str] | str) -> list[HpsgTree]:
     text = stream if isinstance(stream, str) else stream.read()
     trees = []
-    for root, tokens, _ in _read_sexprs(text, _close_hpsg):
+    for root, tokens, line in _read_sexprs(text, _close_hpsg):
         tree = HpsgTree(tokens=tokens, root=root)
-        tree.validate_spans()
+        try:
+            tree.validate_spans()
+        except StructureError as exc:
+            raise TreebankError(str(exc), line) from None
         trees.append(tree)
     return trees
 

@@ -165,6 +165,11 @@ class HpsgNode(_Node):
 
     _shown = ("label", "head", "start", "end")
 
+    def keeps_head_principle(self) -> bool:
+        """Whether this node keeps the invariant above."""
+        return ([ch.head for ch in self.children]
+                or [self.start]).count(self.head) == 1
+
 
 @dataclass(eq=False)
 class HpsgTree(_Tree):
@@ -242,15 +247,17 @@ def fold(root, children: Callable[[Any], list],
 def check_spans(root, n: int, heads: bool = False) -> None:
     """Preterminals cover 1..n in order and children partition each span.
 
-    With ``heads`` every node's head must also lie inside its span.
+    With ``heads`` every node must also keep the head principle.
     """
     leaves = [nd.start for nd in iter_nodes(root) if nd.is_preterminal]
     if leaves != list(range(1, n + 1)):
         raise StructureError("preterminal spans must cover 1..n in order")
     for nd in iter_nodes(root):
-        if heads and not nd.start <= nd.head <= nd.end:
+        if heads and not nd.keeps_head_principle():
+            what = ("its position" if nd.is_preterminal
+                    else "the head of exactly one child")
             raise StructureError(
-                f"head {nd.head} outside span {nd.span()} at {nd.label}")
+                f"head {nd.head} of {nd.label}{nd.span()} is not {what}")
         if nd.is_preterminal:
             if nd.start != nd.end:
                 raise StructureError(f"preterminal with span {nd.span()}")

@@ -348,6 +348,35 @@ class TestTrainAndModelParse:
         assert err.startswith(f"headspan parse: {model}: not a model file")
         assert "system" in err
 
+    def test_model_file_with_lambda_out_of_range_is_refused(
+            self, tmp_path, data_dir, model_file, capsys):
+        with open(model_file, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["lam"] = 5.0
+        model = tmp_path / "bad-lambda.bin"
+        model.write_bytes(pickle.dumps(payload, protocol=4))
+        code = main(["parse", "--input", str(data_dir / "multihead.conll"),
+                     "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1
+        assert f"{model}: not a model file" in err
+
+    def test_headless_phrase_in_training_trees_exits_2(self, tmp_path,
+                                                        capsys):
+        trees = tmp_path / "headless.hpsg"
+        trees.write_text("(S[1] (A[1] a) (B[2] b))\n"
+                         "(S[2] (A[1] a) (B[3] (C[2] b) (D[3] c)))\n",
+                         encoding="utf-8")
+        code = main(["train", "--hpsg", str(trees),
+                     "--model-out", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "headspan train: line 2: head 2 of S(1, 3) is not the head of "
+            "exactly one child"]
+        assert not (tmp_path / "m").exists()
+
     def test_text_file_is_not_a_model(self, tmp_path, data_dir, capsys):
         model = tmp_path / "notes.txt"
         model.write_text("hello\n", encoding="utf-8")

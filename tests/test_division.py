@@ -16,7 +16,14 @@ from headspan.division import (
 )
 from headspan.errors import StructureError
 from headspan.synth import random_tree
-from headspan.trees import EMPTY, HEAD_PREFIX
+from headspan.trees import (
+    EMPTY,
+    HEAD_PREFIX,
+    HpsgTree,
+    Token,
+    make_node,
+    preterminal,
+)
 from headspan.treebank import format_bracketed, read_bracketed, read_hpsg
 
 
@@ -54,9 +61,17 @@ class TestEncoding:
 
 
     def test_flat_phrase_without_head_daughter_rejected(self):
-        # S's head 2 lies inside its span but no child carries it
-        with pytest.raises(StructureError, match="no child of S"):
-            encode_text("(S[2] (A[1] a) (B[3] (C[2] b) (D[3] c)) (E[4] e))")
+        # S's head 2 lies inside its span but no child carries it; the
+        # reader refuses such a tree, so it is built in memory
+        b = make_node("B", [preterminal(2, "C"), preterminal(3, "D")], 3)
+        root = make_node("S", [preterminal(1, "A"), b, preterminal(4, "E")],
+                         2)
+        tree = HpsgTree(tokens=[Token(i, f, "X") for i, f in
+                                enumerate("abce", start=1)], root=root)
+        with pytest.raises(StructureError, match="head 2 of S"):
+            to_division(tree)
+        with pytest.raises(StructureError, match="head 2 of S"):
+            binarize_head_outward(tree)
 
 
 class TestBinaryInvariants:

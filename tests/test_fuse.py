@@ -17,8 +17,25 @@ from headspan.fuse import (
     project_dependencies,
     validate,
 )
-from headspan.trees import SPLIT, DependencyTree, Token
+from headspan.trees import (
+    SPLIT,
+    DependencyTree,
+    HpsgTree,
+    Token,
+    make_node,
+    preterminal,
+)
 from headspan.treebank import format_bracketed, read_hpsg
+
+
+def headless_sentence():
+    """(S[2] (NP[1] (DT[1] the) (NN[2] dog)) (VBD[3] ran)), built in memory
+    because the reader refuses a phrase whose head no child carries."""
+    np_ = make_node("NP", [preterminal(1, "DT"), preterminal(2, "NN")], 1)
+    root = make_node("S", [np_, preterminal(3, "VBD")], 2)
+    tokens = [Token(1, "the", "DT"), Token(2, "dog", "NN"),
+              Token(3, "ran", "VBD")]
+    return HpsgTree(tokens=tokens, root=root)
 
 
 def test_external_heads_basics():
@@ -125,11 +142,18 @@ class TestRoundTripOnCleanCorpus:
 
 class TestAuditing:
     def test_head_principle_violation_is_flagged(self):
-        tree = read_hpsg(
-            "(S[2] (NP[1] (DT[1] the) (NN[2] dog)) (VBD[3] ran))")[0]
+        tree = headless_sentence()
         report = validate(tree)
         assert report.residuals == 1
         assert report.offending_spans == [(1, 3)]
+
+    def test_preterminal_heading_another_position_is_flagged(self):
+        ran = preterminal(2, "VBD")
+        ran.head = 1
+        tree = HpsgTree(tokens=[Token(1, "dogs", "NN"), Token(2, "ran", "VBD")],
+                        root=make_node("S", [preterminal(1, "NN"), ran], 1))
+        report = validate(tree)
+        assert (2, 2) in report.offending_spans
 
     def test_carried_heads_checked_token_by_token(self, multihead_pairs):
         c, d = multihead_pairs[0]
@@ -139,8 +163,7 @@ class TestAuditing:
         assert 5 in report.head_errors
 
     def test_summary_mentions_offenders(self):
-        tree = read_hpsg(
-            "(S[2] (NP[1] (DT[1] the) (NN[2] dog)) (VBD[3] ran))")[0]
+        tree = headless_sentence()
         text = validate(tree).summary()
         assert "residuals=1" in text
         assert "(1,3)" in text

@@ -1,32 +1,99 @@
 """Feature hashing, scoring, and perceptron training."""
 
+import hashlib
 import pickle
+import random
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from headspan.decode import LEN_CAP
 from headspan.errors import ModelFileError
 from headspan.fuse import project_constituents, project_dependencies
 from headspan.linear import (
     LinearModel,
     TrainConfig,
     _Averager,
+    _count_difference,
+    _crc_shift,
     arc_features,
     decode_with_model,
     root_features,
     span_features,
     train_linear,
 )
-from headspan.scoring import CategoryVocab, tree_parts
+from headspan.scoring import CategoryVocab, ScoreTable, tree_parts
 from headspan.synth import sample_corpus
-from headspan.trees import HEAD_PREFIX
+from headspan.trees import HEAD_PREFIX, Token
 
 
 def padded(tree):
     words = [b"<s>"] + [t.form.encode() for t in tree.tokens] + [b"</s>"]
     tags = [b"<s>"] + [t.pos.encode() for t in tree.tokens] + [b"</s>"]
     return words, tags
+
+
+def reference_score_table(model, tokens):
+    """The per-label crc32 scorer that ``LinearModel.score_table`` replaced,
+    kept verbatim: one crc32 call per (span, label, feature)."""
+    mask = model.dim - 1
+    cat_bytes = [c.encode() for c in model.vocab]
+
+    def combine(bases, cid):
+        cat = cat_bytes[cid]
+        return [zlib.crc32(cat, b) & mask for b in bases]
+
+    def plain_idx(feats):
+        return [zlib.crc32(f) & mask for f in feats]
+
+    n = len(tokens)
+    words = [b"<s>"] + [t.form.encode() for t in tokens] + [b"</s>"]
+    tags = [b"<s>"] + [t.pos.encode() for t in tokens] + [b"</s>"]
+    table = ScoreTable.zeros(n, model.vocab)
+    w = model.weights
+    v = len(model.vocab)
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            bases = [zlib.crc32(f)
+                     for f in span_features(words, tags, i, j)]
+            for cid in range(v):
+                idx = combine(bases, cid)
+                table.span[i, j, cid] = w[idx].sum()
+    if model.mode == "joint":
+        for child in range(1, n + 1):
+            for head in range(1, n + 1):
+                if child == head:
+                    continue
+                idx = plain_idx(arc_features(words, tags, child, head))
+                table.arc[child, head] = w[idx].sum()
+        for head in range(1, n + 1):
+            idx = plain_idx(root_features(words, tags, head, n))
+            table.root[head] = w[idx].sum()
+    return table
+
+
+def noisy_model(vocab, dim, mode, seed=0):
+    model = LinearModel(vocab, dim=dim, mode=mode)
+    model.weights = np.random.default_rng(seed).normal(size=dim)
+    return model
+
+
+def assert_tables_equal(model, tokens):
+    got = model.score_table(tokens)
+    want = reference_score_table(model, tokens)
+    for part in ("span", "arc", "root"):
+        np.testing.assert_array_equal(getattr(got, part), getattr(want, part),
+                                      strict=True)
+
+
+# labels of one to seven bytes, multi-byte UTF-8 and chain atoms among them;
+# every vocabulary also holds <E> and #
+MIXED_LABELS = ["NP", "S+VP", "H_NP", "VP~x", "É", "名詞", "S+VP+NP",
+                "ADJP+Ü", "H_<E>", "X"]
 
 
 class TestFeatureTemplates:
@@ -69,8 +136,24 @@ class TestFeatureTemplates:
         assert zlib.crc32(b"NP", zlib.crc32(b"s_len=1")) == 3010848548
         vocab = CategoryVocab(["NP"])
         model = LinearModel(vocab, dim=2 ** 20)
-        assert model._plain_idx([b"r_p=VBZ"]) == [3239093122 & (2 ** 20 - 1)]
-        assert model._plain_idx([b"r_p=VBZ"]) == [41858]
+        # one token tagged VBZ: its span's first feature is s_len=1 and its
+        # root's second r_p=VBZ
+        span_idx, dep_idx = model.feature_counts(
+            [Token(1, "runs", "VBZ")], [(1, 1, "NP")], [], 1)
+        assert span_idx[0] == 3010848548 & (2 ** 20 - 1)
+        assert dep_idx[1] == 3239093122 & (2 ** 20 - 1)
+        assert dep_idx[1] == 41858
+
+    def test_crc32_is_affine_in_its_start_value(self):
+        rng = random.Random(4)
+        for _ in range(500):
+            data = rng.randbytes(rng.randrange(12))
+            start = rng.getrandbits(32)
+            table = _crc_shift(len(data))
+            shift = 0
+            for p in range(4):
+                shift ^= int(table[p, start >> 8 * p & 255])
+            assert zlib.crc32(data, start) == zlib.crc32(data) ^ shift
 
 
 class TestTrainConfig:
@@ -121,8 +204,9 @@ class TestLinearModel:
         spans, arcs, root = tree_parts(tree)
         a = model.feature_counts(tree.tokens, spans, arcs, root)
         b = model.feature_counts(tree.tokens, spans, arcs, root)
-        assert a == b
-        assert not (a[0] - b[0]) and not (a[1] - b[1])
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+            assert _count_difference(x, y)[0].size == 0
 
     def test_save_load_round_trip(self, tmp_path, sample_fused):
         vocab = CategoryVocab.from_trees(sample_fused[:5])
@@ -146,6 +230,8 @@ class TestLinearModel:
         {"dim": 1000, "mode": "joint", "lam": 0.5, "categories": ["A"],
          "weights": np.zeros(1000)},
         [1, 2, 3],
+        {"dim": 4, "mode": "joint", "lam": 5.0, "categories": ["A"],
+         "weights": np.zeros(4)},
     ])
     def test_load_refuses_other_pickles(self, tmp_path, payload):
         path = tmp_path / "other.pkl"
@@ -160,6 +246,67 @@ class TestLinearModel:
         model.save(str(tmp_path / "b.pkl"))
         assert (tmp_path / "a.pkl").read_bytes() == \
             (tmp_path / "b.pkl").read_bytes()
+
+
+class TestScoreTableMatchesReference:
+    """The vectorized scorer gives the per-label scorer's tables, bit for
+    bit: same hashed indices, same float sums."""
+
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_bundled_sentences(self, sample_fused, mode):
+        vocab = CategoryVocab.from_trees(sample_fused,
+                                         division_labels=mode == "division")
+        model = noisy_model(vocab, 2 ** 16, mode)
+        for tree in sample_fused:
+            assert_tables_equal(model, tree.tokens)
+
+    @pytest.mark.parametrize("dim", [2, 2 ** 16, 2 ** 20])
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_labels_of_many_byte_lengths(self, sample_fused, dim, mode):
+        model = noisy_model(CategoryVocab(MIXED_LABELS), dim, mode, seed=dim)
+        for tree in sample_fused[:12]:
+            assert_tables_equal(model, tree.tokens)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(words=st.lists(st.tuples(st.text(min_size=1, max_size=5),
+                                    st.sampled_from(["NN", "VBZ", "Ä", "名"])),
+                          min_size=1, max_size=7),
+           labels=st.lists(st.text(min_size=1, max_size=4), max_size=6,
+                           unique=True),
+           dim=st.sampled_from([2, 2 ** 16, 2 ** 20]),
+           mode=st.sampled_from(["joint", "division"]))
+    def test_random_sentences(self, words, labels, dim, mode):
+        tokens = [Token(i, form, pos)
+                  for i, (form, pos) in enumerate(words, start=1)]
+        model = noisy_model(CategoryVocab(MIXED_LABELS + labels), dim, mode)
+        assert_tables_equal(model, tokens)
+
+    def test_memory_stays_near_the_table_at_the_length_cap(self):
+        # row-at-a-time scoring: the working arrays are one table row times
+        # 12 features, where all spans at once would take about 455 MB here
+        labels = [f"L{k}" + "x" * (k % 7) for k in range(164)]
+        model = LinearModel(CategoryVocab(labels), dim=2 ** 16)
+        tokens = [Token(i, f"w{i % 50}", f"T{i % 9}")
+                  for i in range(1, LEN_CAP + 1)]
+        # the hashes are built first, untraced: tracing the million small
+        # Python objects that build them takes seconds
+        hashes = model.hashes(tokens)
+        tracemalloc.start()
+        try:
+            table = model.score_table(tokens, hashes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(model.vocab) == 166
+        assert peak <= 2 * table.span.nbytes
+
+
+def test_count_difference_keeps_only_changed_indices():
+    gold = np.array([5, 3, 5, 9, 7])
+    pred = np.array([3, 5, 2, 9, 9])
+    idx, delta = _count_difference(gold, pred)
+    assert idx.tolist() == [2, 5, 7, 9]
+    assert delta.tolist() == [-1, 1, 1, -1]
 
 
 def test_averager_matches_hand_simulation():
@@ -192,6 +339,20 @@ class TestTraining:
         assert history[0]["updates"] > 0
         assert history[-1]["dev_f1"] >= 95.0
         assert history[-1]["dev_uas"] >= 95.0
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("joint",
+         "787508a5899a09bbaca954211e89722c8bd29a1fc9b8385406b1589e381ff3b3"),
+        ("division",
+         "e2e838ca270fe47414116b198c078c8e36e502045e99b92ef62addbbff48c10f"),
+    ])
+    def test_trained_weights_are_pinned(self, tiny_corpus, mode, digest):
+        # digests of the weights the per-label scorer and the Counter-based
+        # update trained; the vectorized ones must give the same bits
+        config = TrainConfig(epochs=3, dim=2 ** 16, seed=13, mode=mode)
+        model, _ = train_linear(tiny_corpus, config, dev=tiny_corpus)
+        got = hashlib.sha256(model.weights.astype("<f8").tobytes())
+        assert got.hexdigest() == digest
 
     def test_training_is_reproducible(self, tiny_corpus):
         config = TrainConfig(epochs=3, dim=2 ** 16, seed=13)

@@ -168,6 +168,15 @@ class TestHpsg:
         with pytest.raises(TreebankError):
             read_hpsg("(S[9] (NN[1] dogs) (VBD[2] ran))")
 
+    def test_phrase_whose_head_no_child_carries_rejected(self):
+        # B heads 3 through D, but S's head 2 belongs to C, inside B; read
+        # as it was, to_division then from_division gave S the head 1
+        text = "(S[1] (A[1] a))\n(S[2] (A[1] a) (B[3] (C[2] b) (D[3] c)))"
+        with pytest.raises(TreebankError,
+                           match="head 2 of S.* exactly one child") as err:
+            read_hpsg(text)
+        assert err.value.line == 2
+
     def test_format_writes_head_suffixes(self):
         text = "(S[2] (NN[1] dogs) (VBD[2] ran))"
         assert format_hpsg(read_hpsg(text)[0]) == text
