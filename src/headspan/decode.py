@@ -15,15 +15,27 @@ The merge uses the hooks of Eisner & Satta (1999): the best way to attach
 a finished span (i, k) to an outside head h, max over its heads r of the
 span's score plus arc[r, h], does not depend on the continuation it joins.
 It is computed once when (i, k) is finished and stored in the chart slots
-of heads outside the span, which the inner scores never use. A cell (i, j)
-then takes one masked max over split points k and heads h, so time is
-O(n^4). Memory is O(n^3) at 12 bytes per cell: a float64 for the inner
-score or hook and an int32 split point. The dependent's head is not stored;
-the backtrack recomputes it from the hooks' inputs in O(n) per node.
+of heads outside the span, which the inner scores never use.
+
+The chart is filled one span length L at a time. Span (i, i+L-1) finds
+each of its operands at a fixed offset from i (N^2 + N + 1) in the
+C-ordered chart of side N = n + 1, so one strided view holds an operand for
+all n - L + 1 spans of the length. Their candidates form one (spans, L-1,
+L) array over split points k and heads h: the sum with the dependent on the
+left where h > k, on the right elsewhere, maxed over k. The hooks of the
+length are one max over a view of the arcs into the heads outside each
+span. Long lengths are taken in steps of a few spans, so that a step's
+arrays stay in cache. Time is O(n^4), sum over L of (n-L+1)(L-1)L
+candidates, with one Python iteration per length or step. Memory is O(n^3)
+at 12 bytes per cell, a float64 for the inner score or hook and an int32
+split point, plus the arrays of one step. The dependent's head is not
+stored; the backtrack recomputes it from the hooks' inputs in O(n) per
+node.
 
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
-(spans ignored), and ``brute_force`` an exhaustive re-derivation used to
+(spans ignored), both filled a length at a time through views in the same
+way, and ``brute_force`` an exhaustive re-derivation used to
 certify the charts on small sentences. The joint decoder and brute force
 see the table through :meth:`ScoreTable.mixed`, the one place the
 interpolation weight meets the scores. ``decode_table`` is the single route
@@ -73,7 +85,8 @@ class JointChart:
     ``split[i, j, h]`` is the boundary between dependent and continuation
     of the best split; the dependent lies left of the head when h > split.
     The dependent's own head is recomputed by :meth:`backpointer`, not
-    stored.
+    stored. ``candidates`` counts the (split, head) pairs the fill compared,
+    sum over lengths L of (n-L+1)(L-1)L: exact, and quartic in n.
     """
 
     inner: np.ndarray
@@ -81,6 +94,7 @@ class JointChart:
     best_real: np.ndarray
     best_any: np.ndarray
     arc: np.ndarray
+    candidates: int
 
     def complete(self, i: int, j: int) -> np.ndarray:
         """Scores of span (i, j) as a finished dependent, heads i..j."""
@@ -139,6 +153,22 @@ def _root_label(span_m: np.ndarray, n: int) -> tuple[int, float]:
     return lid, float(span_m[1, n, lid])
 
 
+def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple
+          ) -> np.ndarray:
+    """Affine view of the C-contiguous array ``a``, offset and strides
+    counted in elements. numpy refuses a view that reaches outside ``a``.
+    """
+    size = a.itemsize
+    return np.ndarray(shape, a.dtype, a, offset * size,
+                      [s * size for s in strides])
+
+
+# candidates per step of the joint fill: the spans of one length are taken
+# in groups whose few float64 arrays of this many entries (0.5 MB each) stay
+# in a core's cache; at 240 tokens whole lengths ran 2x slower
+_STEP_CANDIDATES = 1 << 16
+
+
 def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray) -> JointChart:
     """Run the joint recurrences over premixed score arrays.
 
@@ -146,46 +176,77 @@ def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray) -> JointChart:
     [dependent, head]; both already carry their interpolation weights.
     """
     n = span_m.shape[0] - 1
-    best_any = span_m.max(axis=2)
-    best_real = span_m[:, :, 1:].max(axis=2)
-    idx = np.arange(1, n + 1)
+    size = n + 1
+    best_any = np.ascontiguousarray(span_m.max(axis=2))
+    best_real = np.ascontiguousarray(span_m[:, :, 1:].max(axis=2))
+    idx = np.arange(1, size)
     single = best_any[idx, idx].copy()
     # a single token scores best_any either way; x + -0.0 == x for every
     # float x, so its label constants add nothing, bit for bit
     best_any[idx, idx] = -0.0
     best_real[idx, idx] = -0.0
+    # heads 1..n twice over: the n - L heads outside span (i, j), from j + 1
+    # round to i - 1, are n - L consecutive entries from column j
+    arc_twice = np.empty((size, 2 * n), dtype=arc_m.dtype)
+    arc_twice[:, :n] = arc_twice[:, n:] = arc_m[:, 1:]
+    heads_twice = np.concatenate([idx, idx])
 
-    inner = np.full((n + 1, n + 1, n + 1), -np.inf)
-    split = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    inner = np.full((size, size, size), -np.inf)
+    split = np.zeros((size, size, size), dtype=np.int32)
     inner[idx, idx, idx] = single
-    cols = np.arange(n + 1)
+    cols = np.arange(size)
     dep_left = cols[None, :n] > cols[:n, None]   # [k - i, h - i]: h > k
+    diag = size * size + size + 1     # from span (i, j) to (i+1, j+1)
+    candidates = 0
 
-    for length in range(1, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
+    for length in range(1, size):
+        last = n - length + 1
+        step = max(1, _STEP_CANDIDATES // (length * length))
+        for i in range(1, last + 1, step):
+            # spans (i', i'+L-1) for i' = i..i+spans-1, heads i'+h'
+            spans = min(step, last + 1 - i)
+            starts = idx[i - 1:i - 1 + spans, None]
+            cell = (i * diag + (length - 1) * size, (spans, length), (diag, 1))
+            done = _view(inner, *cell)
             if length > 1:
-                # rows are split points k = i..j-1, columns heads h = i..j.
-                # a[k, h] = inner[i, k, h] is the hook of (i, k) where h > k
-                # and its inner score where h <= k; b[k, h] = inner[k+1, j,
-                # h] is the hook of (k+1, j) where h <= k and its inner
-                # score where h > k. argmax keeps the first k among ties.
-                a = inner[i, i:j, i:j + 1]
-                b = inner[i + 1:j + 1, j, i:j + 1]
-                left = a + (b + best_any[i + 1:j + 1, j, None])
-                right = b + (a + best_any[i, i:j, None])
-                cand = np.where(dep_left[:length - 1, :length], left, right)
-                ks = cand.argmax(axis=0)
-                inner[i, j, i:j + 1] = cand[ks, cols[:length]]
-                split[i, j, i:j + 1] = ks + i
+                # axes: span, split k = i'+k', head h = i'+h'. a = inner[i',
+                # k, h] is the hook of (i', k) where h > k and its inner score
+                # where h <= k; b = inner[k+1, j, h] is the hook of (k+1, j)
+                # where h <= k and its inner score where h > k. argmax keeps
+                # the first k among ties.
+                shape = (spans, length - 1, length)
+                a = _view(inner, i * diag, shape, (diag, size, 1))
+                b = _view(inner, i * diag + size * size + (length - 1) * size,
+                          shape, (diag, size * size, 1)).copy()
+                any_b = _view(best_any, i * (size + 1) + size + length - 1,
+                              (spans, length - 1, 1), (size + 1, size, 0))
+                any_a = _view(best_any, i * (size + 1),
+                              (spans, length - 1, 1), (size + 1, 1, 0))
+                left = a + (b + any_b)
+                right = b + (a + any_a)
+                del b
+                np.copyto(right, left, where=dep_left[:length - 1, :length])
+                del left
+                ks = right.argmax(axis=1)
+                done[:] = right[cols[:spans, None], ks, cols[:length]]
+                _view(split, *cell)[:] = ks + starts
+                candidates += right.size
+                del right
             if length < n:
-                comp = inner[i, j, i:j + 1, None] + best_real[i, j]
-                hooks = (comp + arc_m[i:j + 1]).max(axis=0)
-                inner[i, j, 1:i] = hooks[1:i]
-                inner[i, j, j + 1:] = hooks[j + 1:]
+                # hooks onto the heads outside each span: max over r' of the
+                # span's complete score headed by i'+r' plus arc[i'+r', h]
+                outside = n - length
+                real = _view(best_real, i * (size + 1) + length - 1,
+                             (spans, 1), (size + 1, 0))
+                arcs = _view(arc_twice, i * (2 * n + 1) + length - 1,
+                             (spans, length, outside), (2 * n + 1, 2 * n, 1))
+                hooks = ((done + real)[:, :, None] + arcs).max(axis=1)
+                heads = _view(heads_twice, i + length - 1, (spans, outside),
+                              (1, 1))
+                inner[starts, starts + length - 1, heads] = hooks
 
     return JointChart(inner=inner, split=split, best_real=best_real,
-                      best_any=best_any, arc=arc_m)
+                      best_any=best_any, arc=arc_m, candidates=candidates)
 
 
 def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
@@ -275,6 +336,43 @@ def decode_joint(table: ScoreTable, lam: float = 0.5,
     return tree, score
 
 
+def _first_max(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``vals``, the first index of the maximum and the entry
+    there (read back, so a tie of -0.0 and 0.0 keeps the first)."""
+    ks = vals.argmax(axis=1)
+    return ks, vals[np.arange(len(vals)), ks]
+
+
+def _division_chart(span: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inner, chart, split) of the span-label CKY, each (n+1, n+1).
+
+    ``inner[i, j]`` is the best sum over the two halves of (i, j),
+    ``chart[i, j]`` that plus the span's best label and ``split[i, j]`` the
+    last token of the left half. All spans of one length are filled at once.
+    """
+    n = span.shape[0] - 1
+    size = n + 1
+    best_any = np.ascontiguousarray(span.max(axis=2))
+    inner = np.zeros((size, size))
+    chart = np.full((size, size), -np.inf)
+    split = np.zeros((size, size), dtype=np.int32)
+    idx = np.arange(1, size)
+    chart[idx, idx] = best_any[idx, idx]
+    for length in range(2, size):
+        # rows are spans (i, i+L-1), columns split points k = i..i+L-2
+        spans = n - length + 1
+        shape = (spans, length - 1)
+        vals = (_view(chart, size + 1, shape, (size + 1, 1))
+                + _view(chart, 2 * size + length, shape, (size + 1, size)))
+        ks, best = _first_max(vals)
+        cell = (size + length, (spans,), (size + 1,))
+        _view(inner, *cell)[:] = best
+        _view(chart, *cell)[:] = best + _view(best_any, *cell)
+        _view(split, *cell)[:] = ks + idx[:spans]
+    return inner, chart, split
+
+
 def decode_division(table: ScoreTable,
                     tokens: Sequence[Token] | None = None
                     ) -> tuple[ConstituentTree, float]:
@@ -290,21 +388,8 @@ def decode_division(table: ScoreTable,
     vocab = table.vocab
     if tokens is None:
         tokens = _placeholder_tokens(n)
-    best_any = table.span.max(axis=2)
     cat_any = table.span.argmax(axis=2)
-    inner = np.zeros((n + 1, n + 1))
-    chart = np.full((n + 1, n + 1), -np.inf)
-    split = np.zeros((n + 1, n + 1), dtype=np.int32)
-    idx = np.arange(1, n + 1)
-    chart[idx, idx] = best_any[idx, idx]
-    for length in range(2, n + 1):
-        for i in range(1, n - length + 2):
-            j = i + length - 1
-            vals = chart[i, i:j] + chart[i + 1:j + 1, j]
-            k = int(np.argmax(vals))
-            inner[i, j] = float(vals[k])
-            chart[i, j] = inner[i, j] + best_any[i, j]
-            split[i, j] = k + i
+    inner, _, split = _division_chart(table.span)
 
     root_lid, root_span_best = _root_label(table.span, n)
     if n == 1:
@@ -332,6 +417,55 @@ def decode_division(table: ScoreTable,
     return tree, score
 
 
+def _eisner_chart(arc: np.ndarray) -> tuple[np.ndarray, ...]:
+    """First-order projective chart over ``arc`` [dependent, head].
+
+    Returns (c_left, c_right, i_left, i_right, bp_i, bp_cl, bp_cr), each
+    (n+1, n+1): scores of complete (c) and incomplete (i) items over (i, j),
+    headed at j (left) or at i (right), and the split points. All spans of
+    one width are filled at once, incomplete items first, since the complete
+    items of a width build on them.
+    """
+    n = arc.shape[0] - 1
+    size = n + 1
+    arc = np.ascontiguousarray(arc)
+    c_left = np.zeros((size, size))
+    c_right = np.zeros((size, size))
+    i_left = np.zeros((size, size))
+    i_right = np.zeros((size, size))
+    bp_i = np.zeros((size, size), dtype=np.int32)
+    bp_cl = np.zeros((size, size), dtype=np.int32)
+    bp_cr = np.zeros((size, size), dtype=np.int32)
+    idx = np.arange(1, size)
+    # rows are spans (i, i+w), columns split offsets k' = 0..w-1
+    row = (size + 1, 1)          # x[i, i+k'], or x[i, i+1+k'] one further on
+    col = (size + 1, size)       # x[i+k', i+w], or x[i+1+k', i+w] one down
+
+    for width in range(1, n):
+        spans = n - width
+        shape = (spans, width)
+        starts = idx[:spans]
+        cell = (size + 1 + width, (spans,), (size + 1,))
+        base = (_view(c_right, size + 1, shape, row)
+                + _view(c_left, 2 * size + 1 + width, shape, col))
+        ks, best = _first_max(base)
+        _view(bp_i, *cell)[:] = ks + starts
+        _view(i_right, *cell)[:] = best + _view(
+            arc, size + 1 + width * size, (spans,), (size + 1,))
+        _view(i_left, *cell)[:] = best + _view(arc, *cell)
+        vals = (_view(i_right, size + 2, shape, row)
+                + _view(c_right, 2 * size + 1 + width, shape, col))
+        ks, best = _first_max(vals)
+        _view(c_right, *cell)[:] = best
+        _view(bp_cr, *cell)[:] = ks + starts + 1
+        vals = (_view(c_left, size + 1, shape, row)
+                + _view(i_left, size + 1 + width, shape, col))
+        ks, best = _first_max(vals)
+        _view(c_left, *cell)[:] = best
+        _view(bp_cl, *cell)[:] = ks + starts
+    return c_left, c_right, i_left, i_right, bp_i, bp_cl, bp_cr
+
+
 def decode_eisner(table: ScoreTable,
                   tokens: Sequence[Token] | None = None
                   ) -> tuple[DependencyTree, float]:
@@ -344,34 +478,9 @@ def decode_eisner(table: ScoreTable,
     n = table.n
     if tokens is None:
         tokens = _placeholder_tokens(n)
-    arc = table.arc
-    c_left = np.zeros((n + 1, n + 1))
-    c_right = np.zeros((n + 1, n + 1))
-    i_left = np.zeros((n + 1, n + 1))
-    i_right = np.zeros((n + 1, n + 1))
-    bp_i = np.zeros((n + 1, n + 1), dtype=np.int32)
-    bp_cl = np.zeros((n + 1, n + 1), dtype=np.int32)
-    bp_cr = np.zeros((n + 1, n + 1), dtype=np.int32)
+    c_left, c_right, _, _, bp_i, bp_cl, bp_cr = _eisner_chart(table.arc)
 
-    for width in range(1, n):
-        for i in range(1, n - width + 1):
-            j = i + width
-            base = c_right[i, i:j] + c_left[i + 1:j + 1, j]
-            k = int(np.argmax(base))
-            bp_i[i, j] = k + i
-            i_right[i, j] = base[k] + arc[j, i]
-            i_left[i, j] = base[k] + arc[i, j]
-            vals = i_right[i, i + 1:j + 1] + c_right[i + 1:j + 1, j]
-            k = int(np.argmax(vals))
-            c_right[i, j] = vals[k]
-            bp_cr[i, j] = k + i + 1
-            vals = c_left[i, i:j] + i_left[i:j, j]
-            k = int(np.argmax(vals))
-            c_left[i, j] = vals[k]
-            bp_cl[i, j] = k + i
-
-    totals = np.array([c_left[1, h] + c_right[h, n] + table.root[h]
-                       for h in range(1, n + 1)])
+    totals = c_left[1, 1:] + c_right[1:, n] + table.root[1:]
     h_root = int(np.argmax(totals)) + 1
     score = float(totals[h_root - 1])
 
@@ -399,7 +508,8 @@ def decode_eisner(table: ScoreTable,
 
 
 ROUTES = ("joint", "division", "eisner")
-# longest sentence for the joint chart, 12 (n+1)^3 bytes: 174 MB at 240
+# longest sentence for the joint chart: 12 (n+1)^3 bytes, 168 MB at 240,
+# plus the fill's arrays of one step; a decode peaks at 180 MB there
 LEN_CAP = 240
 
 

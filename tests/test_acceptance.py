@@ -22,6 +22,7 @@ from headspan.decode import (
     decode_division,
     decode_eisner,
     decode_joint,
+    fill_joint_chart,
 )
 from headspan.division import from_division, to_division
 from headspan.evaluate import attachment_scores, bracket_f1
@@ -282,9 +283,15 @@ def _peak_decode_memory(n: int, rng, vocab) -> int:
     return peak
 
 
+def _candidates(n: int, rng, vocab) -> int:
+    mixed = random_score_table(rng, n, vocab).mixed(0.5)
+    return fill_joint_chart(mixed.span, mixed.arc).candidates
+
+
 def test_decode_cost_envelope(announce):
-    """Check 8: doubling the sentence keeps time within the fourth-power
-    envelope and memory within the cubic envelope."""
+    """Check 8: doubling the sentence keeps the chart's work within the
+    fourth-power envelope, counted exactly and timed, and memory within the
+    cubic envelope."""
     rng = np.random.default_rng(3)
     vocab = CategoryVocab(["A", "B", "C"])
     t20 = _median_decode_time(20, rng, vocab)
@@ -293,15 +300,25 @@ def test_decode_cost_envelope(announce):
     m50 = _peak_decode_memory(50, rng, vocab)
     m100 = _peak_decode_memory(100, rng, vocab)
     mem_ratio = m100 / m50
+    # (split, head) pairs compared: sum over lengths L of (n-L+1)(L-1)L,
+    # x15.3 from 20 to 40 tokens; an O(n^5) chart compares about x30
+    want = {n: sum((n - length + 1) * (length - 1) * length
+                   for length in range(2, n + 1)) for n in (20, 40)}
+    count = {n: _candidates(n, rng, vocab) for n in (20, 40)}
+    count_ratio = count[40] / count[20]
     # charts are (n+1)^3 cells; allow four times the cubic prediction
     mem_cap = 4.0 * ((100 + 1) / (50 + 1)) ** 3
     # three times the quartic prediction 2^4
-    ok = time_ratio <= 48.0 and mem_ratio <= mem_cap
+    ok = (count == want and count_ratio <= 16.0 and time_ratio <= 48.0
+          and mem_ratio <= mem_cap)
     announce(8, ok,
-            f"fourth-power envelope: time 20->40 tokens x{time_ratio:.1f} "
-            f"(cap 48), "
+            f"fourth-power envelope: candidates 20->40 tokens "
+            f"x{count_ratio:.2f} (cap 16, exact {count[20]} -> {count[40]}), "
+            f"time x{time_ratio:.1f} (cap 48), "
             f"memory 50->100 tokens x{mem_ratio:.2f} (cap {mem_cap:.2f}; "
             f"peaks {m50 / 1e6:.1f}MB -> {m100 / 1e6:.1f}MB)")
+    assert count == want
+    assert count_ratio <= 16.0
     assert time_ratio <= 48.0
     assert mem_ratio <= mem_cap
 

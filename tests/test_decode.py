@@ -4,12 +4,15 @@ The two-token case below is fully worked by hand in comments; the random
 agreement tests certify the vectorized charts against an exhaustive
 re-derivation that shares no search or scoring code with them, only the
 step that turns the winning derivation into a tree. The joint chart is also
-held cell by cell to the plain O(n^5) recurrence kept here as a reference.
+held cell by cell to the plain O(n^5) recurrence kept here as a reference,
+and the joint, division and Eisner charts bit for bit to the per-cell loops
+that their fills of one span length at a time replaced.
 """
 
 import inspect
 import random
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -19,9 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from headspan import decode
 from headspan.decode import (
     BRUTE_FORCE_CAP,
     LEN_CAP,
+    _division_chart,
+    _eisner_chart,
     _enumerate_derivations,
     brute_force,
     decode_division,
@@ -192,7 +198,8 @@ class TestJointAgainstBruteForce:
 def reference_joint_chart(span_m, arc_m):
     """The O(n^5) joint chart the hook recurrence replaced, kept as oracle.
 
-    Returns (complete, partial, side, sub, split), each indexed [i, j, h].
+    Returns (complete, partial, side, sub, split), each indexed [i, j, h],
+    and the number of (sub-head, head) pairs its splits compared.
     """
     n = span_m.shape[0] - 1
     best_any = span_m.max(axis=2)
@@ -208,6 +215,7 @@ def reference_joint_chart(span_m, arc_m):
     idx = np.arange(1, n + 1)
     complete[idx, idx, idx] = best_any[idx, idx]
     partial[idx, idx, idx] = best_any[idx, idx]
+    candidates = 0
 
     for length in range(2, n + 1):
         for i in range(1, n - length + 2):
@@ -220,6 +228,7 @@ def reference_joint_chart(span_m, arc_m):
                 # dependent on the left: spans [i,k] head r, [k+1,j] head h
                 left_c = complete[i, k, i:k + 1]
                 grid = left_c[:, None] + arc_m[i:k + 1, k + 1:j + 1]
+                candidates += grid.size
                 colmax = grid.max(axis=0)
                 colarg = grid.argmax(axis=0)
                 cand = colmax + partial[k + 1, j, k + 1:j + 1]
@@ -234,6 +243,7 @@ def reference_joint_chart(span_m, arc_m):
                 # dependent on the right: spans [k+1,j] head r, [i,k] head h
                 right_c = complete[k + 1, j, k + 1:j + 1]
                 grid = right_c[:, None] + arc_m[k + 1:j + 1, i:k + 1]
+                candidates += grid.size
                 colmax = grid.max(axis=0)
                 colarg = grid.argmax(axis=0)
                 cand = colmax + partial[i, k, i:k + 1]
@@ -251,13 +261,13 @@ def reference_joint_chart(span_m, arc_m):
             sub[i, j, i:j + 1] = bsub
             split[i, j, i:j + 1] = bsplit
 
-    return complete, partial, side, sub, split
+    return complete, partial, side, sub, split, candidates
 
 
 def assert_chart_matches_reference(span_m, arc_m):
     """Bitwise-equal cell scores and identical backpointers."""
-    want_c, want_p, want_side, want_sub, want_split = reference_joint_chart(
-        span_m, arc_m)
+    want_c, want_p, want_side, want_sub, want_split, _ = \
+        reference_joint_chart(span_m, arc_m)
     chart = fill_joint_chart(span_m, arc_m)
     n = span_m.shape[0] - 1
     for i in range(1, n + 1):
@@ -297,6 +307,240 @@ class TestChartAgainstReference:
             for lam in (0.0, 0.5, 1.0):
                 assert_chart_matches_reference(lam * table.span,
                                                (1.0 - lam) * table.arc)
+
+
+def reference_fill_joint_chart(span_m, arc_m):
+    """The per-cell joint fill the width-at-a-time fill replaced, kept as
+    the bitwise oracle for it. Returns (inner, split)."""
+    n = span_m.shape[0] - 1
+    best_any = span_m.max(axis=2)
+    best_real = span_m[:, :, 1:].max(axis=2)
+    idx = np.arange(1, n + 1)
+    single = best_any[idx, idx].copy()
+    # a single token scores best_any either way; x + -0.0 == x for every
+    # float x, so its label constants add nothing, bit for bit
+    best_any[idx, idx] = -0.0
+    best_real[idx, idx] = -0.0
+
+    inner = np.full((n + 1, n + 1, n + 1), -np.inf)
+    split = np.zeros((n + 1, n + 1, n + 1), dtype=np.int32)
+    inner[idx, idx, idx] = single
+    cols = np.arange(n + 1)
+    dep_left = cols[None, :n] > cols[:n, None]   # [k - i, h - i]: h > k
+
+    for length in range(1, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            if length > 1:
+                # rows are split points k = i..j-1, columns heads h = i..j.
+                # a[k, h] = inner[i, k, h] is the hook of (i, k) where h > k
+                # and its inner score where h <= k; b[k, h] = inner[k+1, j,
+                # h] is the hook of (k+1, j) where h <= k and its inner
+                # score where h > k. argmax keeps the first k among ties.
+                a = inner[i, i:j, i:j + 1]
+                b = inner[i + 1:j + 1, j, i:j + 1]
+                left = a + (b + best_any[i + 1:j + 1, j, None])
+                right = b + (a + best_any[i, i:j, None])
+                cand = np.where(dep_left[:length - 1, :length], left, right)
+                ks = cand.argmax(axis=0)
+                inner[i, j, i:j + 1] = cand[ks, cols[:length]]
+                split[i, j, i:j + 1] = ks + i
+            if length < n:
+                comp = inner[i, j, i:j + 1, None] + best_real[i, j]
+                hooks = (comp + arc_m[i:j + 1]).max(axis=0)
+                inner[i, j, 1:i] = hooks[1:i]
+                inner[i, j, j + 1:] = hooks[j + 1:]
+
+    return inner, split
+
+
+def reference_division_chart(span):
+    """The per-cell span-label CKY loop, kept as oracle for
+    ``_division_chart``. Returns (inner, chart, split)."""
+    n = span.shape[0] - 1
+    best_any = span.max(axis=2)
+    inner = np.zeros((n + 1, n + 1))
+    chart = np.full((n + 1, n + 1), -np.inf)
+    split = np.zeros((n + 1, n + 1), dtype=np.int32)
+    idx = np.arange(1, n + 1)
+    chart[idx, idx] = best_any[idx, idx]
+    for length in range(2, n + 1):
+        for i in range(1, n - length + 2):
+            j = i + length - 1
+            vals = chart[i, i:j] + chart[i + 1:j + 1, j]
+            k = int(np.argmax(vals))
+            inner[i, j] = float(vals[k])
+            chart[i, j] = inner[i, j] + best_any[i, j]
+            split[i, j] = k + i
+    return inner, chart, split
+
+
+def reference_eisner_chart(arc, root):
+    """The per-cell Eisner loop and per-head root totals, kept as oracle for
+    ``_eisner_chart`` and ``decode_eisner``. Returns the seven charts of
+    ``_eisner_chart`` and the totals."""
+    n = arc.shape[0] - 1
+    c_left = np.zeros((n + 1, n + 1))
+    c_right = np.zeros((n + 1, n + 1))
+    i_left = np.zeros((n + 1, n + 1))
+    i_right = np.zeros((n + 1, n + 1))
+    bp_i = np.zeros((n + 1, n + 1), dtype=np.int32)
+    bp_cl = np.zeros((n + 1, n + 1), dtype=np.int32)
+    bp_cr = np.zeros((n + 1, n + 1), dtype=np.int32)
+
+    for width in range(1, n):
+        for i in range(1, n - width + 1):
+            j = i + width
+            base = c_right[i, i:j] + c_left[i + 1:j + 1, j]
+            k = int(np.argmax(base))
+            bp_i[i, j] = k + i
+            i_right[i, j] = base[k] + arc[j, i]
+            i_left[i, j] = base[k] + arc[i, j]
+            vals = i_right[i, i + 1:j + 1] + c_right[i + 1:j + 1, j]
+            k = int(np.argmax(vals))
+            c_right[i, j] = vals[k]
+            bp_cr[i, j] = k + i + 1
+            vals = c_left[i, i:j] + i_left[i:j, j]
+            k = int(np.argmax(vals))
+            c_left[i, j] = vals[k]
+            bp_cl[i, j] = k + i
+
+    totals = np.array([c_left[1, h] + c_right[h, n] + root[h]
+                       for h in range(1, n + 1)])
+    return (c_left, c_right, i_left, i_right, bp_i, bp_cl, bp_cr), totals
+
+
+def assert_same_bits(got, want):
+    """Equal shape, dtype and bits: -0.0 and 0.0 count as different."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype.kind == "f":
+        got, want = got.view(np.int64), want.view(np.int64)
+    np.testing.assert_array_equal(got, want)
+
+
+def quartic_count(n: int) -> int:
+    """(split, head) pairs compared by the O(n^4) joint fill."""
+    return sum((n - length + 1) * (length - 1) * length
+               for length in range(2, n + 1))
+
+
+def assert_fills_match_per_cell_loops(table: ScoreTable, lam: float):
+    """The joint, division and Eisner charts of ``table`` under ``lam``
+    equal the per-cell loops' bit for bit, backpointers included."""
+    mixed = table.mixed(lam)
+    chart = fill_joint_chart(mixed.span, mixed.arc)
+    want_inner, want_split = reference_fill_joint_chart(mixed.span,
+                                                        mixed.arc)
+    assert_same_bits(chart.inner, want_inner)
+    assert_same_bits(chart.split, want_split)
+    assert chart.candidates == quartic_count(table.n)
+    for got, want in zip(_division_chart(mixed.span),
+                         reference_division_chart(mixed.span)):
+        assert_same_bits(got, want)
+    want_eisner, totals = reference_eisner_chart(mixed.arc, mixed.root)
+    for got, want in zip(_eisner_chart(mixed.arc), want_eisner):
+        assert_same_bits(got, want)
+    dep, score = decode_eisner(mixed)
+    h_root = int(np.argmax(totals)) + 1
+    assert dep.heads[h_root] == 0
+    assert_same_bits(np.float64(score), totals[h_root - 1])
+
+
+def tied(table: ScoreTable) -> ScoreTable:
+    """Scores rounded to small integers: ties between splits and heads."""
+    return ScoreTable(vocab=table.vocab, n=table.n,
+                      span=np.rint(3 * table.span), arc=np.rint(3 * table.arc),
+                      root=np.rint(3 * table.root))
+
+
+class TestWidthFillsMatchPerCellLoops:
+    VOCAB = CategoryVocab(["A", "B", "C"])
+
+    def test_every_length_to_24(self):
+        rng = np.random.default_rng(47)
+        for n in range(1, 25):
+            table = random_score_table(rng, n, self.VOCAB)
+            for lam in (0.0, 0.5, 1.0):
+                assert_fills_match_per_cell_loops(table, lam)
+                assert_fills_match_per_cell_loops(tied(table), lam)
+
+    def test_bundled_oracle_tables(self, sample_fused):
+        vocab = CategoryVocab.from_trees(sample_fused)
+        for tree in sample_fused:
+            table = oracle_scores(tree, vocab)
+            for lam in (0.0, 0.5, 1.0):
+                assert_fills_match_per_cell_loops(table, lam)
+
+    def test_spans_of_a_length_taken_in_small_steps(self, monkeypatch):
+        # long sentences fill each length in several steps; make every
+        # length of a short sentence do so
+        monkeypatch.setattr(decode, "_STEP_CANDIDATES", 8)
+        rng = np.random.default_rng(71)
+        for n in range(1, 17):
+            table = random_score_table(rng, n, self.VOCAB)
+            assert_fills_match_per_cell_loops(tied(table), 0.5)
+
+    def test_long_tables(self):
+        rng = np.random.default_rng(53)
+        for n in (70, 120):
+            assert_fills_match_per_cell_loops(
+                random_score_table(rng, n, self.VOCAB), 0.5)
+
+    def test_fortran_ordered_tables(self):
+        # the views address memory in C order, so the fill must copy first
+        table = random_score_table(np.random.default_rng(59), 9, self.VOCAB)
+        flipped = ScoreTable(vocab=table.vocab, n=table.n,
+                             span=np.asfortranarray(table.span),
+                             arc=np.asfortranarray(table.arc),
+                             root=table.root)
+        assert flipped.mixed(0.5).arc.flags.f_contiguous
+        assert_fills_match_per_cell_loops(flipped, 0.5)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 10),
+           lam=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_property_on_tied_tables(self, data, n, lam):
+        vocab = CategoryVocab(["A", "B"])
+        table = ScoreTable.zeros(n, vocab)
+        ints = st.integers(-2, 2)
+        table.span[1:, 1:] = data.draw(arrays(np.int64, (n, n, len(vocab)),
+                                              elements=ints))
+        table.arc[1:, 1:] = data.draw(arrays(np.int64, (n, n),
+                                             elements=ints))
+        table.root[1:] = data.draw(arrays(np.int64, n, elements=ints))
+        assert_fills_match_per_cell_loops(table, lam)
+
+
+class TestCandidateCount:
+    def test_joint_fill_is_quartic_and_the_old_chart_is_not(self):
+        # the count behind acceptance check 8: the hook fill compares
+        # (n-L+1)(L-1)L pairs per length, the O(n^5) chart above many more
+        rng = np.random.default_rng(61)
+        vocab = CategoryVocab(["A", "B"])
+        fast, slow = {}, {}
+        for n in (20, 40):
+            mixed = random_score_table(rng, n, vocab).mixed(0.5)
+            fast[n] = fill_joint_chart(mixed.span, mixed.arc).candidates
+            slow[n] = reference_joint_chart(mixed.span, mixed.arc)[5]
+        assert fast == {20: quartic_count(20), 40: quartic_count(40)}
+        assert fast[40] / fast[20] <= 16
+        assert slow[40] / slow[20] > 16
+
+
+class TestChartMemory:
+    def test_fill_peak_stays_near_the_chart(self):
+        # 12 bytes per cell plus the per-width temporaries; a second
+        # (j, i, h) chart would take it to about 2x
+        n = 100
+        mixed = random_score_table(np.random.default_rng(67), n,
+                                   CategoryVocab(["A", "B"])).mixed(0.5)
+        tracemalloc.start()
+        try:
+            fill_joint_chart(mixed.span, mixed.arc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 12 * (n + 1) ** 3
 
 
 class TestExactRecovery:
