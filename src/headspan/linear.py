@@ -4,7 +4,20 @@ The model scores spans, arcs, and roots from sparse binary features hashed
 into one flat weight vector (crc32 is the hash so scores are identical
 across processes and platforms). Label ``c``'s span feature ``f`` lands at
 ``crc32(c, crc32(f))``, which :func:`_crc_shift` gives for every label at
-once. Training is a structured perceptron with
+once: crc32 is affine in its start value, ``crc32(b, s) == crc32(b) ^
+L_len(b)(s)``.
+
+The same rule factors the features by position. :meth:`LinearModel.hashes`
+hashes a template on one position (or on the span length) once per
+position (or length bucket), and a template on two positions, such as
+``s_pp=<tag i>~<tag j>``, as a head ``s_pp=<tag i>~`` once per i and a tail
+``<tag j>`` once per j, joined without hashing the whole string.
+:meth:`LinearModel.score_table` gathers the weight of each distinct
+(feature, label) once, broadcasts the one-position weights to their spans
+and adds a span's 12 terms in the order of numpy's pairwise sum, so every
+score is bit for bit what summing the span's 12 weights gives.
+
+Training is a structured perceptron with
 loss-augmented decoding: at each sentence the decoder runs on scores where
 every non-gold span label earns a bonus of 1, so the update targets the
 highest-scoring wrong analysis within a margin. Weight averaging uses the
@@ -19,11 +32,13 @@ span CKY decoder.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import pickle
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +61,6 @@ from .scoring import (
 from .trees import HpsgTree, Token
 
 MODES = ("joint", "division")
-Hashes = tuple[np.ndarray, np.ndarray, np.ndarray]  # LinearModel.hashes
 
 
 def _check_dim(dim: int) -> None:
@@ -55,75 +69,159 @@ def _check_dim(dim: int) -> None:
         raise ValueError(f"dim must be a power of two, at least 2; got {dim}")
 
 
+@functools.lru_cache(maxsize=256)
 def _crc_shift(k: int) -> np.ndarray:
     """(4, 256) table of what a start value adds to crc32 over k bytes.
 
     crc32 is affine in its start value: ``crc32(data, b) == crc32(data) ^
     L(b)`` with L linear over GF(2) and fixed by ``len(data)``, so L(b) is
-    the XOR of ``table[p, b >> 8p & 255]`` over the four bytes p of b."""
+    the XOR of ``table[p, b >> 8p & 255]`` over the four bytes p of b.
+    Built on first use of each length and shared, so read-only."""
     zero = bytes(k)
     base = zlib.crc32(zero)
-    return np.array([[zlib.crc32(zero, v << 8 * p) ^ base for v in range(256)]
-                     for p in range(4)], dtype=np.int64)
+    table = np.array([[zlib.crc32(zero, v << 8 * p) ^ base for v in range(256)]
+                      for p in range(4)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
-def _bucket(value: int, edges: Sequence[int] = (1, 2, 3, 4, 5, 8, 12)) -> bytes:
-    for e in edges:
-        if value <= e:
-            return str(e).encode()
-    return b"big"
+def _shift(tables: np.ndarray, starts: np.ndarray,
+           lengths: np.ndarray | slice = slice(None)) -> np.ndarray:
+    """L(starts) under the (4, 256, lengths) stacked ``_crc_shift`` tables:
+    under every length, (*starts.shape, lengths), or under those that
+    ``lengths`` picks for each start."""
+    out = tables[0][starts & 255, lengths]
+    out ^= tables[1][starts >> 8 & 255, lengths]
+    out ^= tables[2][starts >> 16 & 255, lengths]
+    out ^= tables[3][starts >> 24, lengths]
+    return out
+
+
+def _lengths(parts: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+    """The shift tables of the byte lengths among ``parts``, stacked on the
+    last axis, and which of them each part takes."""
+    lengths = sorted({len(b) for b in parts})
+    at = {k: i for i, k in enumerate(lengths)}
+    return (np.stack([_crc_shift(k) for k in lengths], axis=-1),
+            np.array([at[len(b)] for b in parts]))
+
+
+def _crcs(parts: Iterable[bytes]) -> np.ndarray:
+    return np.array([zlib.crc32(b) for b in parts], dtype=np.int64)
+
+
+_EDGES = (1, 2, 3, 4, 5, 8, 12)
+_BUCKETS = [str(e).encode() for e in _EDGES] + [b"big"]
+# arc direction and distance, indexed 8 * (head < child) + distance bucket
+_DISTANCES = [d + b for d in (b"R", b"L") for b in _BUCKETS]
+# span-label scores computed per block, which bounds the working arrays
+_BLOCK = 2 ** 16
+
+
+def _bucket(value: int) -> bytes:
+    return _BUCKETS[bisect.bisect_left(_EDGES, value)]
 
 
 def _pad(items: list[str]) -> list[bytes]:
     return [b"<s>"] + [s.encode() for s in items] + [b"</s>"]
 
 
-def span_features(words: list[bytes], tags: list[bytes], i: int,
-                  j: int) -> list[bytes]:
-    """Sparse features identifying span (i, j); label conjoined by hashing."""
-    ln = _bucket(j - i + 1)
-    return [
-        b"s_len=" + ln,
-        b"s_fw=" + words[i],
-        b"s_lw=" + words[j],
-        b"s_fp=" + tags[i],
-        b"s_lp=" + tags[j],
-        b"s_prev=" + tags[i - 1],
-        b"s_next=" + tags[j + 1],
-        b"s_in=" + tags[i + 1] if i < j else b"s_in=<self>",
-        b"s_pp=" + tags[i] + b"~" + tags[j],
-        b"s_out=" + tags[i - 1] + b"~" + tags[j + 1],
-        b"s_ww=" + words[i] + b"~" + words[j],
-        b"s_lpp=" + ln + b"~" + tags[i] + b"~" + tags[j],
+class Hashes(NamedTuple):
+    """Label-free crc32 of one sentence's features, each feature string
+    hashed once (:meth:`LinearModel.hashes`). Rows count positions from 0
+    for token 1; all arrays are int64."""
+
+    length: np.ndarray  # (8,) s_len per length bucket
+    start: np.ndarray   # (n, 3) s_fw, s_fp, s_prev of spans starting there
+    inside: np.ndarray  # (n + 1,) s_in of longer spans starting there; <self>
+    end: np.ndarray     # (n, 3) s_lw, s_lp, s_next of spans ending there
+    pair: np.ndarray    # (n(n+1)/2, 4) s_pp, s_out, s_ww, s_lpp by start, end
+    arc: np.ndarray     # (n(n-1), 11) every arc template, by child then head
+    root: np.ndarray    # (n, 3) every root template
+
+
+def _span_rows(first: np.ndarray, last: np.ndarray, n: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For spans from ``first`` to ``last`` (0-based): their row in
+    ``Hashes.pair``, length bucket and ``Hashes.inside`` row."""
+    pair = first * (2 * n + 1 - first) // 2 + last - first
+    bucket = np.searchsorted(_EDGES, last - first + 1)
+    return pair, bucket, np.where(first < last, first, n)
+
+
+@functools.lru_cache(maxsize=16)
+def _all_spans(n: int) -> tuple[np.ndarray, ...]:
+    """Every span of a length-n sentence by start then end (the order of
+    ``Hashes.pair``): 0-based first and last positions, length bucket and
+    ``Hashes.inside`` row. Shared, so read-only."""
+    first, last = np.triu_indices(n)
+    out = (first, last, *_span_rows(first, last, n)[1:])
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def span_hashes(h: Hashes, first: np.ndarray, last: np.ndarray
+                ) -> np.ndarray:
+    """The 12 label-free feature hashes of spans from ``first`` to ``last``
+    (0-based), in template order: (len(first), 12)."""
+    pair, bucket, inside = _span_rows(first, last, len(h.start))
+    start, end = h.start[first], h.end[last]
+    return np.column_stack([
+        h.length[bucket], start[:, 0], end[:, 0], start[:, 1], end[:, 1],
+        start[:, 2], end[:, 2], h.inside[inside], h.pair[pair]])
+
+
+def _joiner(tails: list[bytes]) -> Callable:
+    """``join(heads, at, ends)``: crc32(a + tails[e]) for a the string whose
+    crc32 is ``heads[at]`` and e in ``ends`` (index arrays that broadcast
+    together). crc32 is affine in its start value, so this is crc32(tails[e])
+    XOR the tail length's shift of crc32(a); the heads are shifted under
+    every tail length at once, and each result is one lookup."""
+    tables, which = _lengths(tails)
+    crcs = _crcs(tails)
+
+    def join(heads, at: tuple[np.ndarray, ...], ends: np.ndarray
+             ) -> np.ndarray:
+        shifted = _shift(tables, np.asarray(heads, dtype=np.int64))
+        return crcs[ends] ^ shifted[(*at, which[ends])]
+
+    return join
+
+
+def _arc_hashes(words: list[bytes], tags: list[bytes], join: Callable
+                ) -> np.ndarray:
+    """The 11 arc templates of every arc, by child then head; ``join`` ends
+    in the tails that ``LinearModel.hashes`` lists, in its order."""
+    crc = zlib.crc32
+    n = len(words) - 2
+    pos = range(1, n + 1)
+    child, head = np.nonzero(~np.eye(n, dtype=bool))
+    end = head + 1
+    word, hctx = n + 2, 2 * n + 4
+    heads = [
+        [crc(b"a_ww=" + words[c] + b"~") for c in pos],
+        [crc(b"a_pp=" + tags[c] + b"~") for c in pos],
+        [crc(b"a_wp=" + words[c] + b"~") for c in pos],
+        [crc(b"a_pw=" + tags[c] + b"~") for c in pos],
+        [crc(b"a_ppd=" + tags[c] + b"~") for c in pos],
+        [crc(b"a_cctx=" + tags[c - 1] + b"~" + tags[c] + b"~") for c in pos],
+        [crc(b"a_hctx=" + tags[c] + b"~") for c in pos],
     ]
-
-
-def arc_features(words: list[bytes], tags: list[bytes], child: int,
-                 head: int) -> list[bytes]:
+    arc = join(heads, (np.arange(7), child[:, None]),
+               np.column_stack([word + end, end, end, word + end, end, end,
+                                hctx + head]))
     d = head - child
-    db = (b"R" if d > 0 else b"L") + _bucket(abs(d))
-    return [
-        b"a_ww=" + words[child] + b"~" + words[head],
-        b"a_pp=" + tags[child] + b"~" + tags[head],
-        b"a_wp=" + words[child] + b"~" + tags[head],
-        b"a_pw=" + tags[child] + b"~" + words[head],
-        b"a_d=" + db,
-        b"a_ppd=" + tags[child] + b"~" + tags[head] + b"~" + db,
-        b"a_cctx=" + tags[child - 1] + b"~" + tags[child] + b"~" + tags[head],
-        b"a_hctx=" + tags[child] + b"~" + tags[head] + b"~" + tags[head + 1],
-        b"a_cp=" + tags[child],
-        b"a_hp=" + tags[head],
-        b"a_hw=" + words[head],
-    ]
-
-
-def root_features(words: list[bytes], tags: list[bytes], head: int,
-                  n: int) -> list[bytes]:
-    return [
-        b"r_w=" + words[head],
-        b"r_p=" + tags[head],
-        b"r_pos=" + _bucket(head) + b"~" + _bucket(n - head + 1),
-    ]
+    dist = 8 * (d < 0) + np.searchsorted(_EDGES, np.abs(d))
+    # a_ppd goes on past the head's tag with "~" and the distance
+    ppd = _joiner([b"~" + b for b in _DISTANCES])(
+        arc[:, 4], (np.arange(len(d)),), dist)
+    return np.column_stack([
+        arc[:, :4], _crcs(b"a_d=" + b for b in _DISTANCES)[dist], ppd,
+        arc[:, 5:],
+        _crcs(b"a_cp=" + tags[c] for c in pos)[child],
+        _crcs(b"a_hp=" + tags[h] for h in pos)[head],
+        _crcs(b"a_hw=" + words[h] for h in pos)[head]])
 
 
 @dataclass
@@ -162,57 +260,120 @@ class LinearModel:
         self.weights = (np.zeros(dim) if weights is None else weights)
         self._mask = dim - 1
         cats = [c.encode() for c in vocab]
-        lengths = sorted({len(c) for c in cats})
-        self._shift = np.stack([_crc_shift(k) for k in lengths]) & self._mask
-        self._group = np.array([lengths.index(len(c)) for c in cats])
-        self._cat_crc = np.array([zlib.crc32(c) & self._mask for c in cats])
+        tables, self._group = _lengths(cats)
+        self._shift = tables & self._mask
+        self._cat_crc = _crcs(cats) & self._mask
 
     def hashes(self, tokens: Sequence[Token]) -> Hashes:
-        """Label-free crc32 of the sentence's features, as uint32 rows: 12
-        per span (i, j), i <= j, ordered by i then j; 11 per arc (child,
-        head), child != head, in the same order; 3 per root. Arcs and roots
-        are left empty in division mode."""
-        def crc_rows(rows: Iterable[list[bytes]], width: int) -> np.ndarray:
-            return np.array([[zlib.crc32(f) for f in row] for row in rows],
-                            dtype=np.uint32).reshape(-1, width)
-
+        """Every feature hash of a sentence, each string hashed once: a
+        template on one position (or on the span length) once per position
+        (or length bucket), and a pair template such as ``s_pp=<tag i>~<tag
+        j>`` as its head ``s_pp=<tag i>~`` once per i and its tail ``<tag
+        j>`` once per j, joined by crc32's affine rule. Arcs and roots are
+        left empty in division mode."""
+        crc = zlib.crc32
         n = len(tokens)
         words = _pad([t.form for t in tokens])
         tags = _pad([t.pos for t in tokens])
         pos = range(1, n + 1)
-        deps = pos if self.mode == "joint" else ()
-        return (crc_rows((span_features(words, tags, i, j)
-                          for i in pos for j in range(i, n + 1)), 12),
-                crc_rows((arc_features(words, tags, c, h)
-                          for c in deps for h in pos if c != h), 11),
-                crc_rows((root_features(words, tags, h, n) for h in deps), 3))
+        joint = self.mode == "joint"
+        # what pair templates end in: tag p at p and word p at n + 2 + p for
+        # p = 0..n+1, then a_hctx's "tag~next tag" at 2n + 3 + p, p = 1..n
+        join = _joiner([*tags, *words,
+                        *(tags[p] + b"~" + tags[p + 1] for p in pos)])
+        word = n + 2
+        first, last, bucket, _ = _all_spans(n)
+        heads = [
+            [crc(b"s_pp=" + tags[i] + b"~") for i in pos],
+            [crc(b"s_out=" + tags[i - 1] + b"~") for i in pos],
+            [crc(b"s_ww=" + words[i] + b"~") for i in pos],
+            # s_lpp's head holds the span's length bucket too
+            *([crc(tags[i] + b"~", crc(b"s_lpp=" + b + b"~")) for i in pos]
+              for b in _BUCKETS),
+        ]
+        template = np.tile([0, 1, 2, 3], (len(bucket), 1))
+        template[:, 3] += bucket
+        pair = join(heads, (template, first[:, None]),
+                    np.column_stack([last + 1, last + 2, word + last + 1,
+                                     last + 1]))
+        return Hashes(
+            length=_crcs(b"s_len=" + b for b in _BUCKETS),
+            start=_crcs(f for i in pos for f in (
+                b"s_fw=" + words[i], b"s_fp=" + tags[i],
+                b"s_prev=" + tags[i - 1])).reshape(n, 3),
+            inside=_crcs([*(b"s_in=" + tags[i + 1] for i in pos),
+                          b"s_in=<self>"]),
+            end=_crcs(f for j in pos for f in (
+                b"s_lw=" + words[j], b"s_lp=" + tags[j],
+                b"s_next=" + tags[j + 1])).reshape(n, 3),
+            pair=pair,
+            arc=(_arc_hashes(words, tags, join) if joint
+                 else np.zeros((0, 11), dtype=np.int64)),
+            root=_crcs(f for h in pos if joint for f in (
+                b"r_w=" + words[h], b"r_p=" + tags[h],
+                b"r_pos=" + _bucket(h) + b"~" + _bucket(n - h + 1))
+                       ).reshape(-1, 3))
 
-    def _shifted(self, bases: np.ndarray) -> np.ndarray:
-        """L(bases) under each label byte length, masked: (lengths, *shape)."""
-        t = self._shift
-        return (t[:, 0, bases & 255] ^ t[:, 1, bases >> 8 & 255]
-                ^ t[:, 2, bases >> 16 & 255] ^ t[:, 3, bases >> 24])
+    def _label_weights(self, bases: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """The weight of every distinct label-free hash among ``bases`` under
+        every label, (distinct, labels), and each base's row in it."""
+        keys, row = np.unique(bases, return_inverse=True)
+        idx = np.take(_shift(self._shift, keys), self._group, axis=1)
+        idx ^= self._cat_crc
+        return self.weights[idx], row.reshape(bases.shape)
 
     def score_table(self, tokens: Sequence[Token],
                     hashes: Hashes | None = None) -> ScoreTable:
         """Dense scores for one sentence from its :meth:`hashes` (built here
-        when not given), a start position at a time to bound memory."""
-        span, arc, root = hashes or self.hashes(tokens)
+        when not given). Each distinct feature is weighted once per label:
+        those of one position (or of the span length) for the sentence,
+        the four pair templates a block of spans at a time, which bounds
+        memory. The 12 terms of a span are added in the order of numpy's
+        pairwise sum, ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``,
+        so each score is what summing its 12 weights gives, to the bit."""
+        h = self.hashes(tokens) if hashes is None else hashes
         n = len(tokens)
+        v = len(self.vocab)
         table = ScoreTable.zeros(n, self.vocab)
-        w = self.weights
-        lo = 0
-        for i in range(1, n + 1):
-            hi = lo + n + 1 - i
-            # (labels, spans starting at i, features)
-            idx = (self._shifted(span[lo:hi])[self._group]
-                   ^ self._cat_crc[:, None, None])
-            table.span[i, i:] = w[idx].sum(-1).T
-            lo = hi
+        single, row = self._label_weights(np.concatenate(
+            [h.length, h.start.ravel(), h.inside, h.end.ravel()]))
+        # numpy's sum starts from +0.0, so twelve -0.0 weights sum to +0.0;
+        # with 0.0 added to these terms, so do the sums below
+        single += 0.0
+        length, start, inside, end = np.split(
+            row, np.cumsum([len(h.length), 3 * n, n + 1]))
+        start = start.reshape(n, 3)
+        end = end.reshape(n, 3)
+        first, last, bucket, inner = _all_spans(n)
+        cells = table.span.reshape(-1, v)
+        at = (first + 1) * (n + 1) + last + 1
+        step = max(1, _BLOCK // v)
+        for lo in range(0, len(first), step):
+            b = slice(lo, lo + step)
+            i, j = first[b], last[b]
+            # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) over template k's weight
+            # a_k, in place once an operand is spent: few arrays live at once
+            total = single[length[bucket[b]]]
+            total += single[start[i, 0]]
+            part = single[end[j, 0]]
+            part += single[start[i, 1]]
+            total += part
+            part = single[end[j, 1]]
+            part += single[start[i, 2]]
+            last_two = single[end[j, 2]]
+            last_two += single[inside[inner[b]]]
+            part += last_two
+            total += part
+            pair, at_pair = self._label_weights(h.pair[b])
+            for t in range(4):
+                total += pair[at_pair[:, t]]
+            cells[at[b]] = total
         if self.mode == "joint":
             off_diagonal = ~np.eye(n, dtype=bool)
-            table.arc[1:, 1:][off_diagonal] = w[arc & self._mask].sum(-1)
-            table.root[1:] = w[root & self._mask].sum(-1)
+            table.arc[1:, 1:][off_diagonal] = self.weights[
+                h.arc & self._mask].sum(-1)
+            table.root[1:] = self.weights[h.root & self._mask].sum(-1)
         return table
 
     def feature_counts(self, tokens: Sequence[Token],
@@ -222,16 +383,17 @@ class LinearModel:
                        ) -> tuple[np.ndarray, np.ndarray]:
         """Feature indices of an analysis, repeats kept: spans', then the
         arcs' and root's."""
-        span_h, arc_h, root_h = hashes or self.hashes(tokens)
+        h = self.hashes(tokens) if hashes is None else hashes
         n = len(tokens)
-        rows = [(i - 1) * (2 * n + 2 - i) // 2 + j - i for i, j, _ in spans]
+        first = np.array([i for i, _, _ in spans], dtype=int) - 1
+        last = np.array([j for _, j, _ in spans], dtype=int) - 1
         cid = np.array([self.vocab.index(c) for _, _, c in spans], dtype=int)
-        span_idx = (self._shifted(span_h[rows])[self._group[cid],
-                                                np.arange(len(rows))]
+        span_idx = (_shift(self._shift, span_hashes(h, first, last),
+                           self._group[cid, None])
                     ^ self._cat_crc[cid, None])
-        arc_rows = [(c - 1) * (n - 1) + h - 1 - (h > c) for c, h in arcs]
+        arc_rows = [(c - 1) * (n - 1) + h_ - 1 - (h_ > c) for c, h_ in arcs]
         # root 0 (none) slices no row
-        dep = np.concatenate([arc_h[arc_rows], root_h[root - 1:root]],
+        dep = np.concatenate([h.arc[arc_rows], h.root[root - 1:root]],
                              axis=None)
         return span_idx.ravel(), dep & self._mask
 

@@ -5,13 +5,14 @@ import pickle
 import random
 import tracemalloc
 import zlib
+from typing import Sequence
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headspan.decode import LEN_CAP
+from headspan.decode import LEN_CAP, decode_division, decode_joint_mixed
 from headspan.errors import ModelFileError
 from headspan.fuse import project_constituents, project_dependencies
 from headspan.linear import (
@@ -20,21 +21,117 @@ from headspan.linear import (
     _Averager,
     _count_difference,
     _crc_shift,
-    arc_features,
     decode_with_model,
-    root_features,
-    span_features,
+    span_hashes,
     train_linear,
 )
-from headspan.scoring import CategoryVocab, ScoreTable, tree_parts
+from headspan.scoring import (
+    CategoryVocab,
+    ScoreTable,
+    labeled_spans,
+    tree_arcs,
+    tree_parts,
+)
 from headspan.synth import sample_corpus
 from headspan.trees import HEAD_PREFIX, Token
 
 
+# The feature templates, the specification the model's factored hashes
+# follow: ``LinearModel.hashes`` must give crc32 of each of these strings.
+
+def _bucket(value: int, edges: Sequence[int] = (1, 2, 3, 4, 5, 8, 12)) -> bytes:
+    for e in edges:
+        if value <= e:
+            return str(e).encode()
+    return b"big"
+
+
+def span_features(words: list[bytes], tags: list[bytes], i: int,
+                  j: int) -> list[bytes]:
+    """Sparse features identifying span (i, j); label conjoined by hashing."""
+    ln = _bucket(j - i + 1)
+    return [
+        b"s_len=" + ln,
+        b"s_fw=" + words[i],
+        b"s_lw=" + words[j],
+        b"s_fp=" + tags[i],
+        b"s_lp=" + tags[j],
+        b"s_prev=" + tags[i - 1],
+        b"s_next=" + tags[j + 1],
+        b"s_in=" + tags[i + 1] if i < j else b"s_in=<self>",
+        b"s_pp=" + tags[i] + b"~" + tags[j],
+        b"s_out=" + tags[i - 1] + b"~" + tags[j + 1],
+        b"s_ww=" + words[i] + b"~" + words[j],
+        b"s_lpp=" + ln + b"~" + tags[i] + b"~" + tags[j],
+    ]
+
+
+def arc_features(words: list[bytes], tags: list[bytes], child: int,
+                 head: int) -> list[bytes]:
+    d = head - child
+    db = (b"R" if d > 0 else b"L") + _bucket(abs(d))
+    return [
+        b"a_ww=" + words[child] + b"~" + words[head],
+        b"a_pp=" + tags[child] + b"~" + tags[head],
+        b"a_wp=" + words[child] + b"~" + tags[head],
+        b"a_pw=" + tags[child] + b"~" + words[head],
+        b"a_d=" + db,
+        b"a_ppd=" + tags[child] + b"~" + tags[head] + b"~" + db,
+        b"a_cctx=" + tags[child - 1] + b"~" + tags[child] + b"~" + tags[head],
+        b"a_hctx=" + tags[child] + b"~" + tags[head] + b"~" + tags[head + 1],
+        b"a_cp=" + tags[child],
+        b"a_hp=" + tags[head],
+        b"a_hw=" + words[head],
+    ]
+
+
+def root_features(words: list[bytes], tags: list[bytes], head: int,
+                  n: int) -> list[bytes]:
+    return [
+        b"r_w=" + words[head],
+        b"r_p=" + tags[head],
+        b"r_pos=" + _bucket(head) + b"~" + _bucket(n - head + 1),
+    ]
+
+
+def padded_tokens(tokens):
+    return ([b"<s>"] + [t.form.encode() for t in tokens] + [b"</s>"],
+            [b"<s>"] + [t.pos.encode() for t in tokens] + [b"</s>"])
+
+
 def padded(tree):
-    words = [b"<s>"] + [t.form.encode() for t in tree.tokens] + [b"</s>"]
-    tags = [b"<s>"] + [t.pos.encode() for t in tree.tokens] + [b"</s>"]
-    return words, tags
+    return padded_tokens(tree.tokens)
+
+
+def reference_hashes(tokens):
+    """crc32 of every template string: spans (12 per span, by start then
+    end), arcs (11 per arc, by child then head) and roots (3 per head)."""
+    n = len(tokens)
+    words, tags = padded_tokens(tokens)
+    pos = range(1, n + 1)
+
+    def crcs(rows, width):
+        return np.array([[zlib.crc32(f) for f in row] for row in rows],
+                        dtype=np.int64).reshape(-1, width)
+
+    return (crcs((span_features(words, tags, i, j)
+                  for i in pos for j in range(i, n + 1)), 12),
+            crcs((arc_features(words, tags, c, h)
+                  for c in pos for h in pos if c != h), 11),
+            crcs((root_features(words, tags, h, n) for h in pos), 3))
+
+
+def assert_hashes_match(tokens):
+    """The factored hashes, template by template, against the strings'."""
+    h = LinearModel(CategoryVocab(["NP"])).hashes(tokens)
+    first, last = np.triu_indices(len(tokens))
+    got = (span_hashes(h, first, last), h.arc, h.root)
+    for part, mine, want in zip(("span", "arc", "root"), got,
+                                reference_hashes(tokens)):
+        assert mine.shape == want.shape, part
+        for t in range(want.shape[1]):
+            np.testing.assert_array_equal(mine[:, t], want[:, t],
+                                          err_msg=f"{part} template {t}")
 
 
 def reference_score_table(model, tokens):
@@ -248,6 +345,28 @@ class TestLinearModel:
             (tmp_path / "b.pkl").read_bytes()
 
 
+# forms and tags of one to four bytes a character, the templates' own
+# separators among them
+UNICODE_TEXT = (st.text(min_size=1, max_size=6)
+                | st.text(alphabet="a~=<s/>éÜß名詞😀", min_size=1, max_size=6))
+
+
+class TestFactoredHashes:
+    """Every hash the model builds is crc32 of its template's string; a
+    wrong chaining order shows here before any float sum can hide it."""
+
+    def test_bundled_sentences(self, sample_fused):
+        for tree in sample_fused:
+            assert_hashes_match(tree.tokens)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(words=st.lists(st.tuples(UNICODE_TEXT, UNICODE_TEXT),
+                          min_size=1, max_size=14))
+    def test_random_forms_and_tags(self, words):
+        assert_hashes_match([Token(i, form, pos) for i, (form, pos)
+                             in enumerate(words, start=1)])
+
+
 class TestScoreTableMatchesReference:
     """The vectorized scorer gives the per-label scorer's tables, bit for
     bit: same hashed indices, same float sums."""
@@ -282,14 +401,13 @@ class TestScoreTableMatchesReference:
         assert_tables_equal(model, tokens)
 
     def test_memory_stays_near_the_table_at_the_length_cap(self):
-        # row-at-a-time scoring: the working arrays are one table row times
-        # 12 features, where all spans at once would take about 455 MB here
+        # block-at-a-time scoring: the working arrays hold a bounded number
+        # of span labels, where all spans at once would take hundreds of MB
         labels = [f"L{k}" + "x" * (k % 7) for k in range(164)]
         model = LinearModel(CategoryVocab(labels), dim=2 ** 16)
         tokens = [Token(i, f"w{i % 50}", f"T{i % 9}")
                   for i in range(1, LEN_CAP + 1)]
-        # the hashes are built first, untraced: tracing the million small
-        # Python objects that build them takes seconds
+        # the hashes are built first, untraced, so the peak is the scorer's
         hashes = model.hashes(tokens)
         tracemalloc.start()
         try:
@@ -299,6 +417,105 @@ class TestScoreTableMatchesReference:
             tracemalloc.stop()
         assert len(model.vocab) == 166
         assert peak <= 2 * table.span.nbytes
+
+
+def reference_indices(model, tokens, spans, arcs, root):
+    """Sorted weight indices of an analysis from the template strings: the
+    multiset ``feature_counts`` must give."""
+    mask = model.dim - 1
+    words, tags = padded_tokens(tokens)
+    span_idx = [zlib.crc32(c.encode(), zlib.crc32(f)) & mask
+                for i, j, c in spans
+                for f in span_features(words, tags, i, j)]
+    dep = [f for c, h in arcs for f in arc_features(words, tags, c, h)]
+    if root:
+        dep += root_features(words, tags, root, len(tokens))
+    return sorted(span_idx), sorted(zlib.crc32(f) & mask for f in dep)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+# weights whose sums depend on the order they are added in: 2^53 + 1
+# rounds back to 2^53, and -0.0 survives only a sum of -0.0 alone
+MIXED_MAGNITUDES = [2.0 ** 53, -2.0 ** 53, 1.0, -1.0, -0.0]
+
+
+class TestSummationOrder:
+    """With weights of mixed magnitude, an association order other than
+    numpy's pairwise one changes the bits of the scores."""
+
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_scores_match_the_reference_bit_for_bit(self, sample_fused,
+                                                    mode):
+        vocab = CategoryVocab.from_trees(sample_fused,
+                                         division_labels=mode == "division")
+        model = LinearModel(vocab, dim=2 ** 10, mode=mode)
+        model.weights = np.random.default_rng(8).choice(MIXED_MAGNITUDES,
+                                                        size=model.dim)
+        for tree in sample_fused[:60]:
+            got = model.score_table(tree.tokens)
+            want = reference_score_table(model, tree.tokens)
+            for part in ("span", "arc", "root"):
+                assert same_bits(getattr(got, part), getattr(want, part)), \
+                    part
+
+    def test_all_negative_zero_weights_sum_to_positive_zero(self,
+                                                            sample_fused):
+        model = LinearModel(CategoryVocab(MIXED_LABELS), dim=2 ** 8)
+        model.weights = np.full(model.dim, -0.0)
+        table = model.score_table(sample_fused[0].tokens)
+        for part in (table.span, table.arc, table.root):
+            assert not np.signbit(part).any()
+
+    def test_the_weights_tell_orders_apart(self, sample_fused):
+        # the check above has power: summed left to right, the same twelve
+        # weights give other bits on many spans
+        model = LinearModel(CategoryVocab(MIXED_LABELS), dim=2 ** 10)
+        w = np.random.default_rng(8).choice(MIXED_MAGNITUDES, size=model.dim)
+        mask = model.dim - 1
+        words, tags = padded(sample_fused[0])
+        n = len(sample_fused[0])
+        differ = 0
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                for c in model.vocab:
+                    terms = w[[zlib.crc32(c.encode(), zlib.crc32(f)) & mask
+                               for f in span_features(words, tags, i, j)]]
+                    left_to_right = 0.0
+                    for x in terms:
+                        left_to_right += x
+                    differ += left_to_right != terms.sum()
+        assert differ >= 10
+
+
+class TestFeatureCounts:
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_gold_and_predicted_parts_match_the_templates(self, sample_fused,
+                                                          mode):
+        division_mode = mode == "division"
+        vocab = CategoryVocab.from_trees(sample_fused,
+                                         division_labels=division_mode)
+        model = noisy_model(vocab, 2 ** 16, mode, seed=2)
+        for tree in sample_fused[:40]:
+            tokens = tree.tokens
+            table = model.score_table(tokens)
+            if division_mode:
+                gold = (tree_parts(tree, division_labels=True)[0], [], 0)
+                pred_tree, _ = decode_division(table, tokens)
+                pred = (labeled_spans(pred_tree.root), [], 0)
+            else:
+                gold = tree_parts(tree)
+                pred_tree, _, p_spans = decode_joint_mixed(table.mixed(0.5),
+                                                           tokens)
+                pred = (p_spans, *tree_arcs(pred_tree))
+            for parts in (gold, pred):
+                got = model.feature_counts(tokens, *parts)
+                want = reference_indices(model, tokens, *parts)
+                for mine, theirs in zip(got, want):
+                    assert sorted(mine.tolist()) == theirs
 
 
 def test_count_difference_keeps_only_changed_indices():
