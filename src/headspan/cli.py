@@ -219,12 +219,16 @@ def cmd_parse(args) -> int:
                          "use --out-dep")
 
     parsed = []
-    for ordinal, (tokens, table) in enumerate(zip(sentences, tables),
-                                              start=1):
-        tree, notes = decode_table(table, decoder, lam, tokens, args.len_cap)
-        for note in notes:
-            print(f"sentence {ordinal}: {note}", file=sys.stderr)
-        parsed.append(tree)
+    # finite weights can sum past the float range; decode_table refuses
+    # the table then, so numpy's overflow warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ordinal, (tokens, table) in enumerate(zip(sentences, tables),
+                                                  start=1):
+            tree, notes = decode_table(table, decoder, lam, tokens,
+                                       args.len_cap, ordinal)
+            for note in notes:
+                print(f"sentence {ordinal}: {note}", file=sys.stderr)
+            parsed.append(tree)
 
     # eisner output is already a dependency tree: written as it is
     as_dep = (lambda t: t) if decoder == "eisner" else project_dependencies

@@ -32,6 +32,17 @@ split point, plus the arrays of one step. The dependent's head is not
 stored; the backtrack recomputes it from the hooks' inputs in O(n) per
 node.
 
+What a fill computes without the scores is its plan: per length, each
+operand's byte offset, shape and strides, the split-point mask and the
+index views of the readback and of the hook store, then the exact
+candidate count. A step's offsets are its length's plus its first span
+times the first stride, so a plan has one entry per length, not per step.
+Plans are built on first use, one per (n, step budget), and the last 32 are
+kept. A short sentence's fill is a few dozen numpy calls a length, so
+working out its views each time cost it about 30% at 3 to 16 tokens. At
+n = 240 a plan holds about 0.5 MB and builds in a few milliseconds, a
+fraction of a percent of that length's fill.
+
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
 (spans ignored), both filled a length at a time through views in the same
@@ -52,12 +63,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import division
-from .errors import SizeGuardError
+from .errors import ScoreFileError, SizeGuardError
 from .scoring import ScoreTable
 from .trees import (
     ConstituentTree,
@@ -168,6 +179,98 @@ def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple
 # in groups whose few float64 arrays of this many entries (0.5 MB each) stay
 # in a core's cache; at 240 tokens whole lengths ran 2x slower
 _STEP_CANDIDATES = 1 << 16
+_F8 = np.dtype(np.float64)
+_I4 = np.dtype(np.int32)
+
+
+class _LengthPlan(NamedTuple):
+    """How a fill takes the n - L + 1 spans of one length L, ``step`` at a
+    time. ``offsets`` are byte offsets of the step that starts at span 1,
+    in the order done, split, a, b, any_b, any_a, real, arcs; a step
+    starting ``lo`` spans later adds ``lo`` times their first stride.
+    ``full`` and ``last`` are the shapes of a full step and of the last one:
+    cell, operand, label constant, real constant and arcs. The index views
+    cover the whole length; a step slices its rows."""
+
+    length: int
+    spans: int
+    step: int
+    offsets: tuple[int, ...]
+    full: tuple[tuple[int, ...], ...]
+    last: tuple[tuple[int, ...], ...]
+    mask: np.ndarray      # [k', h']: the dependent lies left (h' > k')
+    rows: np.ndarray      # (step, 1) and (last step, 1) readback rows
+    rows_last: np.ndarray
+    heads_in: np.ndarray  # (L,) readback heads
+    starts: np.ndarray    # (spans, 1) first token of each span
+    ends: np.ndarray      # (spans, 1) last token of each span
+    heads: np.ndarray     # (spans, n - L) heads outside each span
+
+
+class _FillPlan(NamedTuple):
+    """Everything a joint fill of length n computes without the scores:
+    one :class:`_LengthPlan` per span length, the strides in bytes that
+    every length shares, and the exact candidate count."""
+
+    lengths: tuple[_LengthPlan, ...]
+    strides: tuple[tuple[int, ...], ...]
+    candidates: int
+
+
+# plans kept, each for one (n, step budget); under 1 MB at n = 240
+_PLANS_KEPT = 32
+
+
+@functools.lru_cache(maxsize=_PLANS_KEPT)
+def _fill_plan(n: int, budget: int) -> _FillPlan:
+    """The fill plan of length-n sentences with ``budget`` candidates per
+    step. Span (i, j) finds its operands at a fixed offset from i (N^2 + N
+    + 1) in the C-ordered chart of side N = n + 1, so each operand of a step
+    is one strided view, and a length's offsets are affine in its first
+    span. Its index arrays are views of four shared read-only ones."""
+    size = n + 1
+    idx = np.arange(1, size)
+    cols = np.arange(size)
+    # heads 1..n twice over: the n - L heads outside span (i, j), from j + 1
+    # round to i - 1, are n - L consecutive entries from column j
+    heads_twice = np.concatenate([idx, idx])
+    dep_left = cols[None, :n] > cols[:n, None]
+    for a in (idx, cols, heads_twice, dep_left):
+        a.flags.writeable = False
+    diag = size * size + size + 1     # from span (i, j) to (i+1, j+1)
+    chart = 8 * diag
+    strides = (
+        (chart, 8),                          # done: inner[i', j', i'+h']
+        (4 * diag, 4),                       # split, the same cells
+        (chart, 8 * size, 8),                # a: inner[i', i'+k', i'+h']
+        (chart, 8 * size * size, 8),         # b: inner[i'+k'+1, j', i'+h']
+        (8 * (size + 1), 8 * size, 0),       # any_b: best_any[i'+k'+1, j']
+        (8 * (size + 1), 8, 0),              # any_a: best_any[i', i'+k']
+        (8 * (size + 1), 0),                 # real: best_real[i', j']
+        (8 * (2 * n + 1), 16 * n, 8),        # arcs: arc_twice[i'+r', j'+t]
+    )
+    lengths = []
+    candidates = 0
+    for length in range(1, size):
+        spans = n - length + 1
+        step = min(spans, max(1, budget // (length * length)))
+        tail = spans - (spans - 1) // step * step
+        cell = diag + (length - 1) * size
+        offsets = (8 * cell, 4 * cell, 8 * diag,
+                   8 * (diag + size * size + (length - 1) * size),
+                   8 * (2 * size + length), 8 * (size + 1),
+                   8 * (size + length), 8 * (2 * n + length))
+        shapes = [((c, length), (c, length - 1, length), (c, length - 1, 1),
+                   (c, 1), (c, length, n - length)) for c in (step, tail)]
+        heads = np.ndarray((spans, n - length), idx.dtype, heads_twice,
+                           8 * length, (8, 8))
+        lengths.append(_LengthPlan(
+            length, spans, step, offsets, *shapes,
+            dep_left[:length - 1, :length], cols[:step, None],
+            cols[:tail, None], cols[:length], idx[:spans, None],
+            idx[length - 1:, None], heads))
+        candidates += spans * (length - 1) * length
+    return _FillPlan(tuple(lengths), strides, candidates)
 
 
 def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray) -> JointChart:
@@ -178,76 +281,76 @@ def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray) -> JointChart:
     """
     n = span_m.shape[0] - 1
     size = n + 1
-    best_any = np.ascontiguousarray(span_m.max(axis=2))
-    best_real = np.ascontiguousarray(span_m[:, :, 1:].max(axis=2))
-    idx = np.arange(1, size)
-    single = best_any[idx, idx].copy()
-    # a single token scores best_any either way; x + -0.0 == x for every
-    # float x, so its label constants add nothing, bit for bit
-    best_any[idx, idx] = -0.0
-    best_real[idx, idx] = -0.0
-    # heads 1..n twice over: the n - L heads outside span (i, j), from j + 1
-    # round to i - 1, are n - L consecutive entries from column j
-    arc_twice = np.empty((size, 2 * n), dtype=arc_m.dtype)
+    plan = _fill_plan(n, _STEP_CANDIDATES)
+    # the plan's offsets count float64 entries
+    best_any = np.ascontiguousarray(span_m.max(axis=2), dtype=np.float64)
+    best_real = np.ascontiguousarray(span_m[:, :, 1:].max(axis=2),
+                                     dtype=np.float64)
+    arc_twice = np.empty((size, 2 * n))
     arc_twice[:, :n] = arc_twice[:, n:] = arc_m[:, 1:]
-    heads_twice = np.concatenate([idx, idx])
-
     inner = np.full((size, size, size), -np.inf)
     split = np.zeros((size, size, size), dtype=np.int32)
-    inner[idx, idx, idx] = single
-    cols = np.arange(size)
-    dep_left = cols[None, :n] > cols[:n, None]   # [k - i, h - i]: h > k
-    diag = size * size + size + 1     # from span (i, j) to (i+1, j+1)
-    candidates = 0
+    # a single token scores best_any either way; x + -0.0 == x for every
+    # float x, so its label constants add nothing, bit for bit
+    single = best_any.reshape(-1)[size + 1::size + 1]       # [i, i]
+    inner.reshape(-1)[size * size + size + 1::size * size + size + 1] = single
+    single[:] = -0.0
+    best_real.reshape(-1)[size + 1::size + 1] = -0.0
+    s_done, s_split, s_a, s_b, s_any_b, s_any_a, s_real, s_arcs = \
+        plan.strides
+    chart_step, table_step = s_done[0], s_real[0]
+    split_step, arc_step = s_split[0], s_arcs[0]
 
-    for length in range(1, size):
-        last = n - length + 1
-        step = max(1, _STEP_CANDIDATES // (length * length))
-        for i in range(1, last + 1, step):
-            # spans (i', i'+L-1) for i' = i..i+spans-1, heads i'+h'
-            spans = min(step, last + 1 - i)
-            starts = idx[i - 1:i - 1 + spans, None]
-            cell = (i * diag + (length - 1) * size, (spans, length), (diag, 1))
-            done = _view(inner, *cell)
+    for lp in plan.lengths:
+        length, spans, step = lp.length, lp.spans, lp.step
+        o_done, o_split, o_a, o_b, o_any_b, o_any_a, o_real, o_arcs = \
+            lp.offsets
+        for lo in range(0, spans, step):
+            # spans (i', i'+L-1) for i' = lo+1..lo+step, heads i'+h'
+            hi = lo + step
+            shapes, rows = ((lp.full, lp.rows) if hi <= spans
+                            else (lp.last, lp.rows_last))
+            starts, ends, heads = lp.starts[lo:hi], lp.ends[lo:hi], \
+                lp.heads[lo:hi]
+            cell, operand, constant, one, outside = shapes
+            done = np.ndarray(cell, _F8, inner, o_done + lo * chart_step,
+                              s_done)
             if length > 1:
                 # axes: span, split k = i'+k', head h = i'+h'. a = inner[i',
                 # k, h] is the hook of (i', k) where h > k and its inner score
                 # where h <= k; b = inner[k+1, j, h] is the hook of (k+1, j)
                 # where h <= k and its inner score where h > k. argmax keeps
                 # the first k among ties.
-                shape = (spans, length - 1, length)
-                a = _view(inner, i * diag, shape, (diag, size, 1))
-                b = _view(inner, i * diag + size * size + (length - 1) * size,
-                          shape, (diag, size * size, 1)).copy()
-                any_b = _view(best_any, i * (size + 1) + size + length - 1,
-                              (spans, length - 1, 1), (size + 1, size, 0))
-                any_a = _view(best_any, i * (size + 1),
-                              (spans, length - 1, 1), (size + 1, 1, 0))
+                a = np.ndarray(operand, _F8, inner, o_a + lo * chart_step,
+                               s_a)
+                b = np.ndarray(operand, _F8, inner, o_b + lo * chart_step,
+                               s_b).copy()
+                any_b = np.ndarray(constant, _F8, best_any,
+                                   o_any_b + lo * table_step, s_any_b)
+                any_a = np.ndarray(constant, _F8, best_any,
+                                   o_any_a + lo * table_step, s_any_a)
                 left = a + (b + any_b)
                 right = b + (a + any_a)
                 del b
-                np.copyto(right, left, where=dep_left[:length - 1, :length])
+                np.copyto(right, left, where=lp.mask)
                 del left
                 ks = right.argmax(axis=1)
-                done[:] = right[cols[:spans, None], ks, cols[:length]]
-                _view(split, *cell)[:] = ks + starts
-                candidates += right.size
+                done[:] = right[rows, ks, lp.heads_in]
                 del right
+                np.add(ks, starts, out=np.ndarray(
+                    cell, _I4, split, o_split + lo * split_step, s_split))
             if length < n:
                 # hooks onto the heads outside each span: max over r' of the
                 # span's complete score headed by i'+r' plus arc[i'+r', h]
-                outside = n - length
-                real = _view(best_real, i * (size + 1) + length - 1,
-                             (spans, 1), (size + 1, 0))
-                arcs = _view(arc_twice, i * (2 * n + 1) + length - 1,
-                             (spans, length, outside), (2 * n + 1, 2 * n, 1))
+                real = np.ndarray(one, _F8, best_real,
+                                  o_real + lo * table_step, s_real)
+                arcs = np.ndarray(outside, _F8, arc_twice,
+                                  o_arcs + lo * arc_step, s_arcs)
                 hooks = ((done + real)[:, :, None] + arcs).max(axis=1)
-                heads = _view(heads_twice, i + length - 1, (spans, outside),
-                              (1, 1))
-                inner[starts, starts + length - 1, heads] = hooks
+                inner[starts, ends, heads] = hooks
 
     return JointChart(inner=inner, split=split, best_real=best_real,
-                      best_any=best_any, arc=arc_m, candidates=candidates)
+                      best_any=best_any, arc=arc_m, candidates=plan.candidates)
 
 
 def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
@@ -516,17 +619,24 @@ LEN_CAP = 240
 
 def decode_table(table: ScoreTable, route: str, lam: float,
                  tokens: Sequence[Token] | None = None,
-                 len_cap: int = LEN_CAP
+                 len_cap: int = LEN_CAP, ordinal: int | None = None
                  ) -> tuple[HpsgTree | DependencyTree, list[str]]:
     """Decode one sentence's table along ``route``.
 
     ``joint`` weighs spans by ``lam`` and falls back to ``division`` above
     ``len_cap`` tokens; ``division`` recovers heads from the span decoder's
     labels; ``eisner`` returns a dependency tree. The notes record the
-    fallback and any head-recovery flags.
+    fallback and any head-recovery flags. A table with a non-finite score
+    is refused, naming sentence ``ordinal`` when it is given: finite
+    weights can still sum to an infinite score.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    try:
+        table.check_finite()
+    except ValueError as exc:
+        where = "" if ordinal is None else f"sentence {ordinal}: "
+        raise ScoreFileError(f"{where}{exc}") from None
     if route == "eisner":
         return decode_eisner(table, tokens)[0], []
     notes = []

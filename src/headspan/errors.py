@@ -23,7 +23,7 @@ class AlignmentError(HeadspanError):
 
 
 class ScoreFileError(HeadspanError):
-    """Malformed score file."""
+    """Malformed score file, or a score table with a non-finite score."""
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -32,7 +32,6 @@ span CKY decoder.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import pickle
 import random
@@ -110,7 +109,9 @@ def _crcs(parts: Iterable[bytes]) -> np.ndarray:
     return np.array([zlib.crc32(b) for b in parts], dtype=np.int64)
 
 
-_EDGES = (1, 2, 3, 4, 5, 8, 12)
+# length and distance buckets: value v falls in searchsorted(_EDGES, v)
+_EDGES = np.array([1, 2, 3, 4, 5, 8, 12])
+_EDGES.flags.writeable = False
 _BUCKETS = [str(e).encode() for e in _EDGES] + [b"big"]
 # arc direction and distance, indexed 8 * (head < child) + distance bucket
 _DISTANCES = [d + b for d in (b"R", b"L") for b in _BUCKETS]
@@ -118,18 +119,34 @@ _DISTANCES = [d + b for d in (b"R", b"L") for b in _BUCKETS]
 _BLOCK = 2 ** 16
 
 
-def _bucket(value: int) -> bytes:
-    return _BUCKETS[bisect.bisect_left(_EDGES, value)]
+@functools.cache
+def _distance_joiner() -> Callable:
+    """Joins a_ppd's head-and-tag hash with "~<distance>"; built on first
+    use and shared."""
+    return _joiner([b"~" + b for b in _DISTANCES])
 
 
 def _pad(items: list[str]) -> list[bytes]:
     return [b"<s>"] + [s.encode() for s in items] + [b"</s>"]
 
 
+class Keys(NamedTuple):
+    """A sentence's feature hashes as one model's weight gather reads them.
+    The distinct hashes of each group come shifted under every label byte
+    length of the model (``_shift``), so a label's weight index is one
+    lookup and an XOR; nothing here has a column per label."""
+
+    single: np.ndarray  # (distinct, lengths) one-position and length hashes
+    terms: np.ndarray   # (8, spans) row in single of span templates 0..7
+    pairs: np.ndarray   # (distinct, lengths) pair hashes, block by block
+    pair_rows: np.ndarray  # (4, spans) row within the span's block's part
+    blocks: np.ndarray  # (blocks,) where each block's part of pairs starts
+
+
 class Hashes(NamedTuple):
     """Label-free crc32 of one sentence's features, each feature string
-    hashed once (:meth:`LinearModel.hashes`). Rows count positions from 0
-    for token 1; all arrays are int64."""
+    hashed once (:meth:`LinearModel.hashes`), and their :class:`Keys`. Rows
+    count positions from 0 for token 1; all arrays are int64."""
 
     length: np.ndarray  # (8,) s_len per length bucket
     start: np.ndarray   # (n, 3) s_fw, s_fp, s_prev of spans starting there
@@ -138,38 +155,37 @@ class Hashes(NamedTuple):
     pair: np.ndarray    # (n(n+1)/2, 4) s_pp, s_out, s_ww, s_lpp by start, end
     arc: np.ndarray     # (n(n-1), 11) every arc template, by child then head
     root: np.ndarray    # (n, 3) every root template
+    keys: Keys
 
 
-def _span_rows(first: np.ndarray, last: np.ndarray, n: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For spans from ``first`` to ``last`` (0-based): their row in
-    ``Hashes.pair``, length bucket and ``Hashes.inside`` row."""
-    pair = first * (2 * n + 1 - first) // 2 + last - first
-    bucket = np.searchsorted(_EDGES, last - first + 1)
-    return pair, bucket, np.where(first < last, first, n)
+class _Layout(NamedTuple):
+    """Index arrays of every span and arc of a length-n sentence: spans by
+    start then end (the order of ``Hashes.pair``), arcs by child then head
+    (that of ``Hashes.arc``); positions 0-based, cells flat in an (n+1,
+    n+1) table."""
+
+    first: np.ndarray
+    last: np.ndarray
+    bucket: np.ndarray   # length bucket
+    inside: np.ndarray   # row in Hashes.inside
+    cell: np.ndarray
+    child: np.ndarray
+    head: np.ndarray
+    arc_cell: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
-def _all_spans(n: int) -> tuple[np.ndarray, ...]:
-    """Every span of a length-n sentence by start then end (the order of
-    ``Hashes.pair``): 0-based first and last positions, length bucket and
-    ``Hashes.inside`` row. Shared, so read-only."""
+def _layout(n: int) -> _Layout:
+    """The :class:`_Layout` of length n; shared, so read-only."""
     first, last = np.triu_indices(n)
-    out = (first, last, *_span_rows(first, last, n)[1:])
+    child, head = np.nonzero(~np.eye(n, dtype=bool))
+    out = _Layout(first, last, np.searchsorted(_EDGES, last - first + 1),
+                  np.where(first < last, first, n),
+                  (first + 1) * (n + 1) + last + 1, child, head,
+                  (child + 1) * (n + 1) + head + 1)
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def span_hashes(h: Hashes, first: np.ndarray, last: np.ndarray
-                ) -> np.ndarray:
-    """The 12 label-free feature hashes of spans from ``first`` to ``last``
-    (0-based), in template order: (len(first), 12)."""
-    pair, bucket, inside = _span_rows(first, last, len(h.start))
-    start, end = h.start[first], h.end[last]
-    return np.column_stack([
-        h.length[bucket], start[:, 0], end[:, 0], start[:, 1], end[:, 1],
-        start[:, 2], end[:, 2], h.inside[inside], h.pair[pair]])
 
 
 def _joiner(tails: list[bytes]) -> Callable:
@@ -180,6 +196,8 @@ def _joiner(tails: list[bytes]) -> Callable:
     every tail length at once, and each result is one lookup."""
     tables, which = _lengths(tails)
     crcs = _crcs(tails)
+    for a in (tables, which, crcs):
+        a.flags.writeable = False
 
     def join(heads, at: tuple[np.ndarray, ...], ends: np.ndarray
              ) -> np.ndarray:
@@ -196,7 +214,8 @@ def _arc_hashes(words: list[bytes], tags: list[bytes], join: Callable
     crc = zlib.crc32
     n = len(words) - 2
     pos = range(1, n + 1)
-    child, head = np.nonzero(~np.eye(n, dtype=bool))
+    layout = _layout(n)
+    child, head = layout.child, layout.head
     end = head + 1
     word, hctx = n + 2, 2 * n + 4
     heads = [
@@ -214,8 +233,7 @@ def _arc_hashes(words: list[bytes], tags: list[bytes], join: Callable
     d = head - child
     dist = 8 * (d < 0) + np.searchsorted(_EDGES, np.abs(d))
     # a_ppd goes on past the head's tag with "~" and the distance
-    ppd = _joiner([b"~" + b for b in _DISTANCES])(
-        arc[:, 4], (np.arange(len(d)),), dist)
+    ppd = _distance_joiner()(arc[:, 4], (np.arange(len(d)),), dist)
     return np.column_stack([
         arc[:, :4], _crcs(b"a_d=" + b for b in _DISTANCES)[dist], ppd,
         arc[:, 5:],
@@ -263,6 +281,8 @@ class LinearModel:
         tables, self._group = _lengths(cats)
         self._shift = tables & self._mask
         self._cat_crc = _crcs(cats) & self._mask
+        # spans per block of score_table, which bounds its working arrays
+        self._block_spans = max(1, _BLOCK // len(vocab))
 
     def hashes(self, tokens: Sequence[Token]) -> Hashes:
         """Every feature hash of a sentence, each string hashed once: a
@@ -282,7 +302,8 @@ class LinearModel:
         join = _joiner([*tags, *words,
                         *(tags[p] + b"~" + tags[p + 1] for p in pos)])
         word = n + 2
-        first, last, bucket, _ = _all_spans(n)
+        layout = _layout(n)
+        first, last, bucket = layout.first, layout.last, layout.bucket
         heads = [
             [crc(b"s_pp=" + tags[i] + b"~") for i in pos],
             [crc(b"s_out=" + tags[i - 1] + b"~") for i in pos],
@@ -296,82 +317,111 @@ class LinearModel:
         pair = join(heads, (template, first[:, None]),
                     np.column_stack([last + 1, last + 2, word + last + 1,
                                      last + 1]))
+        length = _crcs(b"s_len=" + b for b in _BUCKETS)
+        start = _crcs(f for i in pos for f in (
+            b"s_fw=" + words[i], b"s_fp=" + tags[i],
+            b"s_prev=" + tags[i - 1])).reshape(n, 3)
+        inside = _crcs([*(b"s_in=" + tags[i + 1] for i in pos),
+                        b"s_in=<self>"])
+        end = _crcs(f for j in pos for f in (
+            b"s_lw=" + words[j], b"s_lp=" + tags[j],
+            b"s_next=" + tags[j + 1])).reshape(n, 3)
+        buckets = [_BUCKETS[b] for b in np.searchsorted(_EDGES, pos)]
         return Hashes(
-            length=_crcs(b"s_len=" + b for b in _BUCKETS),
-            start=_crcs(f for i in pos for f in (
-                b"s_fw=" + words[i], b"s_fp=" + tags[i],
-                b"s_prev=" + tags[i - 1])).reshape(n, 3),
-            inside=_crcs([*(b"s_in=" + tags[i + 1] for i in pos),
-                          b"s_in=<self>"]),
-            end=_crcs(f for j in pos for f in (
-                b"s_lw=" + words[j], b"s_lp=" + tags[j],
-                b"s_next=" + tags[j + 1])).reshape(n, 3),
-            pair=pair,
+            length=length, start=start, inside=inside, end=end, pair=pair,
             arc=(_arc_hashes(words, tags, join) if joint
                  else np.zeros((0, 11), dtype=np.int64)),
             root=_crcs(f for h in pos if joint for f in (
                 b"r_w=" + words[h], b"r_p=" + tags[h],
-                b"r_pos=" + _bucket(h) + b"~" + _bucket(n - h + 1))
-                       ).reshape(-1, 3))
+                b"r_pos=" + buckets[h - 1] + b"~" + buckets[n - h])
+                       ).reshape(-1, 3),
+            keys=self._keys(length, start, inside, end, pair, layout))
 
-    def _label_weights(self, bases: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """The weight of every distinct label-free hash among ``bases`` under
-        every label, (distinct, labels), and each base's row in it."""
+    def _keyed(self, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct hashes among ``bases`` shifted under every label
+        byte length, and each base's row among them."""
         keys, row = np.unique(bases, return_inverse=True)
-        idx = np.take(_shift(self._shift, keys), self._group, axis=1)
+        return _shift(self._shift, keys), row.reshape(bases.shape)
+
+    def _keys(self, length: np.ndarray, start: np.ndarray,
+              inside: np.ndarray, end: np.ndarray, pair: np.ndarray,
+              layout: _Layout) -> Keys:
+        """The :class:`Keys` of one sentence's span hashes."""
+        single, row = self._keyed(np.concatenate(
+            [length, start.ravel(), inside, end.ravel()]))
+        n = len(start)
+        at_length, at_start, at_inside, at_end = np.split(
+            row, np.cumsum([len(length), 3 * n, n + 1]))
+        at_start = at_start.reshape(n, 3)
+        at_end = at_end.reshape(n, 3)
+        first, last = layout.first, layout.last
+        terms = np.stack([
+            at_length[layout.bucket], at_start[first, 0], at_end[last, 0],
+            at_start[first, 1], at_end[last, 1], at_start[first, 2],
+            at_end[last, 2], at_inside[layout.inside]])
+        step = self._block_spans
+        blocks = [self._keyed(pair[lo:lo + step])
+                  for lo in range(0, max(len(pair), 1), step)]
+        return Keys(
+            single=single, terms=terms,
+            pairs=np.concatenate([shifts for shifts, _ in blocks]),
+            pair_rows=np.concatenate([rows.T for _, rows in blocks], axis=1),
+            blocks=np.cumsum([0] + [len(shifts) for shifts, _ in blocks[:-1]]))
+
+    def _label_weights(self, shifts: np.ndarray) -> np.ndarray:
+        """The weight of each distinct hash whose ``shifts`` are given under
+        every label, (distinct, labels)."""
+        idx = np.take(shifts, self._group, axis=1)
         idx ^= self._cat_crc
-        return self.weights[idx], row.reshape(bases.shape)
+        return self.weights[idx]
 
     def score_table(self, tokens: Sequence[Token],
                     hashes: Hashes | None = None) -> ScoreTable:
         """Dense scores for one sentence from its :meth:`hashes` (built here
-        when not given). Each distinct feature is weighted once per label:
+        when not given), made by this model or one with the same labels and
+        dimension, whose keys they carry. Each distinct feature is weighted
+        once per label:
         those of one position (or of the span length) for the sentence,
         the four pair templates a block of spans at a time, which bounds
         memory. The 12 terms of a span are added in the order of numpy's
         pairwise sum, ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``,
         so each score is what summing its 12 weights gives, to the bit."""
         h = self.hashes(tokens) if hashes is None else hashes
+        keys = h.keys
         n = len(tokens)
         v = len(self.vocab)
         table = ScoreTable.zeros(n, self.vocab)
-        single, row = self._label_weights(np.concatenate(
-            [h.length, h.start.ravel(), h.inside, h.end.ravel()]))
+        single = self._label_weights(keys.single)
         # numpy's sum starts from +0.0, so twelve -0.0 weights sum to +0.0;
         # with 0.0 added to these terms, so do the sums below
         single += 0.0
-        length, start, inside, end = np.split(
-            row, np.cumsum([len(h.length), 3 * n, n + 1]))
-        start = start.reshape(n, 3)
-        end = end.reshape(n, 3)
-        first, last, bucket, inner = _all_spans(n)
+        layout = _layout(n)
         cells = table.span.reshape(-1, v)
-        at = (first + 1) * (n + 1) + last + 1
-        step = max(1, _BLOCK // v)
-        for lo in range(0, len(first), step):
+        step = self._block_spans
+        bounds = [*keys.blocks, len(keys.pairs)]
+        for block, lo in enumerate(range(0, len(layout.cell), step)):
             b = slice(lo, lo + step)
-            i, j = first[b], last[b]
+            terms = keys.terms[:, b]
             # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) over template k's weight
             # a_k, in place once an operand is spent: few arrays live at once
-            total = single[length[bucket[b]]]
-            total += single[start[i, 0]]
-            part = single[end[j, 0]]
-            part += single[start[i, 1]]
+            total = single[terms[0]]
+            total += single[terms[1]]
+            part = single[terms[2]]
+            part += single[terms[3]]
             total += part
-            part = single[end[j, 1]]
-            part += single[start[i, 2]]
-            last_two = single[end[j, 2]]
-            last_two += single[inside[inner[b]]]
+            part = single[terms[4]]
+            part += single[terms[5]]
+            last_two = single[terms[6]]
+            last_two += single[terms[7]]
             part += last_two
             total += part
-            pair, at_pair = self._label_weights(h.pair[b])
-            for t in range(4):
-                total += pair[at_pair[:, t]]
-            cells[at[b]] = total
+            pair = self._label_weights(
+                keys.pairs[bounds[block]:bounds[block + 1]])
+            for rows in keys.pair_rows[:, b]:
+                total += pair[rows]
+            cells[layout.cell[b]] = total
         if self.mode == "joint":
-            off_diagonal = ~np.eye(n, dtype=bool)
-            table.arc[1:, 1:][off_diagonal] = self.weights[
+            table.arc.reshape(-1)[layout.arc_cell] = self.weights[
                 h.arc & self._mask].sum(-1)
             table.root[1:] = self.weights[h.root & self._mask].sum(-1)
         return table
@@ -384,13 +434,18 @@ class LinearModel:
         """Feature indices of an analysis, repeats kept: spans', then the
         arcs' and root's."""
         h = self.hashes(tokens) if hashes is None else hashes
+        keys = h.keys
         n = len(tokens)
         first = np.array([i for i, _, _ in spans], dtype=int) - 1
         last = np.array([j for _, j, _ in spans], dtype=int) - 1
         cid = np.array([self.vocab.index(c) for _, _, c in spans], dtype=int)
-        span_idx = (_shift(self._shift, span_hashes(h, first, last),
-                           self._group[cid, None])
-                    ^ self._cat_crc[cid, None])
+        group = self._group[cid]
+        # the span's row in Hashes.pair, and so in the keys' rows
+        at = first * (2 * n + 1 - first) // 2 + last - first
+        pair = keys.pair_rows[:, at] + keys.blocks[at // self._block_spans]
+        span_idx = np.concatenate([keys.single[keys.terms[:, at], group],
+                                   keys.pairs[pair, group]])
+        span_idx ^= self._cat_crc[cid]
         arc_rows = [(c - 1) * (n - 1) + h_ - 1 - (h_ > c) for c, h_ in arcs]
         # root 0 (none) slices no row
         dep = np.concatenate([h.arc[arc_rows], h.root[root - 1:root]],
@@ -421,6 +476,8 @@ class LinearModel:
                     or weights.dtype != np.float64
                     or weights.shape != (payload["dim"],)):
                 raise ValueError("unexpected contents")
+            if not np.isfinite(weights).all():
+                raise ValueError("non-finite weights")
             return cls(vocab=CategoryVocab(payload["categories"]),
                        dim=payload["dim"], mode=payload["mode"],
                        lam=payload["lam"], weights=weights)
@@ -457,22 +514,42 @@ def decode_with_model(model: LinearModel, tokens: Sequence[Token],
     return tree
 
 
-@dataclass
 class _Averager:
-    """Lazy accumulators for weight averaging."""
+    """Lazy accumulators for weight averaging, and two snapshot buffers."""
 
-    acc: np.ndarray
-    last: np.ndarray
-    steps: int = 0
+    def __init__(self, dim: int):
+        self.acc = np.zeros(dim)
+        self.last = np.zeros(dim, dtype=np.int64)
+        self.touched = np.zeros(dim, dtype=bool)
+        self.steps = 0
+        self._spare: np.ndarray | None = None
+        self.kept: np.ndarray | None = None
 
     def touch(self, idx: np.ndarray, w: np.ndarray) -> None:
         self.acc[idx] += (self.steps - self.last[idx]) * w[idx]
         self.last[idx] = self.steps
+        self.touched[idx] = True
 
     def snapshot(self, w: np.ndarray) -> np.ndarray:
-        if self.steps == 0:
-            return w.copy()
-        return (self.acc + (self.steps - self.last) * w) / self.steps
+        """The averaged weights, ``(acc + (steps - last) * w) / steps``,
+        written into the spare buffer, which the next snapshot overwrites
+        unless :meth:`keep` takes it. A weight never touched is 0.0 in
+        ``w`` and ``acc`` and averages to 0.0, which both buffers already
+        hold there (the touched set only grows), so only touched weights
+        are written."""
+        if self._spare is None:
+            self._spare = np.zeros(len(self.acc))
+        out = self._spare
+        t = np.flatnonzero(self.touched)
+        out[t] = (self.acc[t] + (self.steps - self.last[t]) * w[t]
+                  ) / self.steps
+        return out
+
+    def keep(self) -> np.ndarray:
+        """Keep the last snapshot: it becomes ``kept``, and the buffer kept
+        before it, if any, becomes the spare."""
+        self.kept, self._spare = self._spare, self.kept
+        return self.kept
 
 
 def _count_difference(gold: np.ndarray, pred: np.ndarray
@@ -514,21 +591,22 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         gold = ((tree_spans(tree, True), [], 0) if division_mode
                 else tree_parts(tree))
         n = len(tree)
-        indicator = np.zeros((n + 1, n + 1, len(vocab)))
+        # the loss: 1 for every span label but the gold ones
+        bonus = np.ones((n + 1, n + 1, len(vocab)))
         for i, j, label in gold[0]:
-            indicator[i, j, vocab.index(label)] = 1.0
+            bonus[i, j, vocab.index(label)] = 0.0
         hashes = model.hashes(tree.tokens)
         prepared.append((tree.tokens, hashes, gold,
                          model.feature_counts(tree.tokens, *gold, hashes),
-                         indicator))
-    dev_hashes = [model.hashes(tree.tokens) for tree in dev or ()]
+                         bonus))
 
-    avg = _Averager(acc=np.zeros(config.dim),
-                    last=np.zeros(config.dim, dtype=np.int64))
+    avg = _Averager(config.dim)
     w = model.weights
     history: list[dict] = []
     best_dev = -1.0
-    best_weights: np.ndarray | None = None
+    dev_hashes = [model.hashes(tree.tokens) for tree in dev or ()]
+    dev_gold = ([project_constituents(t) for t in dev or ()],
+                [project_dependencies(t) for t in dev or ()])
     rng = random.Random(config.seed)
     # span weights move by step * lam, arc and root weights by the rest;
     # division-mode parts have no arcs or root, so that delta stays empty
@@ -538,10 +616,10 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         objective = 0.0
         updates = 0
         rng.shuffle(prepared)
-        for tokens, hashes, gold, gold_counts, ind in prepared:
+        for tokens, hashes, gold, gold_counts, bonus in prepared:
             table = model.score_table(tokens, hashes)
             aug = table.mixed(lam)
-            aug.span += 1.0 - ind
+            aug.span += bonus
             if division_mode:
                 pred_tree, pred_score = decode_division(aug, tokens)
                 pred = (labeled_spans(pred_tree.root), [], 0)
@@ -565,12 +643,12 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         if dev is not None:
             snap = LinearModel(vocab=vocab, dim=config.dim, mode=config.mode,
                                lam=config.lam, weights=avg.snapshot(w))
-            f1, uas = _dev_scores(snap, dev, dev_hashes)
+            f1, uas = _dev_scores(snap, dev, dev_hashes, dev_gold)
             record["dev_f1"] = f1
             record["dev_uas"] = uas
             if f1 + uas > best_dev:
                 best_dev = f1 + uas
-                best_weights = snap.weights
+                avg.keep()
         history.append(record)
         if config.log is not None:
             parts = [f"epoch {epoch}", f"objective {objective:.3f}",
@@ -580,21 +658,18 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                 parts.append(f"dev UAS {record['dev_uas']:.2f}")
             config.log("  ".join(parts))
 
-    if best_weights is not None:
-        model.weights = best_weights
-    else:
-        model.weights = avg.snapshot(w)
+    model.weights = avg.kept if avg.kept is not None else avg.snapshot(w)
     return model, history
 
 
 def _dev_scores(model: LinearModel, dev: Sequence[HpsgTree],
-                hashes: list[Hashes]) -> tuple[float, float]:
-    gold_const = [project_constituents(t) for t in dev]
-    gold_dep = [project_dependencies(t) for t in dev]
+                hashes: list[Hashes], gold: tuple[list, list]
+                ) -> tuple[float, float]:
+    """Bracket F1 and UAS of ``model`` on the held-out trees, against
+    their projections ``gold`` made once for every epoch."""
     pred = [decode_with_model(model, t.tokens, hashes=h)
             for t, h in zip(dev, hashes)]
-    pred_const = [project_constituents(t) for t in pred]
-    pred_dep = [project_dependencies(t) for t in pred]
-    rep = evaluate.bracket_f1(gold_const, pred_const)
-    rep2 = evaluate.attachment_scores(gold_dep, pred_dep)
+    rep = evaluate.bracket_f1(gold[0], [project_constituents(t) for t in pred])
+    rep2 = evaluate.attachment_scores(
+        gold[1], [project_dependencies(t) for t in pred])
     return rep.f1, rep2.uas

@@ -362,6 +362,43 @@ class TestTrainAndModelParse:
         assert len(err.splitlines()) == 1
         assert f"{model}: not a model file" in err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_model_file_with_non_finite_weights_is_refused(
+            self, tmp_path, data_dir, model_file, capsys, value):
+        # such a model used to load and parse every sentence into a
+        # right-branching chain with numpy warnings, exit 0
+        with open(model_file, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["weights"] = payload["weights"].copy()
+        payload["weights"][::7] = value
+        model = tmp_path / "non-finite.bin"
+        model.write_bytes(pickle.dumps(payload, protocol=4))
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", str(data_dir / "multihead.conll"),
+                     "--model", str(model), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            f"headspan parse: {model}: not a model file (non-finite "
+            f"weights)"]
+        assert not out.exists()
+
+    def test_finite_weights_that_sum_past_the_float_range_exit_2(
+            self, tmp_path, data_dir, model_file, capsys):
+        with open(model_file, "rb") as fh:
+            payload = pickle.load(fh)
+        payload["weights"] = np.full_like(payload["weights"], 1e308)
+        model = tmp_path / "huge.bin"
+        model.write_bytes(pickle.dumps(payload, protocol=4))
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", str(data_dir / "multihead.conll"),
+                     "--model", str(model), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "headspan parse: sentence 1: non-finite values in span scores"]
+        assert not out.exists()
+
     def test_headless_phrase_in_training_trees_exits_2(self, tmp_path,
                                                         capsys):
         trees = tmp_path / "headless.hpsg"

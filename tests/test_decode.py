@@ -26,6 +26,7 @@ from headspan import decode
 from headspan.decode import (
     BRUTE_FORCE_CAP,
     LEN_CAP,
+    ROUTES,
     _division_chart,
     _eisner_chart,
     _enumerate_derivations,
@@ -39,7 +40,7 @@ from headspan.decode import (
     max_projective_score,
 )
 from headspan.division import from_division, to_division
-from headspan.errors import SizeGuardError
+from headspan.errors import ScoreFileError, SizeGuardError
 from headspan.fuse import project_dependencies
 from headspan.scoring import CategoryVocab, ScoreTable, oracle_scores
 from headspan.synth import random_score_table, random_tree
@@ -473,12 +474,24 @@ class TestWidthFillsMatchPerCellLoops:
 
     def test_spans_of_a_length_taken_in_small_steps(self, monkeypatch):
         # long sentences fill each length in several steps; make every
-        # length of a short sentence do so
+        # length of a short sentence do so. Plans are kept per step budget
+        # too, so those that other tests made for these lengths are not
+        # reused here
         monkeypatch.setattr(decode, "_STEP_CANDIDATES", 8)
         rng = np.random.default_rng(71)
         for n in range(1, 17):
             table = random_score_table(rng, n, self.VOCAB)
             assert_fills_match_per_cell_loops(tied(table), 0.5)
+            hits = decode._fill_plan.cache_info().hits
+            plan = decode._fill_plan(n, 8)
+            # the plan the fills above used, made under this budget
+            assert decode._fill_plan.cache_info().hits == hits + 1
+            steps = sum(-(-lp.spans // lp.step) for lp in plan.lengths)
+            assert len(plan.lengths) == n
+            assert steps > n or n < 4
+        # n = 16: 2 steps of 8 single tokens, 8 of 2 spans, then one span
+        # a step, 14 + 13 + ... + 1
+        assert steps == 2 + 8 + 105
 
     def test_long_tables(self):
         rng = np.random.default_rng(53)
@@ -525,6 +538,33 @@ class TestCandidateCount:
         assert fast == {20: quartic_count(20), 40: quartic_count(40)}
         assert fast[40] / fast[20] <= 16
         assert slow[40] / slow[20] > 16
+
+
+class TestFillPlan:
+    def test_plans_are_kept_per_length_and_step_budget(self):
+        budget = decode._STEP_CANDIDATES
+        assert decode._fill_plan(9, budget) is decode._fill_plan(9, budget)
+        assert decode._fill_plan(9, 8) is not decode._fill_plan(9, budget)
+        assert decode._fill_plan.cache_info().maxsize == decode._PLANS_KEPT
+
+    def test_plan_at_the_length_cap_holds_under_a_megabyte(self):
+        tracemalloc.start()
+        try:
+            plan = decode._fill_plan.__wrapped__(LEN_CAP,
+                                                 decode._STEP_CANDIDATES)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(plan.lengths) == LEN_CAP
+        assert plan.candidates == quartic_count(LEN_CAP)
+        assert held < 2 ** 20
+
+    def test_plan_arrays_are_read_only(self):
+        plan = decode._fill_plan(6, decode._STEP_CANDIDATES)
+        for lp in plan.lengths:
+            for a in (lp.mask, lp.rows, lp.rows_last, lp.heads_in, lp.starts,
+                      lp.ends, lp.heads):
+                assert not a.flags.writeable
 
 
 class TestChartMemory:
@@ -667,6 +707,20 @@ class TestEdgesAndGuards:
         assert first == second
         # uninformative scores must not surface the reserved split label
         assert first.root.label == "A"
+
+    @pytest.mark.parametrize("part", ["span", "arc", "root"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_non_finite_tables_are_refused(self, part, value, route):
+        table = random_score_table(np.random.default_rng(29), 4,
+                                   CategoryVocab(["A", "B"]))
+        getattr(table, part)[2] = value
+        with pytest.raises(ScoreFileError, match=f"^sentence 7: non-finite "
+                           f"values in {part} scores$"):
+            decode_table(table, route, 0.5, ordinal=7)
+        with pytest.raises(ScoreFileError, match=f"^non-finite values in "
+                           f"{part} scores$"):
+            decode_table(table, route, 0.5)
 
     def test_explicit_tokens_carried_through(self, sample_fused):
         tree = sample_fused[0]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headspan import linear
 from headspan.decode import LEN_CAP, decode_division, decode_joint_mixed
 from headspan.errors import ModelFileError
 from headspan.fuse import project_constituents, project_dependencies
@@ -22,7 +23,6 @@ from headspan.linear import (
     _count_difference,
     _crc_shift,
     decode_with_model,
-    span_hashes,
     train_linear,
 )
 from headspan.scoring import (
@@ -119,6 +119,19 @@ def reference_hashes(tokens):
             crcs((arc_features(words, tags, c, h)
                   for c in pos for h in pos if c != h), 11),
             crcs((root_features(words, tags, h, n) for h in pos), 3))
+
+
+def span_hashes(h, first, last):
+    """The 12 label-free feature hashes of spans from ``first`` to ``last``
+    (0-based) read off the factored ``Hashes``, in template order."""
+    n = len(h.start)
+    pair = first * (2 * n + 1 - first) // 2 + last - first
+    bucket = np.searchsorted([1, 2, 3, 4, 5, 8, 12], last - first + 1)
+    inside = np.where(first < last, first, n)
+    start, end = h.start[first], h.end[last]
+    return np.column_stack([
+        h.length[bucket], start[:, 0], end[:, 0], start[:, 1], end[:, 1],
+        start[:, 2], end[:, 2], h.inside[inside], h.pair[pair]])
 
 
 def assert_hashes_match(tokens):
@@ -329,6 +342,9 @@ class TestLinearModel:
         [1, 2, 3],
         {"dim": 4, "mode": "joint", "lam": 5.0, "categories": ["A"],
          "weights": np.zeros(4)},
+        *({"dim": 4, "mode": "joint", "lam": 0.5, "categories": ["A"],
+           "weights": np.array([0.0, 1.0, bad, 2.0])}
+          for bad in (np.nan, np.inf, -np.inf)),
     ])
     def test_load_refuses_other_pickles(self, tmp_path, payload):
         path = tmp_path / "other.pkl"
@@ -517,6 +533,26 @@ class TestFeatureCounts:
                 for mine, theirs in zip(got, want):
                     assert sorted(mine.tolist()) == theirs
 
+    def test_keys_of_many_blocks(self, sample_fused, monkeypatch):
+        # blocks of 2 spans (the vocabulary holds 12 labels with <E> and
+        # #): every sentence's pair keys come in many blocks, which scoring
+        # and counting must both address
+        monkeypatch.setattr(linear, "_BLOCK", 3 * len(MIXED_LABELS))
+        vocab = CategoryVocab(MIXED_LABELS)
+        model = noisy_model(vocab, 2 ** 16, "joint", seed=4)
+        assert model._block_spans == 2
+        for tree in sample_fused[:12]:
+            tokens = tree.tokens
+            spans_in = len(tokens) * (len(tokens) + 1) // 2
+            assert len(model.hashes(tokens).keys.blocks) == (spans_in + 1) // 2
+            assert_tables_equal(model, tokens)
+            spans = [(i, j, label) for i in range(1, len(tokens) + 1)
+                     for j in range(i, len(tokens) + 1)
+                     for label in ("NP", "名詞", "S+VP+NP")]
+            got = model.feature_counts(tokens, spans, [], 0)
+            want = reference_indices(model, tokens, spans, [], 0)
+            assert sorted(got[0].tolist()) == want[0]
+
 
 def test_count_difference_keeps_only_changed_indices():
     gold = np.array([5, 3, 5, 9, 7])
@@ -529,7 +565,7 @@ def test_count_difference_keeps_only_changed_indices():
 def test_averager_matches_hand_simulation():
     # one weight, three sentences: updates after sentences 1 and 2, none
     # after 3; end-of-sentence values are 1, 2, 2 so the average is 5/3
-    avg = _Averager(acc=np.zeros(1), last=np.zeros(1, dtype=np.int64))
+    avg = _Averager(1)
     w = np.zeros(1)
     avg.touch([0], w)
     w[0] += 1.0
@@ -540,6 +576,33 @@ def test_averager_matches_hand_simulation():
     avg.steps += 1
     assert avg.snapshot(w)[0] == pytest.approx(5.0 / 3.0)
     assert w[0] == 2.0  # snapshot leaves the online weights alone
+
+
+def test_snapshot_is_the_average_bit_for_bit():
+    # written into a reused buffer, touched weights only: still bitwise the
+    # dense formula, and a kept snapshot is never written again
+    rng = np.random.default_rng(37)
+    dim = 64
+    avg = _Averager(dim)
+    w = np.zeros(dim)
+    kept = None
+    for epoch in range(6):
+        for _ in range(5):
+            idx = np.unique(rng.integers(0, dim // 2, size=6))
+            avg.touch(idx, w)
+            w[idx] += rng.normal(size=len(idx)) * 10.0 ** rng.integers(-3, 3)
+            avg.steps += 1
+        want = (avg.acc + (avg.steps - avg.last) * w) / avg.steps
+        got = avg.snapshot(w)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        if kept is not None:
+            assert got is not kept
+            assert kept.view(np.int64).tolist() == kept_bits
+        if epoch in (1, 2, 4):
+            kept = avg.keep()
+            kept_bits = want.view(np.int64).tolist()
+            assert kept is got
+    assert avg.kept is kept
 
 
 @pytest.fixture(scope="module")
@@ -570,6 +633,20 @@ class TestTraining:
         model, _ = train_linear(tiny_corpus, config, dev=tiny_corpus)
         got = hashlib.sha256(model.weights.astype("<f8").tobytes())
         assert got.hexdigest() == digest
+
+    def test_best_dev_epoch_before_the_last_is_returned(self):
+        # dev F1 + UAS on this run peaks at epoch 3 of 4; training 3 epochs
+        # without dev ends on that epoch's averaged weights
+        trees, dev = sample_corpus(8, seed=5), sample_corpus(10, seed=55)
+        config = TrainConfig(epochs=4, dim=2 ** 12, seed=13)
+        model, history = train_linear(trees, config, dev=dev)
+        scores = [r["dev_f1"] + r["dev_uas"] for r in history]
+        assert max(scores) == scores[2] > scores[3]
+        third, _ = train_linear(trees, TrainConfig(epochs=3, dim=2 ** 12,
+                                                   seed=13))
+        fourth, _ = train_linear(trees, config)
+        assert model.weights.tobytes() == third.weights.tobytes()
+        assert model.weights.tobytes() != fourth.weights.tobytes()
 
     def test_training_is_reproducible(self, tiny_corpus):
         config = TrainConfig(epochs=3, dim=2 ** 16, seed=13)
