@@ -27,7 +27,7 @@ from .decode import (
     decode_division,
     decode_eisner,
     decode_joint,
-    decode_table,
+    decode_tables,
     max_projective_score,
 )
 from .errors import (
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .evaluate import DEFAULT_PUNCT, attachment_scores, bracket_f1
 from .fuse import fuse, project_constituents, project_dependencies
-from .linear import LinearModel, TrainConfig, train_linear
+from .linear import LinearModel, TrainConfig, decode_many, train_linear
 from .scoring import CategoryVocab, read_scores
 from .synth import random_score_table
 from .treebank import (
@@ -198,6 +198,8 @@ def cmd_parse(args) -> int:
         raise SizeGuardError(
             f"--len-cap above {LEN_CAP} would fill joint charts past their "
             f"memory bound")
+    if args.len_cap < 0:
+        raise ValueError(f"--len-cap must be at least 0, got {args.len_cap}")
     sentences = _load_parse_input(args.input)
     if args.scores is not None:
         with open(args.scores, encoding="utf-8") as fh:
@@ -205,6 +207,9 @@ def cmd_parse(args) -> int:
         _check_alignment(tables, sentences)
         decoder = args.decoder or "joint"
         lam = 0.5 if args.lam is None else args.lam
+        labels = len(tables[0].vocab) if tables else 0
+        results = decode_tables(sentences, tables.__getitem__, decoder, lam,
+                                labels, args.len_cap)
     else:
         model = LinearModel.load(args.model)
         decoder = args.decoder or model.mode
@@ -213,19 +218,16 @@ def cmd_parse(args) -> int:
             raise ValueError(
                 f"a division-mode model has head-marked span labels and no "
                 f"arc weights; use --decoder division, not {decoder}")
-        tables = (model.score_table(tokens) for tokens in sentences)
+        results = decode_many(model, sentences, decoder, lam, args.len_cap)
     if decoder == "eisner" and (args.out or args.out_const):
         raise ValueError("the eisner decoder produces dependencies only; "
                          "use --out-dep")
 
     parsed = []
-    # finite weights can sum past the float range; decode_table refuses
+    # finite weights can sum past the float range; decode_tables refuses
     # the table then, so numpy's overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for ordinal, (tokens, table) in enumerate(zip(sentences, tables),
-                                                  start=1):
-            tree, notes = decode_table(table, decoder, lam, tokens,
-                                       args.len_cap, ordinal)
+        for ordinal, (tree, notes) in enumerate(results, start=1):
             for note in notes:
                 print(f"sentence {ordinal}: {note}", file=sys.stderr)
             parsed.append(tree)
@@ -248,6 +250,8 @@ def cmd_parse(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.holdout < 0:
+        raise ValueError(f"--holdout must be at least 0, got {args.holdout}")
     if args.hpsg is not None:
         if args.const or args.conll:
             raise ValueError("--hpsg replaces --const and --conll")

@@ -7,11 +7,18 @@ across processes and platforms). Label ``c``'s span feature ``f`` lands at
 once: crc32 is affine in its start value, ``crc32(b, s) == crc32(b) ^
 L_len(b)(s)``.
 
-The same rule factors the features by position. :meth:`LinearModel.hashes`
-hashes a template on one position (or on the span length) once per
-position (or length bucket), and a template on two positions, such as
-``s_pp=<tag i>~<tag j>``, as a head ``s_pp=<tag i>~`` once per i and a tail
-``<tag j>`` once per j, joined without hashing the whole string.
+The same rule factors the features. :meth:`LinearModel.hashes_many` hashes
+a batch of sentences in one pass. Each distinct word, tag and pair of
+neighbouring tags of the batch is hashed once per template, so a template
+on one position is a gather per position. A template on two positions,
+such as ``s_pp=<tag i>~<tag j>``, joins its head ``s_pp=<tag i>~``, shifted
+once under every tail length, to its tail ``<tag j>`` without hashing the
+whole string. One ``np.unique`` over keys that carry their sentence (or
+pair block) in the high 32 bits gives every sentence its distinct keys.
+Parsing (:func:`decode_many`) and training hash in batches of at most
+``_HASH_SPANS`` spans: a few dozen numpy calls a batch, not a few dozen a
+sentence. :meth:`LinearModel.hashes` is a batch of one.
+
 :meth:`LinearModel.score_table` gathers the weight of each distinct
 (feature, label) once, broadcasts the one-position weights to their spans
 and adds a span's 12 terms in the order of numpy's pairwise sum, so every
@@ -33,11 +40,12 @@ span CKY decoder.
 from __future__ import annotations
 
 import functools
+import itertools
 import pickle
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +54,12 @@ from . import evaluate
 # (perfbench/spans.py)
 from .division import binarize_head_outward, to_division  # noqa: F401
 from .fuse import project_constituents, project_dependencies
-from .decode import LEN_CAP, decode_division, decode_joint_mixed, decode_table
+from .decode import (
+    LEN_CAP,
+    decode_division,
+    decode_joint_mixed,
+    decode_tables,
+)
 from .errors import ModelFileError, SizeGuardError
 from .scoring import (
     CategoryVocab,
@@ -57,7 +70,7 @@ from .scoring import (
     tree_parts,
     tree_spans,
 )
-from .trees import HpsgTree, Token
+from .trees import DependencyTree, HpsgTree, Token
 
 MODES = ("joint", "division")
 
@@ -117,17 +130,32 @@ _BUCKETS = [str(e).encode() for e in _EDGES] + [b"big"]
 _DISTANCES = [d + b for d in (b"R", b"L") for b in _BUCKETS]
 # span-label scores computed per block, which bounds the working arrays
 _BLOCK = 2 ** 16
+# spans of the sentences hashed in one pass, which bounds its working
+# arrays: about 40 sentences of 10 tokens, which hash as fast a sentence as
+# 120 do with under half their peak memory
+_HASH_SPANS = 2 ** 11
+# spans of the sentences that decode_many hashes before decoding them, whose
+# hashes it holds: on 5000 sentences of 3 to 16 tokens, 2^13 parses within
+# 6% of 2^15 and 2^17 with 76 MB of peak RSS against 98 and 181, and 2^11
+# is 15% slower than 2^13, its length groups smaller
+_WINDOW_SPANS = 2 ** 13
 
 
 @functools.cache
-def _distance_joiner() -> Callable:
-    """Joins a_ppd's head-and-tag hash with "~<distance>"; built on first
-    use and shared."""
-    return _joiner([b"~" + b for b in _DISTANCES])
-
-
-def _pad(items: list[str]) -> list[bytes]:
-    return [b"<s>"] + [s.encode() for s in items] + [b"</s>"]
+def _constants() -> tuple[np.ndarray, ...]:
+    """The hashes no word or tag enters: s_len per length bucket, s_in of a
+    single token, a_d per distance and r_pos per pair of buckets (8 * left
+    + right); then a_ppd's "~<distance>" tails as shift tables, which table
+    each takes, and their crc32. Built on first use and shared, so
+    read-only."""
+    tails = [b"~" + b for b in _DISTANCES]
+    out = (_crcs(b"s_len=" + b for b in _BUCKETS), _crcs([b"s_in=<self>"]),
+           _crcs(b"a_d=" + b for b in _DISTANCES),
+           _crcs(b"r_pos=" + a + b"~" + b for a in _BUCKETS for b in _BUCKETS),
+           *_lengths(tails), _crcs(tails))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 class Keys(NamedTuple):
@@ -145,8 +173,9 @@ class Keys(NamedTuple):
 
 class Hashes(NamedTuple):
     """Label-free crc32 of one sentence's features, each feature string
-    hashed once (:meth:`LinearModel.hashes`), and their :class:`Keys`. Rows
-    count positions from 0 for token 1; all arrays are int64."""
+    hashed once (:meth:`LinearModel.hashes_many`), and their :class:`Keys`.
+    Rows count positions from 0 for token 1; all arrays are int64, and
+    may be views into arrays that a batch of sentences shares."""
 
     length: np.ndarray  # (8,) s_len per length bucket
     start: np.ndarray   # (n, 3) s_fw, s_fp, s_prev of spans starting there
@@ -172,6 +201,8 @@ class _Layout(NamedTuple):
     child: np.ndarray
     head: np.ndarray
     arc_cell: np.ndarray
+    distance: np.ndarray  # the arc's row in _DISTANCES
+    root_pos: np.ndarray  # (n,) the head's r_pos row: 8 * left + right bucket
 
 
 @functools.lru_cache(maxsize=16)
@@ -179,67 +210,40 @@ def _layout(n: int) -> _Layout:
     """The :class:`_Layout` of length n; shared, so read-only."""
     first, last = np.triu_indices(n)
     child, head = np.nonzero(~np.eye(n, dtype=bool))
+    d = head - child
+    pos = np.arange(1, n + 1)
     out = _Layout(first, last, np.searchsorted(_EDGES, last - first + 1),
                   np.where(first < last, first, n),
                   (first + 1) * (n + 1) + last + 1, child, head,
-                  (child + 1) * (n + 1) + head + 1)
+                  (child + 1) * (n + 1) + head + 1,
+                  8 * (d < 0) + np.searchsorted(_EDGES, np.abs(d)),
+                  8 * np.searchsorted(_EDGES, pos)
+                  + np.searchsorted(_EDGES, n + 1 - pos))
     for a in out:
         a.flags.writeable = False
     return out
 
 
-def _joiner(tails: list[bytes]) -> Callable:
-    """``join(heads, at, ends)``: crc32(a + tails[e]) for a the string whose
-    crc32 is ``heads[at]`` and e in ``ends`` (index arrays that broadcast
-    together). crc32 is affine in its start value, so this is crc32(tails[e])
-    XOR the tail length's shift of crc32(a); the heads are shifted under
-    every tail length at once, and each result is one lookup."""
-    tables, which = _lengths(tails)
-    crcs = _crcs(tails)
-    for a in (tables, which, crcs):
-        a.flags.writeable = False
-
-    def join(heads, at: tuple[np.ndarray, ...], ends: np.ndarray
-             ) -> np.ndarray:
-        shifted = _shift(tables, np.asarray(heads, dtype=np.int64))
-        return crcs[ends] ^ shifted[(*at, which[ends])]
-
-    return join
+def _batches(sentences: Sequence[Sequence], budget: int
+             ) -> Iterator[tuple[int, int]]:
+    """(lo, hi) bounds of consecutive sentences with at most ``budget``
+    spans together; a longer sentence is a batch alone."""
+    lo = total = 0
+    for hi, tokens in enumerate(sentences):
+        spans = len(tokens) * (len(tokens) + 1) // 2
+        if hi > lo and total + spans > budget:
+            yield lo, hi
+            lo, total = hi, 0
+        total += spans
+    if lo < len(sentences):
+        yield lo, len(sentences)
 
 
-def _arc_hashes(words: list[bytes], tags: list[bytes], join: Callable
-                ) -> np.ndarray:
-    """The 11 arc templates of every arc, by child then head; ``join`` ends
-    in the tails that ``LinearModel.hashes`` lists, in its order."""
-    crc = zlib.crc32
-    n = len(words) - 2
-    pos = range(1, n + 1)
-    layout = _layout(n)
-    child, head = layout.child, layout.head
-    end = head + 1
-    word, hctx = n + 2, 2 * n + 4
-    heads = [
-        [crc(b"a_ww=" + words[c] + b"~") for c in pos],
-        [crc(b"a_pp=" + tags[c] + b"~") for c in pos],
-        [crc(b"a_wp=" + words[c] + b"~") for c in pos],
-        [crc(b"a_pw=" + tags[c] + b"~") for c in pos],
-        [crc(b"a_ppd=" + tags[c] + b"~") for c in pos],
-        [crc(b"a_cctx=" + tags[c - 1] + b"~" + tags[c] + b"~") for c in pos],
-        [crc(b"a_hctx=" + tags[c] + b"~") for c in pos],
-    ]
-    arc = join(heads, (np.arange(7), child[:, None]),
-               np.column_stack([word + end, end, end, word + end, end, end,
-                                hctx + head]))
-    d = head - child
-    dist = 8 * (d < 0) + np.searchsorted(_EDGES, np.abs(d))
-    # a_ppd goes on past the head's tag with "~" and the distance
-    ppd = _distance_joiner()(arc[:, 4], (np.arange(len(d)),), dist)
-    return np.column_stack([
-        arc[:, :4], _crcs(b"a_d=" + b for b in _DISTANCES)[dist], ppd,
-        arc[:, 5:],
-        _crcs(b"a_cp=" + tags[c] for c in pos)[child],
-        _crcs(b"a_hp=" + tags[h] for h in pos)[head],
-        _crcs(b"a_hw=" + words[h] for h in pos)[head]])
+def _hashed(model: "LinearModel", sentences: Sequence[Sequence[Token]]
+            ) -> list[Hashes]:
+    """Every sentence's hashes, made ``_HASH_SPANS`` spans at a time."""
+    return [h for lo, hi in _batches(sentences, _HASH_SPANS)
+            for h in model.hashes_many(sentences[lo:hi])]
 
 
 @dataclass
@@ -285,88 +289,203 @@ class LinearModel:
         self._block_spans = max(1, _BLOCK // len(vocab))
 
     def hashes(self, tokens: Sequence[Token]) -> Hashes:
-        """Every feature hash of a sentence, each string hashed once: a
-        template on one position (or on the span length) once per position
-        (or length bucket), and a pair template such as ``s_pp=<tag i>~<tag
-        j>`` as its head ``s_pp=<tag i>~`` once per i and its tail ``<tag
-        j>`` once per j, joined by crc32's affine rule. Arcs and roots are
-        left empty in division mode."""
+        """Every feature hash of one sentence: :meth:`hashes_many` of a
+        batch of one."""
+        return self.hashes_many([tokens])[0]
+
+    def hashes_many(self, sentences: Sequence[Sequence[Token]]
+                    ) -> list[Hashes]:
+        """The :class:`Hashes` of every sentence, made in one pass.
+
+        Each distinct word, tag and pair of neighbouring tags of the batch
+        is hashed once per template. A pair template such as ``s_pp=<tag
+        i>~<tag j>`` joins its head ``s_pp=<tag i>~``, shifted under every
+        tail length in one ``_shift`` per group of heads, to the crc32 of
+        its tail by crc32's affine rule. Sentences are laid out shortest
+        first, so that the spans and arcs of one length are one broadcast.
+        One ``np.unique`` over keys that carry the sentence (or the pair
+        block) in their high 32 bits makes every sentence's :class:`Keys`.
+        Arcs and roots are left empty in division mode."""
+        if not sentences:
+            return []
         crc = zlib.crc32
-        n = len(tokens)
-        words = _pad([t.form for t in tokens])
-        tags = _pad([t.pos for t in tokens])
-        pos = range(1, n + 1)
+        count = len(sentences)
         joint = self.mode == "joint"
-        # what pair templates end in: tag p at p and word p at n + 2 + p for
-        # p = 0..n+1, then a_hctx's "tag~next tag" at 2n + 3 + p, p = 1..n
-        join = _joiner([*tags, *words,
-                        *(tags[p] + b"~" + tags[p + 1] for p in pos)])
-        word = n + 2
-        layout = _layout(n)
-        first, last, bucket = layout.first, layout.last, layout.bucket
-        heads = [
-            [crc(b"s_pp=" + tags[i] + b"~") for i in pos],
-            [crc(b"s_out=" + tags[i - 1] + b"~") for i in pos],
-            [crc(b"s_ww=" + words[i] + b"~") for i in pos],
-            # s_lpp's head holds the span's length bucket too
-            *([crc(tags[i] + b"~", crc(b"s_lpp=" + b + b"~")) for i in pos]
-              for b in _BUCKETS),
-        ]
-        template = np.tile([0, 1, 2, 3], (len(bucket), 1))
-        template[:, 3] += bucket
-        pair = join(heads, (template, first[:, None]),
-                    np.column_stack([last + 1, last + 2, word + last + 1,
-                                     last + 1]))
-        length = _crcs(b"s_len=" + b for b in _BUCKETS)
-        start = _crcs(f for i in pos for f in (
-            b"s_fw=" + words[i], b"s_fp=" + tags[i],
-            b"s_prev=" + tags[i - 1])).reshape(n, 3)
-        inside = _crcs([*(b"s_in=" + tags[i + 1] for i in pos),
-                        b"s_in=<self>"])
-        end = _crcs(f for j in pos for f in (
-            b"s_lw=" + words[j], b"s_lp=" + tags[j],
-            b"s_next=" + tags[j + 1])).reshape(n, 3)
-        buckets = [_BUCKETS[b] for b in np.searchsorted(_EDGES, pos)]
-        return Hashes(
-            length=length, start=start, inside=inside, end=end, pair=pair,
-            arc=(_arc_hashes(words, tags, join) if joint
-                 else np.zeros((0, 11), dtype=np.int64)),
-            root=_crcs(f for h in pos if joint for f in (
-                b"r_w=" + words[h], b"r_p=" + tags[h],
-                b"r_pos=" + buckets[h - 1] + b"~" + buckets[n - h])
-                       ).reshape(-1, 3),
-            keys=self._keys(length, start, inside, end, pair, layout))
+        order = sorted(range(count), key=lambda s: len(sentences[s]))
+        # padded tags and words in that order, as ids of the distinct ones
+        tag_at = {"<s>": 0, "</s>": 1}
+        word_at = dict(tag_at)
+        tag_seq: list[int] = []
+        word_seq: list[int] = []
+        for s in order:
+            tag_seq += [0, *(tag_at.setdefault(t.pos, len(tag_at))
+                             for t in sentences[s]), 1]
+            word_seq += [0, *(word_at.setdefault(t.form, len(word_at))
+                              for t in sentences[s]), 1]
+        tags = np.array(tag_seq, dtype=np.int64)
+        words = np.array(word_seq, dtype=np.int64)
+        tag_b = [t.encode() for t in tag_at]
+        word_b = [w.encode() for w in word_at]
+        pair_b: list[bytes] = []
+        if joint:
+            # "<tag p>~<tag p+1>", the pair at each position p but the last
+            pair_keys, pair_at = np.unique(tags[:-1] * len(tag_b) + tags[1:],
+                                           return_inverse=True)
+            pair_b = [tag_b[k // len(tag_b)] + b"~" + tag_b[k % len(tag_b)]
+                      for k in pair_keys.tolist()]
+        # every tail's shift table and crc32: tags, then words, then pairs
+        tables, which = _lengths([*tag_b, *word_b, *pair_b])
+        cut = [len(tag_b), len(tag_b) + len(word_b)]
+        t_len, w_len, p_len = np.split(which, cut)
+        t_crc, w_crc, p_crc = np.split(_crcs([*tag_b, *word_b, *pair_b]), cut)
 
-    def _keyed(self, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The distinct hashes among ``bases`` shifted under every label
-        byte length, and each base's row among them."""
-        keys, row = np.unique(bases, return_inverse=True)
-        return _shift(self._shift, keys), row.reshape(bases.shape)
+        def heads(prefixes: list[bytes], parts: list[bytes]) -> np.ndarray:
+            """crc32 of prefix + part + "~" under every tail length."""
+            return _shift(tables, np.array(
+                [[crc(p + x + b"~") for x in parts] for p in prefixes]))
 
-    def _keys(self, length: np.ndarray, start: np.ndarray,
-              inside: np.ndarray, end: np.ndarray, pair: np.ndarray,
-              layout: _Layout) -> Keys:
-        """The :class:`Keys` of one sentence's span hashes."""
-        single, row = self._keyed(np.concatenate(
-            [length, start.ravel(), inside, end.ravel()]))
-        n = len(start)
-        at_length, at_start, at_inside, at_end = np.split(
-            row, np.cumsum([len(length), 3 * n, n + 1]))
-        at_start = at_start.reshape(n, 3)
-        at_end = at_end.reshape(n, 3)
-        first, last = layout.first, layout.last
-        terms = np.stack([
-            at_length[layout.bucket], at_start[first, 0], at_end[last, 0],
-            at_start[first, 1], at_end[last, 1], at_start[first, 2],
-            at_end[last, 2], at_inside[layout.inside]])
+        def whole(prefixes: list[bytes], parts: list[bytes]) -> np.ndarray:
+            return np.array([[crc(p + x) for x in parts] for p in prefixes])
+
+        # the spans, arcs and tokens of the batch as positions in the padded
+        # sequence and rows among the tokens, one length at a time
+        cols: dict[str, list] = {k: [] for k in (
+            "i", "j", "first", "last", "bucket", "inside", "length", "block",
+            "tok", "in_pos", "child", "head", "distance", "root_pos")}
         step = self._block_spans
-        blocks = [self._keyed(pair[lo:lo + step])
-                  for lo in range(0, max(len(pair), 1), step)]
-        return Keys(
-            single=single, terms=terms,
-            pairs=np.concatenate([shifts for shifts, _ in blocks]),
-            pair_rows=np.concatenate([rows.T for _, rows in blocks], axis=1),
-            blocks=np.cumsum([0] + [len(shifts) for shifts, _ in blocks[:-1]]))
+        sizes = []                          # (n, spans, blocks) by sentence
+        laid = q0 = o0 = k0 = 0
+        for n, group in itertools.groupby(len(sentences[s]) for s in order):
+            many = len(list(group))
+            lay = _layout(n)
+            spans = len(lay.first)
+            blocks = -(-max(spans, 1) // step)
+            b = np.arange(many)[:, None]
+            q = q0 + (n + 2) * b + 1        # position of each first token
+            o = o0 + n * b                  # and its row among the tokens
+            tok = np.arange(n)
+            for key, value in (
+                    ("i", q + lay.first), ("j", q + lay.last),
+                    ("first", o + lay.first), ("last", o + lay.last),
+                    ("bucket", np.broadcast_to(lay.bucket, (many, spans))),
+                    ("inside", o + laid + b + lay.inside),
+                    ("length", 8 * (laid + b) + lay.bucket),
+                    ("block", k0 + blocks * b + np.arange(spans) // step),
+                    ("tok", q + tok),
+                    # s_in of the next tag, and s_in=<self> past the end
+                    ("in_pos", np.hstack([q + 1 + tok, np.full(
+                        (many, 1), len(tag_seq))]))):
+                cols[key].append(value)
+            if joint:
+                cols["child"].append(q + lay.child)
+                cols["head"].append(q + lay.head)
+                cols["distance"].append(
+                    np.broadcast_to(lay.distance, (many, len(lay.child))))
+                cols["root_pos"].append(
+                    np.broadcast_to(lay.root_pos, (many, n)))
+            sizes += [(n, spans, blocks)] * many
+            laid += many
+            q0 += (n + 2) * many
+            o0 += n * many
+            k0 += blocks * many
+        ix = {k: np.concatenate(v, axis=None) for k, v in cols.items() if v}
+
+        i, j, tok = ix["i"], ix["j"], ix["tok"]
+        s_pp, s_out, *_ = lpp = heads(
+            [b"s_pp=", b"s_out=", *(b"s_lpp=" + b + b"~" for b in _BUCKETS)],
+            tag_b)
+        s_ww = heads([b"s_ww="], word_b)[0]
+        s_fp, s_prev, s_lp, s_next, s_in = whole(
+            [b"s_fp=", b"s_prev=", b"s_lp=", b"s_next=", b"s_in="], tag_b)
+        s_fw, s_lw = whole([b"s_fw=", b"s_lw="], word_b)
+        length, self_in, a_d, r_pos, d_tables, d_len, d_crc = _constants()
+        tag_i, tag_j, word_j, after = tags[i], tags[j], words[j], tags[j + 1]
+        pair = np.column_stack([
+            s_pp[tag_i, t_len[tag_j]] ^ t_crc[tag_j],
+            s_out[tags[i - 1], t_len[after]] ^ t_crc[after],
+            s_ww[words[i], w_len[word_j]] ^ w_crc[word_j],
+            lpp[2 + ix["bucket"], tag_i, t_len[tag_j]] ^ t_crc[tag_j]])
+        tag_t, word_t = tags[tok], words[tok]
+        start = np.column_stack([s_fw[word_t], s_fp[tag_t],
+                                 s_prev[tags[tok - 1]]])
+        end = np.column_stack([s_lw[word_t], s_lp[tag_t],
+                               s_next[tags[tok + 1]]])
+        inside = np.append(s_in, self_in)[np.append(tags, len(tag_b))[
+            ix["in_pos"]]]
+        arc = np.zeros((0, 11), dtype=np.int64)
+        root = np.zeros((0, 3), dtype=np.int64)
+        if joint:
+            a_pp, a_pw, a_ppd, a_hctx = heads(
+                [b"a_pp=", b"a_pw=", b"a_ppd=", b"a_hctx="], tag_b)
+            a_ww, a_wp = heads([b"a_ww=", b"a_wp="], word_b)
+            a_cctx = heads([b"a_cctx="], pair_b)[0]
+            r_p, a_cp, a_hp = whole([b"r_p=", b"a_cp=", b"a_hp="], tag_b)
+            r_w, a_hw = whole([b"r_w=", b"a_hw="], word_b)
+            child, head, dist = ix["child"], ix["head"], ix["distance"]
+            tag_c, tag_h = tags[child], tags[head]
+            word_c, word_h = words[child], words[head]
+            t_h, w_h = t_len[tag_h], w_len[word_h]
+            tc_h, wc_h = t_crc[tag_h], w_crc[word_h]
+            next_h = pair_at[head]
+            # a_ppd goes on past the head's tag with "~" and the distance
+            ppd = a_ppd[tag_c, t_h] ^ tc_h
+            arc = np.column_stack([
+                a_ww[word_c, w_h] ^ wc_h, a_pp[tag_c, t_h] ^ tc_h,
+                a_wp[word_c, t_h] ^ tc_h, a_pw[tag_c, w_h] ^ wc_h, a_d[dist],
+                d_crc[dist] ^ _shift(d_tables, ppd, d_len[dist]),
+                a_cctx[pair_at[child - 1], t_h] ^ tc_h,
+                a_hctx[tag_c, p_len[next_h]] ^ p_crc[next_h],
+                a_cp[tag_c], a_hp[tag_h], a_hw[word_h]])
+            root = np.column_stack([r_w[word_t], r_p[tag_t],
+                                    r_pos[ix["root_pos"]]])
+
+        # one np.unique over every sentence's one-position and length
+        # hashes (sentence id above them) and pair hashes (block id)
+        ns = np.array([n for n, _, _ in sizes], dtype=np.int64)
+        sid = np.arange(count, dtype=np.int64)
+        tok_sid = np.repeat(sid, ns)[:, None] << 32
+        bases = np.concatenate([
+            (sid[:, None] << 32 | length).ravel(), (tok_sid | start).ravel(),
+            np.repeat(sid, ns + 1) << 32 | inside, (tok_sid | end).ravel(),
+            ((count + ix["block"][:, None]) << 32 | pair).ravel()])
+        keys, row = np.unique(bases, return_inverse=True)
+        group = bases >> 32
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(
+            keys >> 32, minlength=count + k0))])
+        row = row.reshape(-1) - bounds[group]
+        at_length, at_start, at_inside, at_end, at_pair = np.split(
+            row, np.cumsum([8 * count, 3 * len(tok), len(tok) + count,
+                            3 * len(tok)]))
+        at_start = at_start.reshape(-1, 3)
+        at_end = at_end.reshape(-1, 3)
+        first, last = ix["first"], ix["last"]
+        terms = np.stack([
+            at_length[ix["length"]], at_start[first, 0], at_end[last, 0],
+            at_start[first, 1], at_end[last, 1], at_start[first, 2],
+            at_end[last, 2], at_inside[ix["inside"]]])
+        pair_rows = at_pair.reshape(-1, 4)
+        shifted = _shift(self._shift, keys & 0xFFFFFFFF)
+
+        out: list[Hashes] = [None] * count  # type: ignore[list-item]
+        edges = bounds.tolist()
+        o = m = a = k = 0
+        for b, (s, (n, spans, blocks)) in enumerate(zip(order, sizes)):
+            p = count + k
+            out[s] = Hashes(
+                length=length, start=start[o:o + n],
+                inside=inside[o + b:o + b + n + 1], end=end[o:o + n],
+                pair=pair[m:m + spans], arc=arc[a:a + n * (n - 1)],
+                root=root[o:o + n] if joint else root,
+                keys=Keys(single=shifted[edges[b]:edges[b + 1]],
+                          terms=terms[:, m:m + spans],
+                          pairs=shifted[edges[p]:edges[p + blocks]],
+                          pair_rows=pair_rows[m:m + spans].T,
+                          blocks=bounds[p:p + blocks] - edges[p]))
+            o += n
+            m += spans
+            a += n * (n - 1) if joint else 0
+            k += blocks
+        return out
 
     def _label_weights(self, shifts: np.ndarray) -> np.ndarray:
         """The weight of each distinct hash whose ``shifts`` are given under
@@ -504,13 +623,33 @@ class _ModelUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
+def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
+                route: str | None = None, lam: float | None = None,
+                len_cap: int = LEN_CAP, hashes: Sequence[Hashes] | None = None,
+                first: int | None = 1
+                ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
+    """Parse sentences with a trained model: :func:`decode_tables` along
+    ``route`` (default the model's mode) under ``lam`` (default the
+    model's), each table scored when it is decoded. Sentences are hashed
+    (``hashes`` gives them made already) and decoded a window of
+    ``_WINDOW_SPANS`` spans at a time, which bounds the hashes held."""
+    route = model.mode if route is None else route
+    lam = model.lam if lam is None else lam
+    for lo, hi in _batches(sentences, _WINDOW_SPANS):
+        window = sentences[lo:hi]
+        made = _hashed(model, window) if hashes is None else hashes[lo:hi]
+        yield from decode_tables(
+            window, lambda k: model.score_table(window[k], made[k]), route,
+            lam, len(model.vocab), len_cap,
+            None if first is None else first + lo)
+
+
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
                       lam: float | None = None,
                       hashes: Hashes | None = None) -> HpsgTree:
     """Parse one sentence with a trained model, honoring its mode."""
-    use = model.lam if lam is None else lam
-    tree, _ = decode_table(model.score_table(tokens, hashes), model.mode,
-                           use, tokens)
+    tree, _ = next(decode_many(model, [tokens], lam=lam, first=None,
+                               hashes=None if hashes is None else [hashes]))
     return tree
 
 
@@ -586,8 +725,11 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     lam = 1.0 if division_mode else config.lam
 
     # every sentence's feature hashes serve all epochs and dev passes
+    sentences = [tree.tokens for tree in [*trees, *(dev or ())]]
+    all_hashes = _hashed(model, sentences)
+    dev_hashes = all_hashes[len(trees):]
     prepared = []
-    for tree in trees:
+    for tree, hashes in zip(trees, all_hashes):
         gold = ((tree_spans(tree, True), [], 0) if division_mode
                 else tree_parts(tree))
         n = len(tree)
@@ -595,7 +737,6 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         bonus = np.ones((n + 1, n + 1, len(vocab)))
         for i, j, label in gold[0]:
             bonus[i, j, vocab.index(label)] = 0.0
-        hashes = model.hashes(tree.tokens)
         prepared.append((tree.tokens, hashes, gold,
                          model.feature_counts(tree.tokens, *gold, hashes),
                          bonus))
@@ -604,7 +745,6 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     w = model.weights
     history: list[dict] = []
     best_dev = -1.0
-    dev_hashes = [model.hashes(tree.tokens) for tree in dev or ()]
     dev_gold = ([project_constituents(t) for t in dev or ()],
                 [project_dependencies(t) for t in dev or ()])
     rng = random.Random(config.seed)
@@ -667,8 +807,8 @@ def _dev_scores(model: LinearModel, dev: Sequence[HpsgTree],
                 ) -> tuple[float, float]:
     """Bracket F1 and UAS of ``model`` on the held-out trees, against
     their projections ``gold`` made once for every epoch."""
-    pred = [decode_with_model(model, t.tokens, hashes=h)
-            for t, h in zip(dev, hashes)]
+    pred = [tree for tree, _ in decode_many(
+        model, [t.tokens for t in dev], hashes=hashes, first=None)]
     rep = evaluate.bracket_f1(gold[0], [project_constituents(t) for t in pred])
     rep2 = evaluate.attachment_scores(
         gold[1], [project_dependencies(t) for t in pred])

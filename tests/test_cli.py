@@ -8,9 +8,13 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headspan.cli import main
 from headspan.decode import LEN_CAP
@@ -159,6 +163,19 @@ class TestParse:
         assert f"--len-cap above {LEN_CAP}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_len_cap_refused(self, tmp_path, multihead_files,
+                                      score_file, capsys):
+        # a negative cap sent every sentence to the span decoder, with the
+        # note "above cap -1"
+        _, conll = multihead_files
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", conll, "--scores", score_file,
+                     "--len-cap", "-1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: --len-cap must be at least 0, got -1"]
+        assert not out.exists()
+
     def test_bracketed_input_detected(self, tmp_path, multihead_files,
                                       score_file):
         const, _ = multihead_files
@@ -262,6 +279,21 @@ class TestTrainAndModelParse:
                      "--epochs", "2", "--dim", str(2 ** 16),
                      "--holdout", "2"])
         assert code == 0
+
+    @pytest.mark.parametrize("holdout", ["-3", "-1000"])
+    def test_negative_holdout_refused(self, tmp_path, data_dir, holdout,
+                                      capsys):
+        # a negative holdout swapped the sets: -3 trained on the first 3
+        # sentences and held out the rest, -1000 picked epochs on no
+        # sentences at all
+        path = tmp_path / "m.model"
+        code = main(["train", "--const", str(data_dir / "sample.brackets"),
+                     "--conll", str(data_dir / "sample.conll"),
+                     "--model-out", str(path), "--holdout", holdout])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"headspan train: --holdout must be at least 0, got {holdout}"]
+        assert not path.exists()
 
     def test_parse_with_model_and_eval(self, tmp_path, data_dir, model_file,
                                        capsys):
@@ -525,6 +557,65 @@ class TestDeepInput:
                           "--out-dep", str(tmp_path / "pred.conll")])
         self.check_outputs(tmp_path)
         assert (tmp_path / "pred.hpsg").read_text() == fused.read_text()
+
+
+@pytest.fixture(scope="module")
+def sample_sentences(tmp_path_factory, data_dir):
+    """The bundled sample pair and its fused file, one entry per sentence:
+    bracket lines, CoNLL blocks and head-annotated lines."""
+    fused = tmp_path_factory.mktemp("edits") / "sample.hpsg"
+    assert main(["convert", "--const", str(data_dir / "sample.brackets"),
+                 "--conll", str(data_dir / "sample.conll"),
+                 "--out", str(fused)]) == 0
+    conll = (data_dir / "sample.conll").read_text("utf-8").strip("\n")
+    return ((data_dir / "sample.brackets").read_text("utf-8").splitlines(
+                keepends=True),
+            [block + "\n\n" for block in conll.split("\n\n")],
+            fused.read_text("utf-8").splitlines(keepends=True))
+
+
+# what random edits insert or substitute: the formats' own punctuation,
+# digits for heads and indices, and a few letters
+EDIT_CHARS = "()[]\t\n _-.:#~0123456789aZé"
+
+
+class TestRandomEdits:
+    """Inputs one to four character edits away from good ones end in exit
+    0 or 2, never in a traceback."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_convert_eval_and_train(self, sample_sentences, data):
+        start = data.draw(st.integers(0, len(sample_sentences[0]) - 3))
+        size = data.draw(st.integers(1, 3))
+        texts = ["".join(part[start:start + size])
+                 for part in sample_sentences]
+        edited = data.draw(st.sampled_from([0, 1, 2]))
+        text = texts[edited]
+        for _ in range(data.draw(st.integers(1, 4))):
+            at = data.draw(st.integers(0, len(text)))
+            kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+            char = "" if kind == "delete" else data.draw(
+                st.sampled_from(EDIT_CHARS))
+            text = text[:at] + char + text[at + (kind != "insert"):]
+        with tempfile.TemporaryDirectory() as tmp:
+            gold = [Path(tmp, f"gold.{x}") for x in ("brackets", "conll")]
+            files = [Path(tmp, f"in.{x}") for x in ("brackets", "conll",
+                                                    "hpsg")]
+            for path, content in zip([*gold, *files], [*texts[:2], *texts]):
+                path.write_text(content, encoding="utf-8")
+            files[edited].write_text(text, encoding="utf-8")
+            brackets, conll, hpsg = map(str, files)
+            model = ["--model-out", str(Path(tmp, "m.bin")), "--epochs", "1",
+                     "--dim", str(2 ** 12)]
+            runs = [["train", "--hpsg", hpsg, *model]] if edited == 2 else [
+                ["convert", "--const", brackets, "--conll", conll, "--out",
+                 str(Path(tmp, "out.hpsg"))],
+                ["eval", "--gold-const", str(gold[0]), "--pred-const",
+                 brackets, "--gold-dep", str(gold[1]), "--pred-dep", conll],
+                ["train", "--const", brackets, "--conll", conll, *model]]
+            for argv in runs:
+                assert main(argv) in (0, 2), argv
 
 
 class TestEval:

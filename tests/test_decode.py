@@ -524,6 +524,138 @@ class TestWidthFillsMatchPerCellLoops:
         assert_fills_match_per_cell_loops(table, lam)
 
 
+def assert_batch_fills_match_single(tables: list, lam: float):
+    """One batched fill of same-length tables gives each table the chart
+    of its own fill, bit for bit."""
+    mixed = [t.mixed(lam) for t in tables]
+    charts = fill_joint_chart(np.stack([m.span for m in mixed]),
+                              np.stack([m.arc for m in mixed]))
+    assert len(charts) == len(tables)
+    for m, got in zip(mixed, charts):
+        want = fill_joint_chart(m.span, m.arc)
+        for name in ("inner", "split", "best_real", "best_any", "arc"):
+            assert_same_bits(getattr(got, name), getattr(want, name))
+        assert got.candidates == want.candidates
+
+
+class TestBatchedFills:
+    VOCAB = CategoryVocab(["A", "B", "C"])
+
+    def test_every_length_to_24_in_batches_of_1_to_5(self):
+        rng = np.random.default_rng(83)
+        for n in range(1, 25):
+            tables = [random_score_table(rng, n, self.VOCAB)
+                      for _ in range(n % 5 + 1)]
+            for lam in (0.0, 0.5, 1.0):
+                assert_batch_fills_match_single(tables, lam)
+                assert_batch_fills_match_single([tied(t) for t in tables],
+                                                lam)
+
+    def test_steps_of_a_few_spans(self, monkeypatch):
+        # a batch whose lengths are cut into steps, as long sentences are
+        monkeypatch.setattr(decode, "_STEP_CANDIDATES", 8)
+        rng = np.random.default_rng(89)
+        for n in (1, 2, 5, 9, 16):
+            tables = [tied(random_score_table(rng, n, self.VOCAB))
+                      for _ in range(3)]
+            assert_batch_fills_match_single(tables, 0.5)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(1, 8), size=st.integers(1, 5),
+           lam=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_property_on_tied_tables(self, data, n, size, lam):
+        vocab = CategoryVocab(["A", "B"])
+        ints = st.integers(-2, 2)
+        tables = []
+        for _ in range(size):
+            table = ScoreTable.zeros(n, vocab)
+            table.span[1:, 1:] = data.draw(
+                arrays(np.int64, (n, n, len(vocab)), elements=ints))
+            table.arc[1:, 1:] = data.draw(arrays(np.int64, (n, n),
+                                                 elements=ints))
+            tables.append(table)
+        assert_batch_fills_match_single(tables, lam)
+
+    def test_batched_decodes_match_one_at_a_time(self, sample_fused):
+        vocab = CategoryVocab.from_trees(sample_fused)
+        rng = np.random.default_rng(97)
+        by_length: dict[int, list] = {}
+        for tree in sample_fused:
+            by_length.setdefault(len(tree), []).append(tree)
+        for n, trees in by_length.items():
+            tables = [oracle_scores(t, vocab) for t in trees]
+            for table in tables:
+                table.span += rng.normal(scale=0.5, size=table.span.shape)
+            tokens = [t.tokens for t in trees]
+            got = decode.decode_joint_batch(tables, 0.5, tokens,
+                                            list(range(len(trees))))
+            want = [decode_table(t, "joint", 0.5, toks)
+                    for t, toks in zip(tables, tokens)]
+            assert got == want
+
+    def test_batch_sizes_keep_whole_lengths_and_the_byte_budget(self):
+        for labels in (3, 166):
+            for n in range(1, 64):
+                size = decode.batch_size(n, labels)
+                plan = decode._fill_plan(n, decode._STEP_CANDIDATES)
+                assert all(lp.step == lp.spans for lp in plan.lengths)
+                assert size == 1 or max(
+                    size * lp.spans * lp.length ** 2 for lp in plan.lengths
+                ) <= decode._STEP_CANDIDATES
+                chart = 8 * (n + 1) ** 2 * (labels + 1) + 12 * (n + 1) ** 3
+                assert size == 1 or size * chart <= decode._BATCH_BYTES
+        assert decode.batch_size(60, 3) == decode.batch_size(LEN_CAP, 3) == 1
+        assert decode.batch_size(3, 3) > decode.batch_size(16, 3) > \
+            decode.batch_size(40, 3) > 1
+        assert decode.batch_size(9, 166) < decode.batch_size(9, 3)
+
+    def test_many_short_sentences_under_many_labels_keep_to_the_budget(self):
+        # 200 sentences of 9 tokens under 166 labels: the step budget alone
+        # would fill them in one batch, whose mixed span scores take 27 MB
+        vocab = CategoryVocab([f"L{i}" for i in range(164)])
+        tokens = [Token(i, f"w{i}", "T") for i in range(1, 10)]
+
+        def table_of(k):
+            return random_score_table(np.random.default_rng(k), 9, vocab)
+
+        want = decode_table(table_of(7), "joint", 0.5, tokens)
+        tracemalloc.start()
+        try:
+            got = list(decode.decode_tables([tokens] * 200, table_of,
+                                            "joint", 0.5, len(vocab)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[7] == want
+        assert peak < 2 * decode._BATCH_BYTES
+
+    def test_decode_tables_match_decode_table(self, sample_fused):
+        # score-file tables of every length, one of them non-finite: the
+        # same trees and notes, then the refusal of the first bad one
+        vocab = CategoryVocab.from_trees(sample_fused)
+        rng = np.random.default_rng(101)
+        trees = sample_fused[:40]
+        tables = [oracle_scores(t, vocab) for t in trees]
+        for table in tables:
+            table.span += rng.normal(scale=0.5, size=table.span.shape)
+        sentences = [t.tokens for t in trees]
+        for route, len_cap in (("joint", LEN_CAP), ("joint", 7),
+                               ("division", LEN_CAP), ("eisner", LEN_CAP)):
+            want = [decode_table(table, route, 0.4, tokens, len_cap, k)
+                    for k, (tokens, table) in enumerate(
+                        zip(sentences, tables), start=1)]
+            assert list(decode.decode_tables(
+                sentences, tables.__getitem__, route, 0.4, len(vocab),
+                len_cap)) == want
+        tables[30].arc[1, 2] = np.nan
+        got = decode.decode_tables(sentences, tables.__getitem__, "joint",
+                                   0.4, len(vocab))
+        for _ in range(30):
+            next(got)
+        with pytest.raises(ScoreFileError, match="^sentence 31: "):
+            next(got)
+
+
 class TestCandidateCount:
     def test_joint_fill_is_quartic_and_the_old_chart_is_not(self):
         # the count behind acceptance check 8: the hook fill compares

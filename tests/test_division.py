@@ -8,6 +8,8 @@ prefix marks) and then frozen.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headspan.division import (
     binarize_head_outward,
@@ -116,6 +118,12 @@ class TestRoundTrip:
             back, flags = from_division(to_division(tree))
             assert flags == []
             assert back == tree
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30))
+    def test_identity_property_on_random_trees(self, seed, n):
+        tree = random_tree(random.Random(seed), n)
+        assert from_division(to_division(tree)) == (tree, [])
 
     def test_bare_preterminal_labels_decode_without_flags(self,
                                                           sample_fused):

@@ -12,9 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headspan import linear
-from headspan.decode import LEN_CAP, decode_division, decode_joint_mixed
-from headspan.errors import ModelFileError
+from headspan import decode, linear
+from headspan.decode import (
+    LEN_CAP,
+    decode_division,
+    decode_joint_mixed,
+    decode_table,
+)
+from headspan.errors import ModelFileError, ScoreFileError
 from headspan.fuse import project_constituents, project_dependencies
 from headspan.linear import (
     LinearModel,
@@ -22,6 +27,7 @@ from headspan.linear import (
     _Averager,
     _count_difference,
     _crc_shift,
+    decode_many,
     decode_with_model,
     train_linear,
 )
@@ -381,6 +387,157 @@ class TestFactoredHashes:
     def test_random_forms_and_tags(self, words):
         assert_hashes_match([Token(i, form, pos) for i, (form, pos)
                              in enumerate(words, start=1)])
+
+
+def assert_same_hashes(got, want):
+    """Two :class:`Hashes` equal array for array, keys included: dtype,
+    shape and every value."""
+    for name, mine, theirs in zip(got._fields, got, want):
+        if name == "keys":
+            assert_same_hashes(mine, theirs)
+            continue
+        assert mine.dtype == theirs.dtype, name
+        np.testing.assert_array_equal(mine, theirs, err_msg=name, strict=True)
+
+
+def assert_batch_matches(model, sentences):
+    """``hashes_many`` of the whole batch equals ``hashes`` of each."""
+    batch = model.hashes_many(sentences)
+    assert len(batch) == len(sentences)
+    for tokens, got in zip(sentences, batch):
+        assert_same_hashes(got, model.hashes(tokens))
+
+
+class TestBatchHashes:
+    """One pass over a batch gives every sentence the hashes and keys it
+    gets alone, whatever else the batch holds."""
+
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_bundled_sentences(self, sample_fused, mode):
+        model = noisy_model(CategoryVocab(MIXED_LABELS), 2 ** 16, mode)
+        assert_batch_matches(model, [t.tokens for t in sample_fused])
+
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_awkward_tokens(self, mode):
+        # non-ASCII forms, one-token sentences, words that equal tags or the
+        # padding, and a form that is a template prefix
+        rows = [[("名詞", "NN")], [("NN", "NN"), ("<s>", "</s>")],
+                [("é", "Ü"), ("s_pp=", "~"), ("x~y", "NN"), ("VB", "é")],
+                [("😀", "NN")], [("a", "DT"), ("NN", "a"), ("a", "a")]]
+        sentences = [[Token(i, form, pos) for i, (form, pos)
+                      in enumerate(row, start=1)] for row in rows]
+        model = noisy_model(CategoryVocab(MIXED_LABELS), 2 ** 16, mode)
+        assert_batch_matches(model, sentences)
+        assert_batch_matches(model, sentences[:1])
+
+    def test_many_pair_blocks(self, sample_fused, monkeypatch):
+        # blocks of 2 spans: every sentence's pair keys come in many blocks,
+        # each with its own id in the keys' high bits
+        monkeypatch.setattr(linear, "_BLOCK", 3 * len(MIXED_LABELS))
+        model = noisy_model(CategoryVocab(MIXED_LABELS), 2 ** 16, "joint")
+        assert model._block_spans == 2
+        sentences = [t.tokens for t in sample_fused[:40]]
+        assert_batch_matches(model, sentences)
+        for tokens, h in zip(sentences, model.hashes_many(sentences)):
+            spans = len(tokens) * (len(tokens) + 1) // 2
+            assert len(h.keys.blocks) == (spans + 1) // 2
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(rows=st.lists(st.lists(st.tuples(UNICODE_TEXT, UNICODE_TEXT),
+                                  min_size=1, max_size=9),
+                         min_size=1, max_size=5))
+    def test_random_batches(self, rows):
+        sentences = [[Token(i, form, pos) for i, (form, pos)
+                      in enumerate(row, start=1)] for row in rows]
+        model = noisy_model(CategoryVocab(MIXED_LABELS), 2 ** 16, "joint")
+        assert_batch_matches(model, sentences)
+
+    def test_batches_keep_to_the_span_budget(self):
+        # 1, 3, 6, 10, 15 and 21 spans
+        sentences = [[None] * n for n in (1, 2, 3, 4, 5, 6, 1)]
+        assert list(linear._batches(sentences, 20)) == [
+            (0, 4), (4, 5), (5, 6), (6, 7)]
+        assert list(linear._batches([], 20)) == []
+
+
+class TestBatchedDecode:
+    """``decode_many`` gives the trees and notes of one ``decode_table``
+    at a time, and raises the first refusal in input order."""
+
+    @staticmethod
+    def one_at_a_time(model, sentences, route, lam, len_cap):
+        out = []
+        for ordinal, tokens in enumerate(sentences, start=1):
+            try:
+                out.append(decode_table(model.score_table(tokens), route, lam,
+                                        tokens, len_cap, ordinal))
+            except ScoreFileError as exc:
+                return out, str(exc)
+        return out, None
+
+    @staticmethod
+    def batched(model, sentences, route, lam, len_cap):
+        out = []
+        try:
+            for result in decode_many(model, sentences, route, lam, len_cap):
+                out.append(result)
+        except ScoreFileError as exc:
+            return out, str(exc)
+        return out, None
+
+    @pytest.mark.parametrize("route, len_cap", [
+        ("joint", LEN_CAP), ("joint", 6), ("division", LEN_CAP),
+        ("eisner", LEN_CAP)])
+    def test_same_trees_and_notes(self, sample_fused, route, len_cap,
+                                  monkeypatch):
+        # small windows, hash batches and fill batches, so that lengths
+        # meet across several of each
+        monkeypatch.setattr(linear, "_WINDOW_SPANS", 400)
+        monkeypatch.setattr(linear, "_HASH_SPANS", 150)
+        monkeypatch.setattr(decode, "batch_size", lambda n, labels: 3)
+        vocab = CategoryVocab.from_trees(sample_fused)
+        model = noisy_model(vocab, 2 ** 16, "joint", seed=8)
+        sentences = [t.tokens for t in sample_fused[:60]]
+        want = self.one_at_a_time(model, sentences, route, 0.4, len_cap)
+        got = self.batched(model, sentences, route, 0.4, len_cap)
+        assert got == want
+        assert want[1] is None and len(want[0]) == 60
+        notes = [note for _, found in want[0] for note in found]
+        assert (len(notes) > 0) == (len_cap < LEN_CAP or route == "division")
+
+    @pytest.mark.parametrize("route", ["joint", "division"])
+    def test_first_refusal_in_input_order(self, sample_fused, route,
+                                          monkeypatch):
+        # sentences 4 and 9 (by ordinal) score inf. Sentence 9 is as long
+        # as sentence 1 and sentence 4 longer than any other, so a length
+        # at a time decodes sentence 9 first
+        vocab = CategoryVocab.from_trees(sample_fused)
+        model = noisy_model(vocab, 2 ** 16, "joint", seed=8)
+        sentences = [t.tokens for t in sample_fused[:12]]
+        sentences[3] = sentences[3] + max(sentences, key=len)
+        sentences[8] = list(sentences[0])
+        bad = {id(sentences[3]), id(sentences[8])}
+        score = model.score_table
+
+        def scored(tokens, hashes=None):
+            table = score(tokens, hashes)
+            if id(tokens) in bad:
+                table.span[1, 1, 0] = np.inf
+            return table
+
+        monkeypatch.setattr(model, "score_table", scored)
+        want = self.one_at_a_time(model, sentences, route, 0.5, LEN_CAP)
+        got = self.batched(model, sentences, route, 0.5, LEN_CAP)
+        assert want[1] == "sentence 4: non-finite values in span scores"
+        assert got == want
+
+    def test_dev_passes_see_the_per_sentence_trees(self, tiny_corpus):
+        model, _ = train_linear(tiny_corpus, TrainConfig(epochs=2,
+                                                         dim=2 ** 16))
+        sentences = [t.tokens for t in tiny_corpus]
+        batched = [tree for tree, _ in decode_many(model, sentences)]
+        assert batched == [decode_with_model(model, tokens)
+                           for tokens in sentences]
 
 
 class TestScoreTableMatchesReference:
