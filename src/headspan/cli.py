@@ -207,9 +207,8 @@ def cmd_parse(args) -> int:
         _check_alignment(tables, sentences)
         decoder = args.decoder or "joint"
         lam = 0.5 if args.lam is None else args.lam
-        labels = len(tables[0].vocab) if tables else 0
         results = decode_tables(sentences, tables.__getitem__, decoder, lam,
-                                labels, args.len_cap)
+                                args.len_cap)
     else:
         model = LinearModel.load(args.model)
         decoder = args.decoder or model.mode

@@ -1,4 +1,8 @@
-"""Exact decoders over span, arc, and root score tables.
+"""Exact decoders over span, arc, and root scores.
+
+Decoders read spans through a :class:`~headspan.scoring.SpanSummary`, never
+the V-wide array: a span's label is chosen apart from its split, as in
+Stern, Andreas & Klein (2017) and Kitaev & Klein (2018).
 
 ``decode_joint`` finds the best head-annotated tree under the interpolated
 objective: ``lam`` times the sum of labeled span scores of the binarized
@@ -7,9 +11,10 @@ Its chart is indexed by (start, end, head) and scores each cell two ways:
 with the span acting as a complete dependent (a real category is then
 required on spans longer than one token) and as a continuation of a phrase
 still collecting dependents (the empty category is then allowed). The two
-differ by a per-span label constant, so one inner score per cell serves
-both. Each merge of two adjacent cells realizes exactly one arc between
-their heads, so the dependency part is accumulated merge by merge.
+differ by a per-span label constant, the summary's two best scores, so one
+inner score per cell serves both. Each merge of two adjacent cells realizes
+exactly one arc between their heads, so the dependency part is accumulated
+merge by merge.
 
 The merge uses the hooks of Eisner & Satta (1999): the best way to attach
 a finished span (i, k) to an outside head h, max over its heads r of the
@@ -48,25 +53,24 @@ fill lays the charts one after another and gives every view a leading
 batch axis, one more stride, and the readback and hook store one more
 index array. A single sentence takes the same plan without the batch axis.
 ``decode_tables`` decodes a list of sentences a length at a time, filling
-at most ``batch_size(n, labels)`` charts together: as many as keep each
-length whole within the step budget and their scores and charts within
+at most ``batch_size(n)`` charts together: as many as keep each length
+whole within the step budget and their summaries and charts within
 ``_BATCH_BYTES`` (4 MB). Measured by ``tools/fill_timing.py --batch``, a
-batch of 8 fills a sentence of 3 to 16 tokens 2 to 5 times faster than
-one at a time, and a batch of 2 about 1.2 times at 40 to 48 tokens. The
-two budgets leave one chart a fill from 54 tokens under 7 labels and from
-34 under 166.
+batch of 8 fills a sentence of 3 to 16 tokens 2 to 5 times faster than one
+at a time, and a batch of 2 about 1.2 times at 40 to 48 tokens. The two
+budgets leave one chart a fill from 54 tokens.
 
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
 (spans ignored), both filled a length at a time through views in the same
-way, and ``brute_force`` an exhaustive re-derivation used to
-certify the charts on small sentences. The joint decoder and brute force
-see the table through :meth:`ScoreTable.mixed`, the one place the
-interpolation weight meets the scores. ``decode_table`` is the single route
-from a table to a tree: it picks one of the three decoders and applies the
-sentence-length cap; ``decode_joint_batch`` takes its joint route for
-same-length tables at once, and ``decode_tables`` runs both over the
-sentences of a file, for score files and trained models alike.
+way, and ``brute_force`` an exhaustive re-derivation, which reduces the
+mixed table itself, used to certify the charts on small sentences.
+``decode_table`` is the single route from a sentence's scores, a table's or
+the linear model's, to a tree: it picks one of the three decoders, applies
+the sentence-length cap and asks for the scores' summary under the
+decoder's weight; ``decode_joint_batch`` takes its joint route for
+same-length sentences at once, and ``decode_tables`` runs both over the
+sentences of a file.
 
 Ties are broken deterministically everywhere: smaller split point first,
 then smaller sub-head, then smaller category id. A span's left dependent
@@ -84,7 +88,7 @@ import numpy as np
 
 from . import division
 from .errors import ScoreFileError, SizeGuardError
-from .scoring import ScoreTable
+from .scoring import ScoreTable, SpanSummary
 from .trees import (
     ConstituentTree,
     ConstNode,
@@ -141,43 +145,6 @@ class JointChart:
 
 def _placeholder_tokens(n: int) -> list[Token]:
     return [Token(index=i, form=f"w{i}", pos="X") for i in range(1, n + 1)]
-
-
-def _real_label_argmax(span_m: np.ndarray) -> np.ndarray:
-    """Best real (non-empty) category per span, (n+1, n+1) of label ids.
-
-    Ordinary categories win ties against the reserved split category, so
-    uninformative (all-equal) span scores never label a phrase ``#``.
-    """
-    v = span_m.shape[2]
-    if v <= 2:
-        return np.ones(span_m.shape[:2], dtype=np.int64)
-    rest_best = span_m[:, :, 2:].max(axis=2)
-    rest_arg = span_m[:, :, 2:].argmax(axis=2) + 2
-    return np.where(span_m[:, :, 1] > rest_best, 1, rest_arg)
-
-
-def _root_label(span_m: np.ndarray, n: int) -> tuple[int, float]:
-    """Label id and span score for the whole-sentence span.
-
-    The reserved split category never labels the sentence span: fusing a
-    tree whose sentence span would need dividing is refused outright, so no
-    valid tree carries one there and none may be decoded. Single-token
-    sentences may stay bare preterminals (empty category); longer sentences
-    need an ordinary category.
-    """
-    v = span_m.shape[2]
-    if n == 1:
-        empty = float(span_m[1, 1, 0])
-        if v > 2 and float(span_m[1, 1, 2:].max()) > empty:
-            lid = int(span_m[1, 1, 2:].argmax()) + 2
-            return lid, float(span_m[1, 1, lid])
-        return 0, empty
-    if v <= 2:
-        raise ValueError(
-            "score table has no ordinary category to label the sentence span")
-    lid = int(span_m[1, n, 2:].argmax()) + 2
-    return lid, float(span_m[1, n, lid])
 
 
 def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple
@@ -295,25 +262,25 @@ def _fill_plan(n: int, budget: int) -> _FillPlan:
     return _FillPlan(tuple(lengths), strides, batch_strides, candidates)
 
 
-def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray
+def fill_joint_chart(best: np.ndarray, arc_m: np.ndarray
                      ) -> JointChart | list[JointChart]:
-    """Run the joint recurrences over premixed score arrays.
+    """Run the joint recurrences over premixed scores.
 
-    ``span_m`` is (n+1, n+1, categories), ``arc_m`` (n+1, n+1) indexed
-    [dependent, head]; both already carry their interpolation weights.
-    Given a batch of same-length sentences, (batch, n+1, n+1, categories)
-    and (batch, n+1, n+1), it fills their charts together, every view and
-    index one batch axis longer, and returns one chart per sentence, bit
-    for bit the chart of its own fill.
+    ``best`` is a summary's (n+1, n+1, 2) label constants
+    (:attr:`SpanSummary.best`), ``arc_m`` (n+1, n+1) indexed [dependent,
+    head]; both already carry their interpolation weights. Given a batch of
+    same-length sentences, (batch, n+1, n+1, 2) and (batch, n+1, n+1), it
+    fills their charts together, every view and index one batch axis
+    longer, and returns one chart per sentence, bit for bit the chart of
+    its own fill.
     """
-    lead = span_m.shape[:-3]            # () or (batch,)
-    n = span_m.shape[-2] - 1
+    lead = best.shape[:-3]              # () or (batch,)
+    n = best.shape[-2] - 1
     size = n + 1
     plan = _fill_plan(n, _STEP_CANDIDATES)
-    # the plan's offsets count float64 entries
-    best_any = np.ascontiguousarray(span_m.max(axis=-1), dtype=np.float64)
-    best_real = np.ascontiguousarray(span_m[..., 1:].max(axis=-1),
-                                     dtype=np.float64)
+    # C-ordered copies, as the plan's offsets count float64 entries
+    best_any = np.array(best[..., 0], dtype=np.float64, order="C")
+    best_real = np.array(best[..., 1], dtype=np.float64, order="C")
     arc_twice = np.empty((*lead, size, 2 * n))
     arc_twice[..., :n] = arc_twice[..., n:] = arc_m[..., 1:]
     inner = np.full((*lead, size, size, size), -np.inf)
@@ -401,17 +368,15 @@ def fill_joint_chart(span_m: np.ndarray, arc_m: np.ndarray
 
 
 def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
-                span_m: np.ndarray, vocab, tokens: Sequence[Token],
-                h_root: int, root_lid: int
+                summary: SpanSummary, tokens: Sequence[Token], h_root: int
                 ) -> tuple[HpsgNode, list[tuple[int, int, str]]]:
     """Tree and labeled derivation spans read off chart backpointers.
 
     ``backpointer(i, j, h)`` gives (side, dependent head, split) as
     :meth:`JointChart.backpointer` does.
     """
-    cat_any = span_m.argmax(axis=2)
-    cat_real = _real_label_argmax(span_m)
-    n = span_m.shape[0] - 1
+    cat_any, cat_real = summary.label[..., 0], summary.label[..., 1]
+    vocab, n = summary.vocab, summary.n
     spans_out: list[tuple[int, int, str]] = []
 
     # a state (i, j, h, is_complete, lid) is span (i, j) headed by h; lid
@@ -442,17 +407,18 @@ def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
             return children
         return [division.expand_chain(label, children, h, i, j)]
 
-    nodes = fold((1, n, h_root, True, root_lid), halves, build)
+    nodes = fold((1, n, h_root, True, summary.top[0]), halves, build)
     return nodes[0], spans_out
 
 
-def decode_joint_mixed(mixed: ScoreTable,
+def decode_joint_mixed(mixed: SpanSummary,
                        tokens: Sequence[Token] | None = None,
                        chart: JointChart | None = None
                        ) -> tuple[HpsgTree, float, list[tuple[int, int, str]]]:
-    """Joint decode over a table that already carries its interpolation
-    weights (see :meth:`ScoreTable.mixed`), reading ``chart`` when it was
-    filled already (in a batch).
+    """Joint decode over the summary of a table that already carries its
+    interpolation weights (``ScoreTable.summary`` or
+    ``LinearModel.summary``), reading ``chart`` when it was filled already
+    (in a batch).
 
     Besides the tree and its score, returns the labeled spans of the exact
     derivation the chart chose (2n - 1 of them, empty categories included).
@@ -461,23 +427,22 @@ def decode_joint_mixed(mixed: ScoreTable,
     tree may touch different chart cells; the span list is the record of
     what was actually scored.
     """
-    n, span_m, root_m = mixed.n, mixed.span, mixed.root
+    n, root_m = mixed.n, mixed.root
     if tokens is None:
         tokens = _placeholder_tokens(n)
-    root_lid, root_span_best = _root_label(span_m, n)
+    root_span_best = mixed.top[1]
     if chart is None:
-        chart = fill_joint_chart(span_m, mixed.arc)
+        chart = fill_joint_chart(mixed.best, mixed.arc)
     if n == 1:
         totals = root_span_best + root_m[1:2]
     else:
         # the chart baked the unrestricted best real label into the top
         # cells; swap it for the best label the sentence span may take
-        adjust = root_span_best - float(span_m[1, n, 1:].max())
+        adjust = root_span_best - float(mixed.best[1, n, 1])
         totals = chart.complete(1, n) + adjust + root_m[1:n + 1]
     h_root = int(np.argmax(totals)) + 1
     score = float(totals[h_root - 1])
-    root, spans = _build_tree(chart.backpointer, span_m, mixed.vocab,
-                              tokens, h_root, root_lid)
+    root, spans = _build_tree(chart.backpointer, mixed, tokens, h_root)
     tree = HpsgTree(tokens=list(tokens), root=root)
     return tree, score, spans
 
@@ -486,7 +451,7 @@ def decode_joint(table: ScoreTable, lam: float = 0.5,
                  tokens: Sequence[Token] | None = None
                  ) -> tuple[HpsgTree, float]:
     """Best head-annotated tree under the objective interpolated by ``lam``."""
-    tree, score, _ = decode_joint_mixed(table.mixed(lam), tokens)
+    tree, score, _ = decode_joint_mixed(table.summary(lam), tokens)
     return tree, score
 
 
@@ -497,17 +462,18 @@ def _first_max(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ks, vals[np.arange(len(vals)), ks]
 
 
-def _division_chart(span: np.ndarray
+def _division_chart(best_any: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inner, chart, split) of the span-label CKY, each (n+1, n+1).
+    """(inner, chart, split) of the span-label CKY over each span's best
+    label score ``best_any``, each (n+1, n+1).
 
     ``inner[i, j]`` is the best sum over the two halves of (i, j),
     ``chart[i, j]`` that plus the span's best label and ``split[i, j]`` the
     last token of the left half. All spans of one length are filled at once.
     """
-    n = span.shape[0] - 1
+    n = best_any.shape[0] - 1
     size = n + 1
-    best_any = np.ascontiguousarray(span.max(axis=2))
+    best_any = np.ascontiguousarray(best_any)
     inner = np.zeros((size, size))
     chart = np.full((size, size), -np.inf)
     split = np.zeros((size, size), dtype=np.int32)
@@ -527,10 +493,11 @@ def _division_chart(span: np.ndarray
     return inner, chart, split
 
 
-def decode_division(table: ScoreTable,
+def decode_division(table: ScoreTable | SpanSummary,
                     tokens: Sequence[Token] | None = None
                     ) -> tuple[ConstituentTree, float]:
-    """Best labeled binary tree under raw span scores alone.
+    """Best labeled binary tree under span scores alone, raw ones of a
+    table or those a summary was made of.
 
     Any span may take the empty category except the whole-sentence span of
     a multi-token sentence, which needs an ordinary category so the result
@@ -538,14 +505,15 @@ def decode_division(table: ScoreTable,
     empty categories included, so the returned score equals the tree's span
     score sum exactly.
     """
-    n = table.n
-    vocab = table.vocab
+    summary = table.summary(1.0) if isinstance(table, ScoreTable) else table
+    n = summary.n
+    vocab = summary.vocab
     if tokens is None:
         tokens = _placeholder_tokens(n)
-    cat_any = table.span.argmax(axis=2)
-    inner, _, split = _division_chart(table.span)
+    cat_any = summary.label[..., 0]
+    inner, _, split = _division_chart(summary.best[..., 0])
 
-    root_lid, root_span_best = _root_label(table.span, n)
+    root_lid, root_span_best = summary.top
     if n == 1:
         score = root_span_best
     else:
@@ -665,111 +633,104 @@ ROUTES = ("joint", "division", "eisner")
 # longest sentence for the joint chart: 12 (n+1)^3 bytes, 168 MB at 240,
 # plus the fill's arrays of one step; a decode peaks at 180 MB there
 LEN_CAP = 240
-# bytes of one batch's charts and mixed span and arc scores: a few dozen
-# sentences of 9 tokens under 166 labels, a few hundred under 7
+# bytes of one batch's charts, summaries and mixed arc scores: a few dozen
+# sentences of 16 tokens, a few hundred of 9
 _BATCH_BYTES = 1 << 22
 
 
-def batch_size(n: int, labels: int) -> int:
+def batch_size(n: int) -> int:
     """How many length-n charts one fill takes: as many as keep the largest
     length's candidates, (n-L+1)(L-1)L per chart, within the step budget,
-    so that no length of a batch is cut into steps, and the charts and
-    their scores under ``labels`` span labels within ``_BATCH_BYTES``."""
+    so that no length of a batch is cut into steps, and the charts, their
+    summaries (two scores and two ids a span) and arcs within
+    ``_BATCH_BYTES``."""
     most = max((n - length + 1) * length * length
                for length in range(1, n + 1))
-    per_chart = 8 * (n + 1) ** 2 * (labels + 1) + 12 * (n + 1) ** 3
+    per_chart = 8 * (n + 1) ** 2 * 5 + 12 * (n + 1) ** 3
     return max(1, min(_STEP_CANDIDATES // most, _BATCH_BYTES // per_chart))
 
 
-def _check_finite(table: ScoreTable, ordinal: int | None) -> None:
+def _summary(scores, lam: float, ordinal: int | None,
+             spans: bool = True) -> SpanSummary:
+    """``scores.summary(lam, spans)``, its refusal naming sentence
+    ``ordinal`` when it is given."""
     try:
-        table.check_finite()
-    except ValueError as exc:
+        return scores.summary(lam, spans)
+    except ScoreFileError as exc:
         where = "" if ordinal is None else f"sentence {ordinal}: "
         raise ScoreFileError(f"{where}{exc}") from None
 
 
-def decode_table(table: ScoreTable, route: str, lam: float,
+def decode_table(table, route: str, lam: float,
                  tokens: Sequence[Token] | None = None,
                  len_cap: int = LEN_CAP, ordinal: int | None = None
                  ) -> tuple[HpsgTree | DependencyTree, list[str]]:
-    """Decode one sentence's table along ``route``.
+    """Decode one sentence's scores along ``route``: a :class:`ScoreTable`,
+    or anything else with its ``n`` and ``summary(lam, spans)``.
 
     ``joint`` weighs spans by ``lam`` and falls back to ``division`` above
     ``len_cap`` tokens; ``division`` recovers heads from the span decoder's
     labels; ``eisner`` returns a dependency tree. The notes record the
-    fallback and any head-recovery flags. A table with a non-finite score
-    is refused, naming sentence ``ordinal`` when it is given: finite
+    fallback and any head-recovery flags. Scores with a non-finite value
+    are refused, naming sentence ``ordinal`` when it is given: finite
     weights can still sum to an infinite score.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    _check_finite(table, ordinal)
     if route == "eisner":
-        return decode_eisner(table, tokens)[0], []
+        return decode_eisner(_summary(table, 0.0, ordinal, False),
+                             tokens)[0], []
     notes = []
     if route == "joint" and table.n > len_cap:
         notes.append(f"length {table.n} above cap {len_cap}, using the span "
                      f"decoder")
         route = "division"
     if route == "division":
-        dtree, _ = decode_division(table, tokens)
+        dtree, _ = decode_division(_summary(table, 1.0, ordinal), tokens)
         tree, flags = division.from_division(dtree)
         return tree, notes + flags
-    return decode_joint(table, lam, tokens)[0], notes
+    return decode_joint_mixed(_summary(table, lam, ordinal), tokens)[0], notes
 
 
-def decode_joint_batch(tables: Iterable[ScoreTable], lam: float,
+def decode_joint_batch(tables: Iterable, lam: float,
                        tokens: Sequence[Sequence[Token]],
                        ordinals: Sequence[int | None]) -> list:
-    """:func:`decode_table`'s joint route for the tables of sentences of one
+    """:func:`decode_table`'s joint route for the scores of sentences of one
     length within the length cap, with their charts filled in one batch:
     per sentence its (tree, notes), or the error that refuses it. The trees
-    are those of one decode at a time. Tables are read as they come, and
-    only their mixed span scores are kept, in one array for the batch."""
+    are those of one decode at a time. Scores are summarized as they come,
+    and only the summaries are kept."""
     out: list = [None] * len(tokens)
     ready = []
-    spans = None
     for k, table in enumerate(tables):
         try:
-            _check_finite(table, ordinals[k])
-            mixed = table.mixed(lam)
+            ready.append((k, _summary(table, lam, ordinals[k])))
         except (ScoreFileError, ValueError) as exc:
             out[k] = exc
-            continue
-        if len(tokens) > 1:
-            if spans is None:
-                spans = np.empty((len(tokens), *mixed.span.shape))
-            spans[len(ready)] = mixed.span
-            mixed.span = spans[len(ready)]
-        ready.append((k, mixed))
     charts: list = []
     if len(ready) == 1:
-        # a lone table takes the plain fill, without a batch axis
-        charts = [fill_joint_chart(ready[0][1].span, ready[0][1].arc)]
+        # a lone sentence takes the plain fill, without a batch axis
+        charts = [fill_joint_chart(ready[0][1].best, ready[0][1].arc)]
     elif ready:
-        charts = fill_joint_chart(spans[:len(ready)],
-                                  np.stack([m.arc for _, m in ready]))
-    for (k, mixed), chart in zip(ready, charts):
-        try:
-            out[k] = decode_joint_mixed(mixed, tokens[k], chart)[0], []
-        except ValueError as exc:
-            out[k] = exc
+        charts = fill_joint_chart(np.stack([s.best for _, s in ready]),
+                                  np.stack([s.arc for _, s in ready]))
+    for (k, summary), chart in zip(ready, charts):
+        out[k] = decode_joint_mixed(summary, tokens[k], chart)[0], []
     return out
 
 
 def decode_tables(sentences: Sequence[Sequence[Token]],
-                  table_of: Callable[[int], ScoreTable], route: str,
-                  lam: float, labels: int, len_cap: int = LEN_CAP,
+                  table_of: Callable, route: str,
+                  lam: float, len_cap: int = LEN_CAP,
                   first: int | None = 1
                   ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
     """Each sentence's (tree, notes) from :func:`decode_table`, in input
-    order; ``table_of(k)`` makes sentence k's table, of ``labels`` span
-    labels, when it is decoded.
+    order; ``table_of(k)`` makes sentence k's scores (those
+    :func:`decode_table` takes) when it is decoded.
 
     Joint decodes within ``len_cap`` go one length at a time, in fills of
-    ``batch_size(n, labels)`` charts, so that only one batch's tables are
-    held; the others go one by one. An error is raised when its sentence's
+    ``batch_size(n)`` charts, so that only one batch's summaries are held;
+    the others go one by one. An error is raised when its sentence's
     turn comes, so a refusal names the first bad sentence in input order;
     ``first`` is the ordinal of the first sentence, None to name none."""
     ordinals = [None if first is None else first + k
@@ -788,7 +749,7 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
             # would raise it
             results[k] = exc
     for n, members in lengths.items():
-        size = batch_size(n, labels)
+        size = batch_size(n)
         for at in range(0, len(members), size):
             chunk = members[at:at + size]
             done = decode_joint_batch((table_of(k) for k in chunk), lam,
@@ -862,19 +823,23 @@ def brute_force(table: ScoreTable, lam: float = 0.5,
     if tokens is None:
         tokens = _placeholder_tokens(n)
     mixed = table.mixed(lam)
+    # labels for the shared tree builder; the scores below are reduced here
+    summary = table.summary(lam)
     span_m = mixed.span
     arc_l = mixed.arc.tolist()
     root_l = mixed.root.tolist()
     any_l = span_m.max(axis=2).tolist()
     real_l = span_m[:, :, 1:].max(axis=2).tolist()
 
-    root_lid, root_span_best = _root_label(span_m, n)
+    # the sentence span takes an ordinary category; a lone token may stay
+    # bare (the empty category)
+    top_row = span_m[1, n].tolist()
     if n == 1:
-        base = root_span_best
+        base = max(top_row[:1] + top_row[2:])
         top = 0.0
     else:
         base = sum(any_l[i][i] for i in range(1, n + 1))
-        top = root_span_best
+        top = max(top_row[2:])
 
     best_score = -np.inf
     best = None
@@ -900,8 +865,8 @@ def brute_force(table: ScoreTable, lam: float = 0.5,
         k, dep_side, hl, hr, tl, tr = node
         pointers[i, j, h] = (dep_side, hl if dep_side == 0 else hr, k)
         stack += [(i, k, hl, tl), (k + 1, j, hr, tr)]
-    root, _ = _build_tree(lambda i, j, h: pointers[i, j, h], span_m,
-                          table.vocab, tokens, head, root_lid)
+    root, _ = _build_tree(lambda i, j, h: pointers[i, j, h], summary,
+                          tokens, head)
     return HpsgTree(tokens=list(tokens), root=root), float(best_score)
 
 

@@ -22,13 +22,17 @@ sentence. :meth:`LinearModel.hashes` is a batch of one.
 :meth:`LinearModel.score_table` gathers the weight of each distinct
 (feature, label) once, broadcasts the one-position weights to their spans
 and adds a span's 12 terms in the order of numpy's pairwise sum, so every
-score is bit for bit what summing the span's 12 weights gives.
+score is bit for bit what summing the span's 12 weights gives. Parsing and
+training read :meth:`LinearModel.summary`, which reduces the same blocks
+over labels as they come, so they never hold the V-wide span array (74 MB
+at 240 tokens and 166 labels).
 
 Training is a structured perceptron with
 loss-augmented decoding: at each sentence the decoder runs on scores where
 every non-gold span label earns a bonus of 1, so the update targets the
-highest-scoring wrong analysis within a margin. Weight averaging uses the
-usual lazy accumulators.
+highest-scoring wrong analysis within a margin; it is added to each block
+before the block is reduced. Weight averaging uses the usual lazy
+accumulators.
 
 Two modes exist. In ``joint`` mode gold analyses are head-annotated trees,
 span features pair with bare encoded labels, and arc and root features are
@@ -64,8 +68,10 @@ from .errors import ModelFileError, SizeGuardError
 from .scoring import (
     CategoryVocab,
     ScoreTable,
+    SpanSummary,
     labeled_spans,
     parts_score,
+    summarize,
     tree_arcs,
     tree_parts,
     tree_spans,
@@ -494,56 +500,78 @@ class LinearModel:
         idx ^= self._cat_crc
         return self.weights[idx]
 
-    def score_table(self, tokens: Sequence[Token],
-                    hashes: Hashes | None = None) -> ScoreTable:
-        """Dense scores for one sentence from its :meth:`hashes` (built here
-        when not given), made by this model or one with the same labels and
-        dimension, whose keys they carry. Each distinct feature is weighted
-        once per label:
-        those of one position (or of the span length) for the sentence,
-        the four pair templates a block of spans at a time, which bounds
-        memory. The 12 terms of a span are added in the order of numpy's
-        pairwise sum, ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``,
-        so each score is what summing its 12 weights gives, to the bit."""
-        h = self.hashes(tokens) if hashes is None else hashes
+    def _span_blocks(self, h: Hashes, n: int
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Raw span scores a block at a time: the block's flat cells in an
+        (n+1, n+1) table and their (spans, labels) scores. Each distinct
+        feature is weighted once per label: those of one position (or of
+        the span length) for the sentence, the four pair templates for the
+        block. A span's 12 terms are added in the order of numpy's pairwise
+        sum, ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``, so each
+        score is what summing its 12 weights gives, to the bit."""
         keys = h.keys
-        n = len(tokens)
-        v = len(self.vocab)
-        table = ScoreTable.zeros(n, self.vocab)
         single = self._label_weights(keys.single)
         # numpy's sum starts from +0.0, so twelve -0.0 weights sum to +0.0;
         # with 0.0 added to these terms, so do the sums below
         single += 0.0
-        layout = _layout(n)
-        cells = table.span.reshape(-1, v)
         step = self._block_spans
         bounds = [*keys.blocks, len(keys.pairs)]
-        for block, lo in enumerate(range(0, len(layout.cell), step)):
+        cells = _layout(n).cell
+        for block, lo in enumerate(range(0, len(cells), step)):
             b = slice(lo, lo + step)
             terms = keys.terms[:, b]
             # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) over template k's weight
-            # a_k, in place once an operand is spent: few arrays live at once
-            total = single[terms[0]]
-            total += single[terms[1]]
-            part = single[terms[2]]
-            part += single[terms[3]]
+            # a_k, in place once an operand is spent: few arrays live at once.
+            # take(rows, 0) gathers the rows faster than indexing does
+            total = single.take(terms[0], 0)
+            total += single.take(terms[1], 0)
+            part = single.take(terms[2], 0)
+            part += single.take(terms[3], 0)
             total += part
-            part = single[terms[4]]
-            part += single[terms[5]]
-            last_two = single[terms[6]]
-            last_two += single[terms[7]]
+            part = single.take(terms[4], 0)
+            part += single.take(terms[5], 0)
+            last_two = single.take(terms[6], 0)
+            last_two += single.take(terms[7], 0)
             part += last_two
             total += part
             pair = self._label_weights(
                 keys.pairs[bounds[block]:bounds[block + 1]])
             for rows in keys.pair_rows[:, b]:
-                total += pair[rows]
-            cells[layout.cell[b]] = total
+                total += pair.take(rows, 0)
+            yield cells[b], total
+
+    def _dep_scores(self, h: Hashes, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Raw (n+1, n+1) arc and (n+1,) root scores, zero in division
+        mode."""
+        arc = np.zeros((n + 1, n + 1))
+        root = np.zeros(n + 1)
         if self.mode == "joint":
-            table.arc.reshape(-1)[layout.arc_cell] = self.weights[
+            arc.reshape(-1)[_layout(n).arc_cell] = self.weights[
                 h.arc & self._mask].sum(-1)
-            table.root[1:] = self.weights[h.root & self._mask].sum(-1)
+            root[1:] = self.weights[h.root & self._mask].sum(-1)
+        return arc, root
+
+    def score_table(self, tokens: Sequence[Token],
+                    hashes: Hashes | None = None) -> ScoreTable:
+        """Dense scores for one sentence from its :meth:`hashes` (built here
+        when not given), made by this model or one with the same labels and
+        dimension, whose keys they carry."""
+        h = self.hashes(tokens) if hashes is None else hashes
+        n, v = len(tokens), len(self.vocab)
+        table = ScoreTable(self.vocab, n, np.zeros((n + 1, n + 1, v)),
+                           *self._dep_scores(h, n))
+        for cells, block in self._span_blocks(h, n):
+            table.span.reshape(-1, v)[cells] = block
         return table
+
+    def summary(self, tokens: Sequence[Token], hashes: Hashes | None = None,
+                lam: float = 1.0, spans: bool = True) -> SpanSummary:
+        """:meth:`ScoreTable.summary` of :meth:`score_table`, bit for bit,
+        without the table."""
+        h = self.hashes(tokens) if hashes is None else hashes
+        n = len(tokens)
+        return summarize(self.vocab, n, self._span_blocks(h, n) if spans
+                         else None, *self._dep_scores(h, n), lam)[0]
 
     def feature_counts(self, tokens: Sequence[Token],
                        spans: list[tuple[int, int, str]],
@@ -623,6 +651,21 @@ class _ModelUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
+class _Scores(NamedTuple):
+    """A sentence as :func:`decode_tables` takes it, scored when asked."""
+
+    model: LinearModel
+    tokens: Sequence[Token]
+    hashes: Hashes
+
+    @property
+    def n(self) -> int:
+        return len(self.tokens)
+
+    def summary(self, lam: float, spans: bool = True) -> SpanSummary:
+        return self.model.summary(self.tokens, self.hashes, lam, spans)
+
+
 def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
                 route: str | None = None, lam: float | None = None,
                 len_cap: int = LEN_CAP, hashes: Sequence[Hashes] | None = None,
@@ -630,18 +673,18 @@ def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
                 ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
     """Parse sentences with a trained model: :func:`decode_tables` along
     ``route`` (default the model's mode) under ``lam`` (default the
-    model's), each table scored when it is decoded. Sentences are hashed
-    (``hashes`` gives them made already) and decoded a window of
-    ``_WINDOW_SPANS`` spans at a time, which bounds the hashes held."""
+    model's), each sentence scored into its summary when it is decoded.
+    Sentences are hashed (``hashes`` gives them made already) and decoded a
+    window of ``_WINDOW_SPANS`` spans at a time, which bounds the hashes
+    held."""
     route = model.mode if route is None else route
     lam = model.lam if lam is None else lam
     for lo, hi in _batches(sentences, _WINDOW_SPANS):
         window = sentences[lo:hi]
         made = _hashed(model, window) if hashes is None else hashes[lo:hi]
         yield from decode_tables(
-            window, lambda k: model.score_table(window[k], made[k]), route,
-            lam, len(model.vocab), len_cap,
-            None if first is None else first + lo)
+            window, lambda k: _Scores(model, window[k], made[k]), route,
+            lam, len_cap, None if first is None else first + lo)
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
@@ -733,13 +776,14 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         gold = ((tree_spans(tree, True), [], 0) if division_mode
                 else tree_parts(tree))
         n = len(tree)
-        # the loss: 1 for every span label but the gold ones
-        bonus = np.ones((n + 1, n + 1, len(vocab)))
-        for i, j, label in gold[0]:
-            bonus[i, j, vocab.index(label)] = 0.0
+        # the gold cells, which earn no loss, as flat cells and label ids
+        loss = (np.array([i * (n + 1) + j for i, j, _ in gold[0]],
+                         dtype=np.int64),
+                np.array([vocab.index(label) for _, _, label in gold[0]],
+                         dtype=np.int64))
         prepared.append((tree.tokens, hashes, gold,
                          model.feature_counts(tree.tokens, *gold, hashes),
-                         bonus))
+                         loss))
 
     avg = _Averager(config.dim)
     w = model.weights
@@ -756,10 +800,12 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         objective = 0.0
         updates = 0
         rng.shuffle(prepared)
-        for tokens, hashes, gold, gold_counts, bonus in prepared:
-            table = model.score_table(tokens, hashes)
-            aug = table.mixed(lam)
-            aug.span += bonus
+        for tokens, hashes, gold, gold_counts, loss in prepared:
+            n = len(tokens)
+            raw = SpanSummary(vocab, n, None, None, None,
+                              *model._dep_scores(hashes, n))
+            aug, gold_spans = summarize(vocab, n, model._span_blocks(
+                hashes, n), raw.arc, raw.root, lam, loss)
             if division_mode:
                 pred_tree, pred_score = decode_division(aug, tokens)
                 pred = (labeled_spans(pred_tree.root), [], 0)
@@ -767,7 +813,7 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                 pred_tree, pred_score, p_spans = decode_joint_mixed(aug,
                                                                     tokens)
                 pred = (p_spans, *tree_arcs(pred_tree))
-            violation = pred_score - parts_score(table, gold, lam)
+            violation = pred_score - parts_score(raw, gold, lam, gold_spans)
             if violation > 1e-12:
                 objective += violation
                 updates += 1

@@ -284,8 +284,8 @@ def _peak_decode_memory(n: int, rng, vocab) -> int:
 
 
 def _candidates(n: int, rng, vocab) -> int:
-    mixed = random_score_table(rng, n, vocab).mixed(0.5)
-    return fill_joint_chart(mixed.span, mixed.arc).candidates
+    mixed = random_score_table(rng, n, vocab).summary(0.5)
+    return fill_joint_chart(mixed.best, mixed.arc).candidates
 
 
 def test_decode_cost_envelope(announce):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from headspan.cli import main
 from headspan.decode import LEN_CAP
 from headspan.fuse import project_dependencies
+from headspan.linear import LinearModel
 from headspan.scoring import CategoryVocab, oracle_scores, write_scores
 from headspan.synth import random_score_table
 from headspan.treebank import read_bracketed, read_conll, read_hpsg
@@ -211,6 +212,28 @@ class TestParse:
                      "--out", str(out)])
         assert code == 2
         assert "sentence 4: no score table" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decoder", ["joint", "division"])
+    def test_sentence_span_without_an_ordinary_category_exits_2(
+            self, tmp_path, decoder, capsys):
+        # a lone token may stay bare, but sentence 2 needs an ordinary
+        # category for its sentence span and its table has only #
+        scores = tmp_path / "scores.txt"
+        scores.write_text("#sent 1 1\nSPAN 1 1 # 1.0\n"
+                          "#sent 2 2\nSPAN 1 2 # 1.0\n", encoding="utf-8")
+        sentences = tmp_path / "in.conll"
+        sentences.write_text("1\ta\t_\tX\tX\t_\t0\troot\t_\t_\n\n"
+                             "1\ta\t_\tX\tX\t_\t0\troot\t_\t_\n"
+                             "2\tb\t_\tX\tX\t_\t1\tdep\t_\t_\n",
+                             encoding="utf-8")
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", str(sentences), "--scores",
+                     str(scores), "--decoder", decoder, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: sentence 2: score table has no ordinary "
+            "category to label the sentence span"]
         assert not out.exists()
 
     def test_scores_and_model_conflict(self, multihead_files, score_file,
@@ -429,6 +452,28 @@ class TestTrainAndModelParse:
         assert code == 2
         assert err.splitlines() == [
             "headspan parse: sentence 1: non-finite values in span scores"]
+        assert not out.exists()
+
+    def test_non_finite_score_on_a_losing_label_exits_2(
+            self, tmp_path, data_dir, model_file, capsys, monkeypatch):
+        # -inf on the last label of span (1, 1) of sentence 4, the only one
+        # of 7 tokens: it wins no span, so only the check of every scored
+        # block, not the summary's values, can refuse it
+        blocks = LinearModel._span_blocks
+
+        def poisoned(self, h, n):
+            for cells, block in blocks(self, h, n):
+                if n == 7 and cells[0] == n + 2:    # span (1, 1)
+                    block[0, -1] = -np.inf
+                yield cells, block
+
+        monkeypatch.setattr(LinearModel, "_span_blocks", poisoned)
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", str(data_dir / "multihead.conll"),
+                     "--model", model_file, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: sentence 4: non-finite values in span scores"]
         assert not out.exists()
 
     def test_headless_phrase_in_training_trees_exits_2(self, tmp_path,

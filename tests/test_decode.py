@@ -42,7 +42,12 @@ from headspan.decode import (
 from headspan.division import from_division, to_division
 from headspan.errors import ScoreFileError, SizeGuardError
 from headspan.fuse import project_dependencies
-from headspan.scoring import CategoryVocab, ScoreTable, oracle_scores
+from headspan.scoring import (
+    CategoryVocab,
+    ScoreTable,
+    oracle_scores,
+    reduce_labels,
+)
 from headspan.synth import random_score_table, random_tree
 from headspan.treebank import format_hpsg, read_hpsg
 from headspan.trees import HpsgTree, Token, make_node, preterminal
@@ -184,7 +189,7 @@ class TestJointAgainstBruteForce:
                 table = random_score_table(rng, n, vocab)
                 lam = 0.5
                 span_m = lam * table.span
-                tree, score, spans = decode_joint_mixed(table.mixed(lam))
+                tree, score, spans = decode_joint_mixed(table.summary(lam))
                 assert len(spans) == 2 * n - 1
                 span_part = sum(span_m[i, j, vocab.index(cat)]
                                 for i, j, cat in spans)
@@ -265,11 +270,16 @@ def reference_joint_chart(span_m, arc_m):
     return complete, partial, side, sub, split, candidates
 
 
+def label_constants(span_m):
+    """The two label constants of every span, as the fill takes them."""
+    return reduce_labels(span_m, span_m.shape[-2] - 1, None)[0]
+
+
 def assert_chart_matches_reference(span_m, arc_m):
     """Bitwise-equal cell scores and identical backpointers."""
     want_c, want_p, want_side, want_sub, want_split, _ = \
         reference_joint_chart(span_m, arc_m)
-    chart = fill_joint_chart(span_m, arc_m)
+    chart = fill_joint_chart(label_constants(span_m), arc_m)
     n = span_m.shape[0] - 1
     for i in range(1, n + 1):
         for j in range(i, n + 1):
@@ -429,13 +439,13 @@ def assert_fills_match_per_cell_loops(table: ScoreTable, lam: float):
     """The joint, division and Eisner charts of ``table`` under ``lam``
     equal the per-cell loops' bit for bit, backpointers included."""
     mixed = table.mixed(lam)
-    chart = fill_joint_chart(mixed.span, mixed.arc)
+    chart = fill_joint_chart(table.summary(lam).best, mixed.arc)
     want_inner, want_split = reference_fill_joint_chart(mixed.span,
                                                         mixed.arc)
     assert_same_bits(chart.inner, want_inner)
     assert_same_bits(chart.split, want_split)
     assert chart.candidates == quartic_count(table.n)
-    for got, want in zip(_division_chart(mixed.span),
+    for got, want in zip(_division_chart(table.summary(lam).best[..., 0]),
                          reference_division_chart(mixed.span)):
         assert_same_bits(got, want)
     want_eisner, totals = reference_eisner_chart(mixed.arc, mixed.root)
@@ -528,11 +538,12 @@ def assert_batch_fills_match_single(tables: list, lam: float):
     """One batched fill of same-length tables gives each table the chart
     of its own fill, bit for bit."""
     mixed = [t.mixed(lam) for t in tables]
-    charts = fill_joint_chart(np.stack([m.span for m in mixed]),
-                              np.stack([m.arc for m in mixed]))
+    charts = fill_joint_chart(
+        label_constants(np.stack([m.span for m in mixed])),
+        np.stack([m.arc for m in mixed]))
     assert len(charts) == len(tables)
     for m, got in zip(mixed, charts):
-        want = fill_joint_chart(m.span, m.arc)
+        want = fill_joint_chart(label_constants(m.span), m.arc)
         for name in ("inner", "split", "best_real", "best_any", "arc"):
             assert_same_bits(getattr(got, name), getattr(want, name))
         assert got.candidates == want.candidates
@@ -594,24 +605,24 @@ class TestBatchedFills:
             assert got == want
 
     def test_batch_sizes_keep_whole_lengths_and_the_byte_budget(self):
-        for labels in (3, 166):
-            for n in range(1, 64):
-                size = decode.batch_size(n, labels)
-                plan = decode._fill_plan(n, decode._STEP_CANDIDATES)
-                assert all(lp.step == lp.spans for lp in plan.lengths)
-                assert size == 1 or max(
-                    size * lp.spans * lp.length ** 2 for lp in plan.lengths
-                ) <= decode._STEP_CANDIDATES
-                chart = 8 * (n + 1) ** 2 * (labels + 1) + 12 * (n + 1) ** 3
-                assert size == 1 or size * chart <= decode._BATCH_BYTES
-        assert decode.batch_size(60, 3) == decode.batch_size(LEN_CAP, 3) == 1
-        assert decode.batch_size(3, 3) > decode.batch_size(16, 3) > \
-            decode.batch_size(40, 3) > 1
-        assert decode.batch_size(9, 166) < decode.batch_size(9, 3)
+        for n in range(1, 64):
+            size = decode.batch_size(n)
+            plan = decode._fill_plan(n, decode._STEP_CANDIDATES)
+            assert all(lp.step == lp.spans for lp in plan.lengths)
+            assert size == 1 or max(
+                size * lp.spans * lp.length ** 2 for lp in plan.lengths
+            ) <= decode._STEP_CANDIDATES
+            # the chart, and two scores, two ids and the arcs of each span
+            chart = 8 * (n + 1) ** 2 * 5 + 12 * (n + 1) ** 3
+            assert size == 1 or size * chart <= decode._BATCH_BYTES
+        assert decode.batch_size(60) == decode.batch_size(LEN_CAP) == 1
+        assert decode.batch_size(3) > decode.batch_size(16) > \
+            decode.batch_size(40) > 1
 
     def test_many_short_sentences_under_many_labels_keep_to_the_budget(self):
-        # 200 sentences of 9 tokens under 166 labels: the step budget alone
-        # would fill them in one batch, whose mixed span scores take 27 MB
+        # 200 sentences of 9 tokens under 166 labels fill in one batch: the
+        # batch holds their summaries, where their mixed span scores would
+        # take 27 MB
         vocab = CategoryVocab([f"L{i}" for i in range(164)])
         tokens = [Token(i, f"w{i}", "T") for i in range(1, 10)]
 
@@ -622,7 +633,7 @@ class TestBatchedFills:
         tracemalloc.start()
         try:
             got = list(decode.decode_tables([tokens] * 200, table_of,
-                                            "joint", 0.5, len(vocab)))
+                                            "joint", 0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -645,11 +656,10 @@ class TestBatchedFills:
                     for k, (tokens, table) in enumerate(
                         zip(sentences, tables), start=1)]
             assert list(decode.decode_tables(
-                sentences, tables.__getitem__, route, 0.4, len(vocab),
-                len_cap)) == want
+                sentences, tables.__getitem__, route, 0.4, len_cap)) == want
         tables[30].arc[1, 2] = np.nan
         got = decode.decode_tables(sentences, tables.__getitem__, "joint",
-                                   0.4, len(vocab))
+                                   0.4)
         for _ in range(30):
             next(got)
         with pytest.raises(ScoreFileError, match="^sentence 31: "):
@@ -664,8 +674,10 @@ class TestCandidateCount:
         vocab = CategoryVocab(["A", "B"])
         fast, slow = {}, {}
         for n in (20, 40):
-            mixed = random_score_table(rng, n, vocab).mixed(0.5)
-            fast[n] = fill_joint_chart(mixed.span, mixed.arc).candidates
+            table = random_score_table(rng, n, vocab)
+            mixed = table.mixed(0.5)
+            fast[n] = fill_joint_chart(table.summary(0.5).best,
+                                       mixed.arc).candidates
             slow[n] = reference_joint_chart(mixed.span, mixed.arc)[5]
         assert fast == {20: quartic_count(20), 40: quartic_count(40)}
         assert fast[40] / fast[20] <= 16
@@ -705,10 +717,10 @@ class TestChartMemory:
         # (j, i, h) chart would take it to about 2x
         n = 100
         mixed = random_score_table(np.random.default_rng(67), n,
-                                   CategoryVocab(["A", "B"])).mixed(0.5)
+                                   CategoryVocab(["A", "B"])).summary(0.5)
         tracemalloc.start()
         try:
-            fill_joint_chart(mixed.span, mixed.arc)
+            fill_joint_chart(mixed.best, mixed.arc)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

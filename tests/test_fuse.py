@@ -6,7 +6,11 @@ exactly; expectations here were worked out on paper from the head rules
 frozen into assertions.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headspan.errors import StructureError
 from headspan.fuse import (
@@ -17,6 +21,7 @@ from headspan.fuse import (
     project_dependencies,
     validate,
 )
+from headspan.synth import random_tree
 from headspan.trees import (
     SPLIT,
     DependencyTree,
@@ -138,6 +143,19 @@ class TestRoundTripOnCleanCorpus:
         for k, (c, d) in enumerate(sample_pairs):
             _, report = fuse(c, d, ordinal=k)
             assert report.multihead_before == 0, report.summary()
+
+
+class TestRoundTripOnRandomTrees:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30))
+    def test_fusing_the_projections_gives_the_tree_back(self, seed, n):
+        # random projective pairs: the two views of a random head-annotated
+        # tree fuse back into it, with nothing to report
+        tree = random_tree(random.Random(seed), n)
+        got, report = fuse(project_constituents(tree),
+                           project_dependencies(tree))
+        assert report.clean, report.summary()
+        assert got == tree
 
 
 class TestAuditing:

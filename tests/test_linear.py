@@ -494,7 +494,7 @@ class TestBatchedDecode:
         # meet across several of each
         monkeypatch.setattr(linear, "_WINDOW_SPANS", 400)
         monkeypatch.setattr(linear, "_HASH_SPANS", 150)
-        monkeypatch.setattr(decode, "batch_size", lambda n, labels: 3)
+        monkeypatch.setattr(decode, "batch_size", lambda n: 3)
         vocab = CategoryVocab.from_trees(sample_fused)
         model = noisy_model(vocab, 2 ** 16, "joint", seed=8)
         sentences = [t.tokens for t in sample_fused[:60]]
@@ -505,29 +505,53 @@ class TestBatchedDecode:
         notes = [note for _, found in want[0] for note in found]
         assert (len(notes) > 0) == (len_cap < LEN_CAP or route == "division")
 
-    @pytest.mark.parametrize("route", ["joint", "division"])
-    def test_first_refusal_in_input_order(self, sample_fused, route,
-                                          monkeypatch):
-        # sentences 4 and 9 (by ordinal) score inf. Sentence 9 is as long
-        # as sentence 1 and sentence 4 longer than any other, so a length
-        # at a time decodes sentence 9 first
+    def refusals(self, sample_fused, route, value, monkeypatch):
+        """One-at-a-time and batched results when sentences 4 and 9 (by
+        ordinal) score ``value`` for span (1, 1) under the empty label.
+        Sentence 9 is as long as sentence 1 and sentence 4 longer than any
+        other, so a length at a time decodes sentence 9 first."""
         vocab = CategoryVocab.from_trees(sample_fused)
         model = noisy_model(vocab, 2 ** 16, "joint", seed=8)
         sentences = [t.tokens for t in sample_fused[:12]]
         sentences[3] = sentences[3] + max(sentences, key=len)
         sentences[8] = list(sentences[0])
         bad = {id(sentences[3]), id(sentences[8])}
-        score = model.score_table
+        # the bad sentences' hashes, kept alive so their ids stay theirs
+        poisoned = []
+        hashes_many, span_blocks = model.hashes_many, model._span_blocks
 
-        def scored(tokens, hashes=None):
-            table = score(tokens, hashes)
-            if id(tokens) in bad:
-                table.span[1, 1, 0] = np.inf
-            return table
+        def hashed(batch):
+            made = hashes_many(batch)
+            poisoned.extend(h for tokens, h in zip(batch, made)
+                            if id(tokens) in bad)
+            return made
 
-        monkeypatch.setattr(model, "score_table", scored)
-        want = self.one_at_a_time(model, sentences, route, 0.5, LEN_CAP)
-        got = self.batched(model, sentences, route, 0.5, LEN_CAP)
+        def blocks(h, n):
+            # the span blocks that score_table and summary both read; span
+            # (1, 1), flat cell n + 2, is the first row of the first block
+            for cells, block in span_blocks(h, n):
+                if cells[0] == n + 2 and any(h is p for p in poisoned):
+                    block[0, 0] = value
+                yield cells, block
+
+        monkeypatch.setattr(model, "hashes_many", hashed)
+        monkeypatch.setattr(model, "_span_blocks", blocks)
+        return (self.one_at_a_time(model, sentences, route, 0.5, LEN_CAP),
+                self.batched(model, sentences, route, 0.5, LEN_CAP))
+
+    @pytest.mark.parametrize("route", ["joint", "division"])
+    def test_first_refusal_in_input_order(self, sample_fused, route,
+                                          monkeypatch):
+        want, got = self.refusals(sample_fused, route, np.inf, monkeypatch)
+        assert want[1] == "sentence 4: non-finite values in span scores"
+        assert got == want
+
+    @pytest.mark.parametrize("route", ["joint", "division"])
+    def test_refusal_of_a_label_that_wins_no_span(self, sample_fused, route,
+                                                  monkeypatch):
+        # -inf wins no span, so no summary shows it: the model path must
+        # refuse it from the scored blocks, as the dense table is refused
+        want, got = self.refusals(sample_fused, route, -np.inf, monkeypatch)
         assert want[1] == "sentence 4: non-finite values in span scores"
         assert got == want
 
@@ -681,8 +705,8 @@ class TestFeatureCounts:
                 pred = (labeled_spans(pred_tree.root), [], 0)
             else:
                 gold = tree_parts(tree)
-                pred_tree, _, p_spans = decode_joint_mixed(table.mixed(0.5),
-                                                           tokens)
+                pred_tree, _, p_spans = decode_joint_mixed(
+                    table.summary(0.5), tokens)
                 pred = (p_spans, *tree_arcs(pred_tree))
             for parts in (gold, pred):
                 got = model.feature_counts(tokens, *parts)

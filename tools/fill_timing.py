@@ -7,7 +7,10 @@ Run it from the root of a checkout. The base revision's sources are
 exported with ``git archive`` into a temporary directory, which is removed
 afterwards. Each run times ``fill_joint_chart`` on ``--batch`` seeded random
 tables per sentence length, one fill at a time, in a fresh interpreter per
-side, and the two sides alternate which goes first. With ``--batch`` above
+side, and the two sides alternate which goes first. Each side's fill gets
+the spans as it takes them: a revision with span summaries
+(``ScoreTable.summary``) the summary's two label constants per span, an
+older one the V-wide mixed span array. The summary is made before timing. With ``--batch`` above
 1 this checkout also fills the tables as one batch. A run takes the best
 of five timing windows. For each length the script prints the median over
 the runs of the milliseconds per sentence: single fills on each side, and
@@ -35,7 +38,7 @@ PROBE = r"""
 import json, sys, time, tracemalloc
 import numpy as np
 from headspan import decode
-from headspan.scoring import CategoryVocab
+from headspan.scoring import CategoryVocab, ScoreTable
 from headspan.synth import random_score_table
 
 
@@ -59,14 +62,18 @@ size = int(sys.argv[2])
 out = {}
 for n in map(int, sys.argv[1].split(",")):
     rng = np.random.default_rng(n)
-    mixed = [random_score_table(rng, n, CategoryVocab(["A", "B", "C"])
-                                ).mixed(0.5) for _ in range(size)]
-    fill, repeats = per_call(lambda: [decode.fill_joint_chart(m.span, m.arc)
-                                      for m in mixed])
+    tables = [random_score_table(rng, n, CategoryVocab(["A", "B", "C"]))
+              for _ in range(size)]
+    if hasattr(ScoreTable, "summary"):
+        args = [(t.summary(0.5).best, t.mixed(0.5).arc) for t in tables]
+    else:
+        args = [(m.span, m.arc) for m in (t.mixed(0.5) for t in tables)]
+    fill, repeats = per_call(lambda: [decode.fill_joint_chart(*a)
+                                      for a in args])
     fill /= size
     batched = None
-    span = np.stack([m.span for m in mixed])
-    arc = np.stack([m.arc for m in mixed])
+    span = np.stack([a[0] for a in args])
+    arc = np.stack([a[1] for a in args])
     try:
         # a revision without batched fills fails here or returns one chart
         charts = decode.fill_joint_chart(span, arc) if size > 1 else None
