@@ -42,7 +42,7 @@ rng = np.random.default_rng(3)
 table = random_score_table(rng, 7, vocab)
 
 _, spans_only = decode_joint(table, 1.0)
-_, div_score = decode_division(table)
+_, div_score = decode_division(table.summary(1.0))
 print(f"lam=1 vs bracket-only decoder: {spans_only:.6f} vs {div_score:.6f}")
 assert abs(spans_only - div_score) < 1e-9
 

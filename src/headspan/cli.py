@@ -342,7 +342,7 @@ def cmd_check(args) -> int:
                     f"(joint {dep_joint!r}, eisner {eisner!r}, exhaustive "
                     f"{best_dep!r})")
             _, span_joint = decode_joint(table, 1.0)
-            _, division = decode_division(table)
+            _, division = decode_division(table.summary(1.0))
             if span_joint > division + tol:
                 failed.append(
                     f"n={n} trial={trial}: spans-only joint {span_joint!r} "

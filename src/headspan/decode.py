@@ -80,6 +80,7 @@ split points are all smaller.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -430,7 +431,7 @@ def decode_joint_mixed(mixed: SpanSummary,
     n, root_m = mixed.n, mixed.root
     if tokens is None:
         tokens = _placeholder_tokens(n)
-    root_span_best = mixed.top[1]
+    root_span_best = mixed.sentence_label()[1]
     if chart is None:
         chart = fill_joint_chart(mixed.best, mixed.arc)
     if n == 1:
@@ -493,11 +494,10 @@ def _division_chart(best_any: np.ndarray
     return inner, chart, split
 
 
-def decode_division(table: ScoreTable | SpanSummary,
+def decode_division(summary: SpanSummary,
                     tokens: Sequence[Token] | None = None
                     ) -> tuple[ConstituentTree, float]:
-    """Best labeled binary tree under span scores alone, raw ones of a
-    table or those a summary was made of.
+    """Best labeled binary tree under the span scores of a summary alone.
 
     Any span may take the empty category except the whole-sentence span of
     a multi-token sentence, which needs an ordinary category so the result
@@ -505,7 +505,6 @@ def decode_division(table: ScoreTable | SpanSummary,
     empty categories included, so the returned score equals the tree's span
     score sum exactly.
     """
-    summary = table.summary(1.0) if isinstance(table, ScoreTable) else table
     n = summary.n
     vocab = summary.vocab
     if tokens is None:
@@ -513,7 +512,7 @@ def decode_division(table: ScoreTable | SpanSummary,
     cat_any = summary.label[..., 0]
     inner, _, split = _division_chart(summary.best[..., 0])
 
-    root_lid, root_span_best = summary.top
+    root_lid, root_span_best = summary.sentence_label()
     if n == 1:
         score = root_span_best
     else:
@@ -588,10 +587,11 @@ def _eisner_chart(arc: np.ndarray) -> tuple[np.ndarray, ...]:
     return c_left, c_right, i_left, i_right, bp_i, bp_cl, bp_cr
 
 
-def decode_eisner(table: ScoreTable,
+def decode_eisner(table: ScoreTable | SpanSummary,
                   tokens: Sequence[Token] | None = None
                   ) -> tuple[DependencyTree, float]:
-    """Best projective dependency tree under raw arc and root scores.
+    """Best projective dependency tree under the arc and root scores of a
+    table, or of a summary made under ``lam`` 0, which leaves them raw.
 
     Span scores and the interpolation weight play no part here; this is the
     dependency-only route, used to cross-check the joint decoder when the
@@ -650,12 +650,12 @@ def batch_size(n: int) -> int:
     return max(1, min(_STEP_CANDIDATES // most, _BATCH_BYTES // per_chart))
 
 
-def _summary(scores, lam: float, ordinal: int | None,
-             spans: bool = True) -> SpanSummary:
-    """``scores.summary(lam, spans)``, its refusal naming sentence
-    ``ordinal`` when it is given."""
+@contextlib.contextmanager
+def _named(ordinal: int | None) -> Iterator[None]:
+    """Name sentence ``ordinal``, when it is given, in a refusal of its
+    scores raised inside."""
     try:
-        return scores.summary(lam, spans)
+        yield
     except ScoreFileError as exc:
         where = "" if ordinal is None else f"sentence {ordinal}: "
         raise ScoreFileError(f"{where}{exc}") from None
@@ -666,30 +666,31 @@ def decode_table(table, route: str, lam: float,
                  len_cap: int = LEN_CAP, ordinal: int | None = None
                  ) -> tuple[HpsgTree | DependencyTree, list[str]]:
     """Decode one sentence's scores along ``route``: a :class:`ScoreTable`,
-    or anything else with its ``n`` and ``summary(lam, spans)``.
+    or anything else with its ``n`` and ``summary(lam)``.
 
     ``joint`` weighs spans by ``lam`` and falls back to ``division`` above
     ``len_cap`` tokens; ``division`` recovers heads from the span decoder's
     labels; ``eisner`` returns a dependency tree. The notes record the
     fallback and any head-recovery flags. Scores with a non-finite value
     are refused, naming sentence ``ordinal`` when it is given: finite
-    weights can still sum to an infinite score.
+    weights can still sum to an infinite score. So are those that leave no
+    label for the sentence span on the routes that label it.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    if route == "eisner":
-        return decode_eisner(_summary(table, 0.0, ordinal, False),
-                             tokens)[0], []
     notes = []
     if route == "joint" and table.n > len_cap:
         notes.append(f"length {table.n} above cap {len_cap}, using the span "
                      f"decoder")
         route = "division"
-    if route == "division":
-        dtree, _ = decode_division(_summary(table, 1.0, ordinal), tokens)
-        tree, flags = division.from_division(dtree)
-        return tree, notes + flags
-    return decode_joint_mixed(_summary(table, lam, ordinal), tokens)[0], notes
+    with _named(ordinal):
+        if route == "eisner":
+            return decode_eisner(table.summary(0.0), tokens)[0], []
+        if route == "joint":
+            return decode_joint_mixed(table.summary(lam), tokens)[0], notes
+        dtree, _ = decode_division(table.summary(1.0), tokens)
+    tree, flags = division.from_division(dtree)
+    return tree, notes + flags
 
 
 def decode_joint_batch(tables: Iterable, lam: float,
@@ -704,7 +705,10 @@ def decode_joint_batch(tables: Iterable, lam: float,
     ready = []
     for k, table in enumerate(tables):
         try:
-            ready.append((k, _summary(table, lam, ordinals[k])))
+            with _named(ordinals[k]):
+                summary = table.summary(lam)
+                summary.sentence_label()    # refused before the fill
+            ready.append((k, summary))
         except (ScoreFileError, ValueError) as exc:
             out[k] = exc
     charts: list = []

@@ -49,6 +49,7 @@ import pickle
 import random
 import zlib
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -70,7 +71,6 @@ from .scoring import (
     ScoreTable,
     SpanSummary,
     labeled_spans,
-    parts_score,
     summarize,
     tree_arcs,
     tree_parts,
@@ -565,13 +565,13 @@ class LinearModel:
         return table
 
     def summary(self, tokens: Sequence[Token], hashes: Hashes | None = None,
-                lam: float = 1.0, spans: bool = True) -> SpanSummary:
+                lam: float = 1.0) -> SpanSummary:
         """:meth:`ScoreTable.summary` of :meth:`score_table`, bit for bit,
         without the table."""
         h = self.hashes(tokens) if hashes is None else hashes
         n = len(tokens)
-        return summarize(self.vocab, n, self._span_blocks(h, n) if spans
-                         else None, *self._dep_scores(h, n), lam)[0]
+        return summarize(self.vocab, n, self._span_blocks(h, n),
+                         *self._dep_scores(h, n), lam)
 
     def feature_counts(self, tokens: Sequence[Token],
                        spans: list[tuple[int, int, str]],
@@ -651,21 +651,6 @@ class _ModelUnpickler(pickle.Unpickler):
         return super().find_class(module, name)
 
 
-class _Scores(NamedTuple):
-    """A sentence as :func:`decode_tables` takes it, scored when asked."""
-
-    model: LinearModel
-    tokens: Sequence[Token]
-    hashes: Hashes
-
-    @property
-    def n(self) -> int:
-        return len(self.tokens)
-
-    def summary(self, lam: float, spans: bool = True) -> SpanSummary:
-        return self.model.summary(self.tokens, self.hashes, lam, spans)
-
-
 def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
                 route: str | None = None, lam: float | None = None,
                 len_cap: int = LEN_CAP, hashes: Sequence[Hashes] | None = None,
@@ -682,9 +667,12 @@ def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
     for lo, hi in _batches(sentences, _WINDOW_SPANS):
         window = sentences[lo:hi]
         made = _hashed(model, window) if hashes is None else hashes[lo:hi]
+        # sentence k's scores as decode_tables takes them: summarized when
+        # it is decoded
         yield from decode_tables(
-            window, lambda k: _Scores(model, window[k], made[k]), route,
-            lam, len_cap, None if first is None else first + lo)
+            window, lambda k: SimpleNamespace(n=len(window[k]), summary=(
+                functools.partial(model.summary, window[k], made[k]))),
+            route, lam, len_cap, None if first is None else first + lo)
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
@@ -776,11 +764,12 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         gold = ((tree_spans(tree, True), [], 0) if division_mode
                 else tree_parts(tree))
         n = len(tree)
-        # the gold cells, which earn no loss, as flat cells and label ids
+        # the gold cells, which earn no loss, as flat cells and label ids,
+        # and the raw scores summarize gives them each epoch
         loss = (np.array([i * (n + 1) + j for i, j, _ in gold[0]],
                          dtype=np.int64),
                 np.array([vocab.index(label) for _, _, label in gold[0]],
-                         dtype=np.int64))
+                         dtype=np.int64), np.zeros(len(gold[0])))
         prepared.append((tree.tokens, hashes, gold,
                          model.feature_counts(tree.tokens, *gold, hashes),
                          loss))
@@ -802,10 +791,9 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         rng.shuffle(prepared)
         for tokens, hashes, gold, gold_counts, loss in prepared:
             n = len(tokens)
-            raw = SpanSummary(vocab, n, None, None, None,
-                              *model._dep_scores(hashes, n))
-            aug, gold_spans = summarize(vocab, n, model._span_blocks(
-                hashes, n), raw.arc, raw.root, lam, loss)
+            arc, root = model._dep_scores(hashes, n)
+            aug = summarize(vocab, n, model._span_blocks(hashes, n), arc,
+                            root, lam, loss)
             if division_mode:
                 pred_tree, pred_score = decode_division(aug, tokens)
                 pred = (labeled_spans(pred_tree.root), [], 0)
@@ -813,7 +801,11 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                 pred_tree, pred_score, p_spans = decode_joint_mixed(aug,
                                                                     tokens)
                 pred = (p_spans, *tree_arcs(pred_tree))
-            violation = pred_score - parts_score(raw, gold, lam, gold_spans)
+            # the gold score, summed as parts_score sums it
+            _, g_arcs, g_root = gold
+            dep = (sum(arc[c, h] for c, h in g_arcs) + root[g_root]
+                   if g_root else 0.0)
+            violation = pred_score - (lam * sum(loss[2]) + (1.0 - lam) * dep)
             if violation > 1e-12:
                 objective += violation
                 updates += 1

@@ -171,110 +171,108 @@ class ScoreTable:
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite values in {name} scores")
 
-    def summary(self, lam: float, spans: bool = True) -> "SpanSummary":
-        """:func:`summarize` of this table under ``lam``, its spans 1 <= i
-        <= j <= n in one block; unless ``spans`` they are only checked."""
-        first, last = np.triu_indices(self.n)
-        cells = (first + 1) * (self.n + 1) + last + 1
-        block = self.span.reshape(-1, self.span.shape[-1])[cells]
-        if not (spans or np.isfinite(block).all()):
-            raise ScoreFileError("non-finite values in span scores")
-        return summarize(self.vocab, self.n, [(cells, block)] if spans
-                         else None, self.arc, self.root, lam)[0]
+    def summary(self, lam: float) -> "SpanSummary":
+        """:func:`summarize` of this table under ``lam``, its whole span
+        array in one block."""
+        cells = np.arange((self.n + 1) ** 2)
+        return summarize(self.vocab, self.n, [(cells, self.span.reshape(
+            len(cells), -1))], self.arc, self.root, lam)
 
 
 @dataclass
 class SpanSummary:
-    """A sentence's scores as the decoders read them: per span (i, j) the
-    best score over all labels and over the real ones (all but the empty
-    category) and their label ids, the label id and score of the
-    whole-sentence span, and the arc and root scores. Cells outside 1 <= i
+    """A sentence's scores as the decoders read them, under their
+    interpolation weight: per span (i, j) the best score over all labels
+    and over the real ones (all but the empty category) and their label
+    ids, the label id and score of the whole-sentence span (None when no
+    label may take it), and the arc and root scores. Cells outside 1 <= i
     <= j <= n are never read."""
 
     vocab: CategoryVocab
     n: int
-    best: np.ndarray | None   # (n+1, n+1, 2) float64
-    label: np.ndarray | None  # (n+1, n+1, 2) int64
+    best: np.ndarray   # (n+1, n+1, 2) float64
+    label: np.ndarray  # (n+1, n+1, 2) int64
     top: tuple[int, float] | None
     arc: np.ndarray
     root: np.ndarray
 
+    def sentence_label(self) -> tuple[int, float]:
+        """``top``, refused when no label may take the sentence span."""
+        if self.top is None:
+            raise ScoreFileError("score table has no ordinary category to "
+                                 "label the sentence span")
+        return self.top
 
-def reduce_labels(span: np.ndarray, n: int, top: int | None
-                  ) -> tuple[np.ndarray, np.ndarray, tuple[int, float] | None]:
+
+def reduce_labels(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:class:`SpanSummary`'s ``best`` and ``label`` over the last axis of
-    ``span`` (..., V), and its ``top`` from row ``top`` of a length-n
-    sentence. The first id wins a tie, but an ordinary category beats
-    ``#``, so uninformative scores never label a phrase ``#``. Fusing
-    refuses a divided sentence span, so ``#`` never labels it; a lone token
-    may stay bare (the empty category), a longer sentence needs an
-    ordinary category."""
-    v = span.shape[-1]
+    ``span`` (..., V). The first id wins a tie, but an ordinary category
+    beats ``#``, so uninformative scores never label a phrase ``#``."""
     best = np.empty((*span.shape[:-1], 2))
     label = np.ones((*span.shape[:-1], 2), dtype=np.int64)
     span.max(axis=-1, out=best[..., 0])
     span[..., 1:].max(axis=-1, out=best[..., 1])
     span.argmax(axis=-1, out=label[..., 0])
-    if v > 2:
+    if span.shape[-1] > 2:
         rest = span[..., 2:]
         label[..., 1] = np.where(span[..., 1] > rest.max(axis=-1), 1,
                                  rest.argmax(axis=-1) + 2)
-    if top is None:
-        return best, label, None
-    row = span[top]
-    if n == 1 and (v <= 2 or not row[2:].max() > row[0]):
-        return best, label, (0, float(row[0]))
-    if v <= 2:
-        raise ScoreFileError(
-            "score table has no ordinary category to label the sentence span")
+    return best, label
+
+
+def _sentence_label(row: np.ndarray, n: int) -> tuple[int, float] | None:
+    """:class:`SpanSummary`'s ``top`` from the scores ``row`` of the
+    whole-sentence span. Fusing refuses a divided sentence span, so ``#``
+    never labels it; a lone token may stay bare (the empty category), a
+    longer sentence needs an ordinary category."""
+    if n == 1 and not row[2:].max(initial=-np.inf) > row[0]:
+        return 0, float(row[0])
+    if len(row) <= 2:
+        return None
     lid = int(row[2:].argmax()) + 2
-    return best, label, (lid, float(row[lid]))
+    return lid, float(row[lid])
 
 
 def summarize(vocab: CategoryVocab, n: int,
-              blocks: Iterable[tuple[np.ndarray, np.ndarray]] | None,
+              blocks: Iterable[tuple[np.ndarray, np.ndarray]],
               arc: np.ndarray, root: np.ndarray, lam: float = 1.0,
-              loss: tuple[np.ndarray, np.ndarray] | None = None
-              ) -> tuple[SpanSummary, np.ndarray]:
-    """The :class:`SpanSummary` under ``lam`` of a sentence's raw arc and
-    root scores and of its span scores in ``blocks`` (none without them):
-    each a block's flat cells in an (n+1, n+1) table, ascending, and their
-    (cells, V) scores. A block is checked for non-finite values, mixed and
-    reduced before the next one is read. Training's ``loss``, its gold
-    cells as flat cells and label ids, gives every other label 1 once
-    mixed; their raw scores are returned too, in order."""
+              loss: tuple[np.ndarray, ...] | None = None) -> SpanSummary:
+    """The :class:`SpanSummary` under ``lam`` of a sentence's raw scores:
+    its span scores in ``blocks``, each a block's flat cells in an (n+1,
+    n+1) table, ascending, and their (cells, V) scores, then its arc and
+    root scores. A block is checked for non-finite values, mixed and
+    reduced before the next one is read. Training's ``loss`` is its gold
+    cells as flat cells and label ids, and an array that receives their raw
+    scores in order; every other label earns 1 once mixed."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    out = SpanSummary(vocab, n, None, None, None, arc, root)
-    gold = np.zeros(0 if loss is None else len(loss[0]))
-    if blocks is not None:
-        out.best = np.zeros((n + 1, n + 1, 2))
-        out.label = np.zeros((n + 1, n + 1, 2), dtype=np.int64)
-        for cells, block in blocks:
-            if not np.isfinite(block).all():
-                raise ScoreFileError("non-finite values in span scores")
-            mixed = lam * block
-            if loss is not None:
-                pos = np.searchsorted(cells, loss[0]).clip(0, len(cells) - 1)
-                here = cells[pos] == loss[0]
-                at = pos[here] * block.shape[1] + loss[1][here]
-                gold[here] = block.take(at)
-                # gold cells earn + 0.0, where the others earn + 1.0
-                kept = mixed.take(at) + 0.0
-                mixed += 1.0
-                mixed.put(at, kept)
-            whole = np.searchsorted(cells, 2 * n + 1)    # span (1, n)
-            if whole == len(cells) or cells[whole] != 2 * n + 1:
-                whole = None
-            best, label, top = reduce_labels(mixed, n, whole)
-            out.best.reshape(-1, 2)[cells] = best
-            out.label.reshape(-1, 2)[cells] = label
-            out.top = top or out.top
+    best = np.zeros((n + 1, n + 1, 2))
+    label = np.zeros((n + 1, n + 1, 2), dtype=np.int64)
+    top = None
+    for cells, block in blocks:
+        if not np.isfinite(block).all():
+            raise ScoreFileError("non-finite values in span scores")
+        mixed = lam * block
+        if loss is not None:
+            gold_cells, gold_labels, gold = loss
+            pos = np.searchsorted(cells, gold_cells).clip(0, len(cells) - 1)
+            here = cells[pos] == gold_cells
+            at = pos[here] * block.shape[1] + gold_labels[here]
+            gold[here] = block.take(at)
+            # gold cells earn + 0.0, where the others earn + 1.0
+            kept = mixed.take(at) + 0.0
+            mixed += 1.0
+            mixed.put(at, kept)
+        best.reshape(-1, 2)[cells], label.reshape(-1, 2)[cells] = \
+            reduce_labels(mixed)
+        whole = np.flatnonzero(cells == 2 * n + 1)      # span (1, n)
+        if len(whole):
+            top = _sentence_label(mixed[whole[0]], n)
     for name, part in (("arc", arc), ("root", root)):
         if not np.isfinite(part).all():
             raise ScoreFileError(f"non-finite values in {name} scores")
-    out.arc, out.root = (1.0 - lam) * arc, (1.0 - lam) * root
-    return out, gold
+    return SpanSummary(vocab, n, best, label, top, (1.0 - lam) * arc,
+                       (1.0 - lam) * root)
 
 
 def oracle_scores(gold: HpsgTree, vocab: CategoryVocab,
@@ -295,16 +293,12 @@ def oracle_scores(gold: HpsgTree, vocab: CategoryVocab,
     return table
 
 
-def parts_score(table: ScoreTable | SpanSummary, parts: Parts, lam: float,
-                span_scores: Iterable[float] | None = None) -> float:
+def parts_score(table: ScoreTable, parts: Parts, lam: float) -> float:
     """Score of an analysis's parts under a table with interpolation
-    ``lam``; without a root only the spans count, still scaled by ``lam``.
-    ``span_scores``, in order, stand in for a span array ``table`` lacks."""
+    ``lam``; without a root only the spans count, still scaled by ``lam``."""
     spans, arcs, root = parts
-    if span_scores is None:
-        span_scores = (table.span[i, j, table.vocab.index(label)]
-                       for i, j, label in spans)
-    span_sum = sum(span_scores)
+    span_sum = sum(table.span[i, j, table.vocab.index(label)]
+                   for i, j, label in spans)
     dep_sum = (sum(table.arc[c, h] for c, h in arcs) + table.root[root]
                if root else 0.0)
     return lam * span_sum + (1.0 - lam) * dep_sum

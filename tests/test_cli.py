@@ -236,6 +236,24 @@ class TestParse:
             "category to label the sentence span"]
         assert not out.exists()
 
+    def test_eisner_reads_a_table_without_an_ordinary_category(
+            self, tmp_path):
+        # the dependency route never labels the sentence span
+        scores = tmp_path / "scores.txt"
+        scores.write_text("#sent 1 2\nSPAN 1 2 # 1.0\nARC 2 1 1.0\n"
+                          "ROOT 1 1.0\n", encoding="utf-8")
+        sentences = tmp_path / "in.conll"
+        sentences.write_text("1\ta\t_\tX\tX\t_\t0\troot\t_\t_\n"
+                             "2\tb\t_\tX\tX\t_\t1\tdep\t_\t_\n",
+                             encoding="utf-8")
+        out = tmp_path / "parsed.conll"
+        assert main(["parse", "--input", str(sentences), "--scores",
+                     str(scores), "--decoder", "eisner", "--out-dep",
+                     str(out)]) == 0
+        heads = [line.split("\t")[6] for line in
+                 out.read_text(encoding="utf-8").splitlines() if line]
+        assert heads == ["0", "1"]
+
     def test_scores_and_model_conflict(self, multihead_files, score_file,
                                        capsys):
         _, conll = multihead_files

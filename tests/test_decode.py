@@ -93,7 +93,7 @@ class TestHandWorkedCase:
     def test_lambda_one_reduces_to_spans(self):
         table = hand_table()
         _, score = decode_joint(table, 1.0)
-        _, div_score = decode_division(table)
+        _, div_score = decode_division(table.summary(1.0))
         # span(1,1,A) + span(2,2,E) + span(1,2,A) = 1.5 on both routes
         assert score == pytest.approx(1.5, abs=1e-12)
         assert div_score == pytest.approx(1.5, abs=1e-12)
@@ -272,7 +272,7 @@ def reference_joint_chart(span_m, arc_m):
 
 def label_constants(span_m):
     """The two label constants of every span, as the fill takes them."""
-    return reduce_labels(span_m, span_m.shape[-2] - 1, None)[0]
+    return reduce_labels(span_m)[0]
 
 
 def assert_chart_matches_reference(span_m, arc_m):
@@ -754,7 +754,8 @@ class TestExactRecovery:
                                          division_labels=True)
         for tree in sample_fused[:30]:
             table = oracle_scores(tree, vocab, division_labels=True)
-            encoded, _ = decode_division(table, tokens=tree.tokens)
+            encoded, _ = decode_division(table.summary(1.0),
+                                         tokens=tree.tokens)
             back, flags = from_division(encoded)
             assert flags == []
             assert back == tree
@@ -781,7 +782,7 @@ class TestDegenerationToSingleTaskDecoders:
             for _ in range(15):
                 table = random_score_table(rng, n, vocab)
                 _, joint = decode_joint(table, 1.0)
-                _, division = decode_division(table)
+                _, division = decode_division(table.summary(1.0))
                 assert joint <= division + 1e-9
 
 
@@ -928,7 +929,8 @@ class TestLongAndDeep:
         with recursion_headroom(60):
             joint, _ = decode_joint(table, tokens=gold.tokens)
             deps, _ = decode_eisner(table, tokens=gold.tokens)
-            spans, _ = decode_division(div_table, tokens=gold.tokens)
+            spans, _ = decode_division(div_table.summary(1.0),
+                                       tokens=gold.tokens)
             recovered, flags = from_division(spans)
             encoded, _ = from_division(to_division(gold))
             text = format_hpsg(gold)

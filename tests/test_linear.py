@@ -701,7 +701,7 @@ class TestFeatureCounts:
             table = model.score_table(tokens)
             if division_mode:
                 gold = (tree_parts(tree, division_labels=True)[0], [], 0)
-                pred_tree, _ = decode_division(table, tokens)
+                pred_tree, _ = decode_division(table.summary(1.0), tokens)
                 pred = (labeled_spans(pred_tree.root), [], 0)
             else:
                 gold = tree_parts(tree)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from headspan import linear
-from headspan.decode import LEN_CAP
+from headspan.decode import LEN_CAP, ROUTES, decode_table
 from headspan.errors import ScoreFileError
 from headspan.linear import LinearModel
 from headspan.scoring import (
@@ -37,7 +37,8 @@ def reference_reductions(span_m: np.ndarray, n: int) -> tuple:
     """What the decoders computed from the (n+1, n+1, V) array: best score
     over all labels and over labels 1.., the argmax over all labels, the
     best real label with ``#`` losing ties, and the whole-sentence label
-    and score (or the refusal's message)."""
+    and score (None when the sentence needs an ordinary category and the
+    table has none)."""
     v = span_m.shape[2]
     best_any = span_m.max(axis=2)
     best_real = span_m[:, :, 1:].max(axis=2)
@@ -55,7 +56,7 @@ def reference_reductions(span_m: np.ndarray, n: int) -> tuple:
             lid = int(span_m[1, 1, 2:].argmax()) + 2
             top = (lid, float(span_m[1, 1, lid]))
     elif v <= 2:
-        top = "score table has no ordinary category to label the sentence span"
+        top = None
     else:
         lid = int(span_m[1, n, 2:].argmax()) + 2
         top = (lid, float(span_m[1, n, lid]))
@@ -81,7 +82,10 @@ def assert_summary_matches(summary, span_m: np.ndarray) -> None:
     assert same_bits(summary.best[i, j, 1], best_real[i, j])
     assert np.array_equal(summary.label[i, j, 0], cat_any[i, j])
     assert np.array_equal(summary.label[i, j, 1], cat_real[i, j])
-    assert summary.top[0] == top[0] and same_bits(summary.top[1], top[1])
+    if top is None:
+        assert summary.top is None
+    else:
+        assert summary.top[0] == top[0] and same_bits(summary.top[1], top[1])
 
 
 def tie_heavy(table: ScoreTable, rng) -> ScoreTable:
@@ -105,13 +109,13 @@ class TestDenseSummaries:
             for table in (random_score_table(rng, n, vocab),
                           tie_heavy(random_score_table(rng, n, vocab), rng)):
                 for lam in (0.0, 0.5, 1.0):
-                    if n > 1 and not labels:
+                    summary = table.summary(lam)
+                    assert_summary_matches(summary, table.mixed(lam).span)
+                    if summary.top is None:
+                        assert n > 1 and not labels
                         with pytest.raises(ScoreFileError,
                                            match="no ordinary category"):
-                            table.summary(lam)
-                        continue
-                    assert_summary_matches(table.summary(lam),
-                                           table.mixed(lam).span)
+                            summary.sentence_label()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 6), v=st.integers(2, 5))
@@ -121,8 +125,7 @@ class TestDenseSummaries:
         table.span[1:, 1:] = data.draw(arrays(
             np.float64, (n, n, v), elements=st.sampled_from(
                 [-1.0, -0.0, 0.0, 1.0])))
-        if n == 1 or v > 2:
-            assert_summary_matches(table.summary(1.0), table.span)
+        assert_summary_matches(table.summary(1.0), table.span)
 
     def test_fortran_ordered_table(self):
         table = random_score_table(np.random.default_rng(3), 7,
@@ -149,9 +152,10 @@ class TestDenseSummaries:
             bonus.reshape(-1, 3)[cells, cids] = 0.0
             span = table.span.reshape(-1, 3)
             for lam in (0.5, 1.0):
-                got, gold = summarize(vocab, n, [(np.arange(len(span)), span)],
-                                      table.arc, table.root, lam,
-                                      (cells, cids))
+                gold = np.zeros(len(cells))
+                got = summarize(vocab, n, [(np.arange(len(span)), span)],
+                                table.arc, table.root, lam,
+                                (cells, cids, gold))
                 assert_summary_matches(got, lam * table.span + bonus)
                 assert same_bits(gold, span[cells, cids])
                 assert not np.signbit(got.best[1, 1, 0])
@@ -163,6 +167,25 @@ class TestDenseSummaries:
         with pytest.raises(ScoreFileError,
                            match="^non-finite values in span scores$"):
             table.summary(0.5)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_non_finite_arcs_are_refused_before_a_missing_label(self, route):
+        # the table has no ordinary category for its sentence span either,
+        # which only the routes that label it refuse, after every check of
+        # the scores' values
+        table = random_score_table(np.random.default_rng(8), 3,
+                                   CategoryVocab())
+        table.arc[2, 1] = np.nan
+        with pytest.raises(ScoreFileError,
+                           match="^sentence 4: non-finite values in arc"):
+            decode_table(table, route, 0.5, ordinal=4)
+        table.arc[2, 1] = 0.0
+        if route == "eisner":
+            decode_table(table, route, 0.5, ordinal=4)
+        else:
+            with pytest.raises(ScoreFileError, match="^sentence 4: score "
+                               "table has no ordinary category"):
+                decode_table(table, route, 0.5, ordinal=4)
 
 
 # weights that make ties and signed zeros common: a span's score is a small
@@ -178,8 +201,8 @@ def tied_model(vocab, mode, seed):
 
 
 def gold_cells(tree, vocab, division_mode):
-    """Training's gold parts of ``tree``, its loss cells as ``summarize``
-    takes them, and the dense loss bonus they stand for."""
+    """Training's gold parts of ``tree``, its loss as ``summarize`` takes
+    it, and the dense loss bonus it stands for."""
     gold = ((tree_spans(tree, True), [], 0) if division_mode
             else tree_parts(tree))
     n = len(tree)
@@ -188,7 +211,7 @@ def gold_cells(tree, vocab, division_mode):
     bonus = np.ones((n + 1, n + 1, len(vocab)))
     for i, j, label in gold[0]:
         bonus[i, j, vocab.index(label)] = 0.0
-    return gold, (cells, cids), bonus
+    return gold, (cells, cids, np.zeros(len(cells))), bonus
 
 
 class TestModelSummaries:
@@ -220,22 +243,16 @@ class TestModelSummaries:
             gold, loss, bonus = gold_cells(tree, vocab, division_mode)
             aug = table.mixed(lam)
             aug.span += bonus
-            got, gold_spans = summarize(vocab, n, model._span_blocks(h, n),
-                                        table.arc, table.root, lam, loss)
+            got = summarize(vocab, n, model._span_blocks(h, n), table.arc,
+                            table.root, lam, loss)
             assert_summary_matches(got, aug.span)
             assert same_bits(got.arc, aug.arc)
-            assert same_bits(parts_score(table, gold, lam, gold_spans),
+            # training's gold score from them, as train_linear sums it
+            _, arcs, root = gold
+            dep = (sum(table.arc[c, p] for c, p in arcs) + table.root[root]
+                   if root else 0.0)
+            assert same_bits(lam * sum(loss[2]) + (1.0 - lam) * dep,
                              parts_score(table, gold, lam))
-
-    def test_eisner_summaries_score_no_spans(self, sample_fused):
-        vocab = CategoryVocab.from_trees(sample_fused)
-        model = tied_model(vocab, "joint", seed=6)
-        tokens = sample_fused[0].tokens
-        got = model.summary(tokens, lam=0.0, spans=False)
-        table = model.score_table(tokens)
-        assert got.best is None and got.label is None and got.top is None
-        assert same_bits(got.arc, table.arc)
-        assert same_bits(got.root, table.root)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_a_non_finite_losing_label_is_refused(self, sample_fused, value,

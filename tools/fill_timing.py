@@ -8,10 +8,13 @@ exported with ``git archive`` into a temporary directory, which is removed
 afterwards. Each run times ``fill_joint_chart`` on ``--batch`` seeded random
 tables per sentence length, one fill at a time, in a fresh interpreter per
 side, and the two sides alternate which goes first. Each side's fill gets
-the spans as it takes them: a revision with span summaries
-(``ScoreTable.summary``) the summary's two label constants per span, an
-older one the V-wide mixed span array. The summary is made before timing. With ``--batch`` above
-1 this checkout also fills the tables as one batch. A run takes the best
+the spans as it takes them: an older revision the V-wide mixed span
+array, whose label reductions its fill makes, and a revision with span
+summaries (``ScoreTable.summary``) the summary's two label constants per
+span. That summary is timed with the fill, as it holds the reductions; it
+also checks and mixes the spans, which the older side's timing leaves
+out. With ``--batch`` above 1 this checkout also fills the tables as one
+batch. A run takes the best
 of five timing windows. For each length the script prints the median over
 the runs of the milliseconds per sentence: single fills on each side, and
 the batched fill with its gain over single fills. For a side that has a
@@ -64,24 +67,29 @@ for n in map(int, sys.argv[1].split(",")):
     rng = np.random.default_rng(n)
     tables = [random_score_table(rng, n, CategoryVocab(["A", "B", "C"]))
               for _ in range(size)]
+    arcs = [t.mixed(0.5).arc for t in tables]
     if hasattr(ScoreTable, "summary"):
-        args = [(t.summary(0.5).best, t.mixed(0.5).arc) for t in tables]
+        def spans():
+            return [t.summary(0.5).best for t in tables]
     else:
-        args = [(m.span, m.arc) for m in (t.mixed(0.5) for t in tables)]
-    fill, repeats = per_call(lambda: [decode.fill_joint_chart(*a)
-                                      for a in args])
+        mixed = [t.mixed(0.5).span for t in tables]
+
+        def spans():
+            return mixed
+    fill, repeats = per_call(lambda: [decode.fill_joint_chart(s, a)
+                                      for s, a in zip(spans(), arcs)])
     fill /= size
     batched = None
-    span = np.stack([a[0] for a in args])
-    arc = np.stack([a[1] for a in args])
+    arc = np.stack(arcs)
     try:
         # a revision without batched fills fails here or returns one chart
-        charts = decode.fill_joint_chart(span, arc) if size > 1 else None
+        charts = (decode.fill_joint_chart(np.stack(spans()), arc)
+                  if size > 1 else None)
     except Exception:
         charts = None
     if isinstance(charts, list):
-        batched = per_call(lambda: decode.fill_joint_chart(span, arc)
-                           )[0] / size
+        batched = per_call(lambda: decode.fill_joint_chart(
+            np.stack(spans()), arc))[0] / size
     build = held = None
     if hasattr(decode, "_fill_plan"):
         make = decode._fill_plan.__wrapped__
