@@ -13,6 +13,7 @@ malformed data, 3 failed verification in ``check``.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -319,6 +320,11 @@ def cmd_check(args) -> int:
             f"derivations")
     if args.n_cap < 2:
         raise ValueError("--n-cap must be at least 2")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and at least 0, got "
+                         f"{args.tolerance}")
     rng = np.random.default_rng(args.seed)
     vocab = CategoryVocab(["A", "B", "C"])
     tol = args.tolerance

@@ -1,23 +1,21 @@
 """Feature-hashed linear scoring model with averaged perceptron training.
 
 The model scores spans, arcs, and roots from sparse binary features hashed
-into one flat weight vector (crc32 is the hash so scores are identical
-across processes and platforms). Label ``c``'s span feature ``f`` lands at
-``crc32(c, crc32(f))``, which :func:`_crc_shift` gives for every label at
-once: crc32 is affine in its start value, ``crc32(b, s) == crc32(b) ^
-L_len(b)(s)``.
+into one flat weight vector. A feature is a template and its parts: words
+and tags, each the crc32 of its string, or small integers such as a length
+bucket. Its 64-bit key is the crc32 of the template's name with each part
+mixed in turn, ``key = mix(key ^ part)``, where ``mix`` is splitmix64's
+finalizer (:func:`_key`); so keys are the same in every process and on
+every platform. An arc or root feature lands at its key's low bits, label
+``c``'s span feature at ``(key ^ salt[c]) & mask`` with ``salt[c] =
+mix(crc32(c))``: labelling a key is one XOR.
 
-The same rule factors the features. :meth:`LinearModel.hashes_many` hashes
-a batch of sentences in one pass. Each distinct word, tag and pair of
-neighbouring tags of the batch is hashed once per template, so a template
-on one position is a gather per position. A template on two positions,
-such as ``s_pp=<tag i>~<tag j>``, joins its head ``s_pp=<tag i>~``, shifted
-once under every tail length, to its tail ``<tag j>`` without hashing the
-whole string. One ``np.unique`` over keys that carry their sentence (or
-pair block) in the high 32 bits gives every sentence its distinct keys.
-Parsing (:func:`decode_many`) and training hash in batches of at most
-``_HASH_SPANS`` spans: a few dozen numpy calls a batch, not a few dozen a
-sentence. :meth:`LinearModel.hashes` is a batch of one.
+:meth:`LinearModel.hashes_many` hashes a batch of sentences in one pass,
+each distinct word and tag once. One ``np.unique`` over keys that carry
+their sentence (or pair block) in the high 32 bits gives every sentence its
+distinct keys. Parsing (:func:`decode_many`) and training hash in batches
+of at most ``_HASH_SPANS`` spans: a few dozen numpy calls a batch, not a few
+dozen a sentence. :meth:`LinearModel.hashes` is a batch of one.
 
 :meth:`LinearModel.score_table` gathers the weight of each distinct
 (feature, label) once, broadcasts the one-position weights to their spans
@@ -45,7 +43,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import pickle
+import json
+import math
 import random
 import zlib
 from dataclasses import dataclass
@@ -79,61 +78,43 @@ from .scoring import (
 from .trees import DependencyTree, HpsgTree, Token
 
 MODES = ("joint", "division")
+# files of other format versions, and the pickles of old ones, do not load
+FORMAT_VERSION = 1
 
 
 def _check_dim(dim: int) -> None:
-    # a power of two lets every hash index be a mask of its low bits
-    if dim < 2 or dim & (dim - 1):
-        raise ValueError(f"dim must be a power of two, at least 2; got {dim}")
+    # a power of two makes every index a mask of a key's low 32 bits
+    if dim < 2 or dim > 2 ** 32 or dim & (dim - 1):
+        raise ValueError(
+            f"dim must be a power of two from 2 to 2^32; got {dim}")
 
 
-@functools.lru_cache(maxsize=256)
-def _crc_shift(k: int) -> np.ndarray:
-    """(4, 256) table of what a start value adds to crc32 over k bytes.
-
-    crc32 is affine in its start value: ``crc32(data, b) == crc32(data) ^
-    L(b)`` with L linear over GF(2) and fixed by ``len(data)``, so L(b) is
-    the XOR of ``table[p, b >> 8p & 255]`` over the four bytes p of b.
-    Built on first use of each length and shared, so read-only."""
-    zero = bytes(k)
-    base = zlib.crc32(zero)
-    table = np.array([[zlib.crc32(zero, v << 8 * p) ^ base for v in range(256)]
-                      for p in range(4)], dtype=np.int64)
-    table.flags.writeable = False
-    return table
+def _key(key, *parts: np.ndarray) -> np.ndarray:
+    """``key`` with each of ``parts`` (uint64 arrays that broadcast) mixed
+    in turn, ``key = mix(key ^ part)``, where ``mix`` is splitmix64's
+    finalizer (Steele, Lea & Flood 2014); ``key`` may be an int."""
+    for part in parts:
+        key = key ^ part
+        key ^= key >> 30
+        key *= 0xBF58476D1CE4E5B9
+        key ^= key >> 27
+        key *= 0x94D049BB133111EB
+        key ^= key >> 31
+    return key
 
 
-def _shift(tables: np.ndarray, starts: np.ndarray,
-           lengths: np.ndarray | slice = slice(None)) -> np.ndarray:
-    """L(starts) under the (4, 256, lengths) stacked ``_crc_shift`` tables:
-    under every length, (*starts.shape, lengths), or under those that
-    ``lengths`` picks for each start."""
-    out = tables[0][starts & 255, lengths]
-    out ^= tables[1][starts >> 8 & 255, lengths]
-    out ^= tables[2][starts >> 16 & 255, lengths]
-    out ^= tables[3][starts >> 24, lengths]
-    return out
-
-
-def _lengths(parts: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """The shift tables of the byte lengths among ``parts``, stacked on the
-    last axis, and which of them each part takes."""
-    lengths = sorted({len(b) for b in parts})
-    at = {k: i for i, k in enumerate(lengths)}
-    return (np.stack([_crc_shift(k) for k in lengths], axis=-1),
-            np.array([at[len(b)] for b in parts]))
-
-
-def _crcs(parts: Iterable[bytes]) -> np.ndarray:
-    return np.array([zlib.crc32(b) for b in parts], dtype=np.int64)
+def _crcs(strings: Iterable[str]) -> np.ndarray:
+    return np.array([zlib.crc32(s.encode()) for s in strings], np.uint64)
 
 
 # length and distance buckets: value v falls in searchsorted(_EDGES, v)
 _EDGES = np.array([1, 2, 3, 4, 5, 8, 12])
 _EDGES.flags.writeable = False
-_BUCKETS = [str(e).encode() for e in _EDGES] + [b"big"]
-# arc direction and distance, indexed 8 * (head < child) + distance bucket
-_DISTANCES = [d + b for d in (b"R", b"L") for b in _BUCKETS]
+# the templates whose first part is a tag, and those whose first is a word
+_TAG_TEMPLATES = ("s_fp", "s_lp", "s_prev", "s_next", "s_in", "s_pp",
+                  "s_out", "a_pp", "a_pw", "a_ppd", "a_cctx", "a_hctx",
+                  "a_cp", "a_hp", "r_p")
+_WORD_TEMPLATES = ("s_fw", "s_lw", "s_ww", "a_ww", "a_wp", "a_hw", "r_w")
 # span-label scores computed per block, which bounds the working arrays
 _BLOCK = 2 ** 16
 # spans of the sentences hashed in one pass, which bounds its working
@@ -147,41 +128,22 @@ _HASH_SPANS = 2 ** 11
 _WINDOW_SPANS = 2 ** 13
 
 
-@functools.cache
-def _constants() -> tuple[np.ndarray, ...]:
-    """The hashes no word or tag enters: s_len per length bucket, s_in of a
-    single token, a_d per distance and r_pos per pair of buckets (8 * left
-    + right); then a_ppd's "~<distance>" tails as shift tables, which table
-    each takes, and their crc32. Built on first use and shared, so
-    read-only."""
-    tails = [b"~" + b for b in _DISTANCES]
-    out = (_crcs(b"s_len=" + b for b in _BUCKETS), _crcs([b"s_in=<self>"]),
-           _crcs(b"a_d=" + b for b in _DISTANCES),
-           _crcs(b"r_pos=" + a + b"~" + b for a in _BUCKETS for b in _BUCKETS),
-           *_lengths(tails), _crcs(tails))
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 class Keys(NamedTuple):
-    """A sentence's feature hashes as one model's weight gather reads them.
-    The distinct hashes of each group come shifted under every label byte
-    length of the model (``_shift``), so a label's weight index is one
-    lookup and an XOR; nothing here has a column per label."""
+    """A sentence's distinct feature keys, masked to one model's dimension:
+    a label's weight index is a key XOR its salt, so no column per label."""
 
-    single: np.ndarray  # (distinct, lengths) one-position and length hashes
+    single: np.ndarray  # (distinct,) one-position and length keys
     terms: np.ndarray   # (8, spans) row in single of span templates 0..7
-    pairs: np.ndarray   # (distinct, lengths) pair hashes, block by block
+    pairs: np.ndarray   # (distinct,) pair keys, block by block
     pair_rows: np.ndarray  # (4, spans) row within the span's block's part
     blocks: np.ndarray  # (blocks,) where each block's part of pairs starts
 
 
 class Hashes(NamedTuple):
-    """Label-free crc32 of one sentence's features, each feature string
-    hashed once (:meth:`LinearModel.hashes_many`), and their :class:`Keys`.
-    Rows count positions from 0 for token 1; all arrays are int64, and
-    may be views into arrays that a batch of sentences shares."""
+    """Label-free keys of one sentence's features, the low 32 bits of each
+    (:meth:`LinearModel.hashes_many`), and their :class:`Keys`. Rows count
+    positions from 0 for token 1; all arrays are int64, and may be views
+    into arrays that a batch of sentences shares."""
 
     length: np.ndarray  # (8,) s_len per length bucket
     start: np.ndarray   # (n, 3) s_fw, s_fp, s_prev of spans starting there
@@ -207,7 +169,7 @@ class _Layout(NamedTuple):
     child: np.ndarray
     head: np.ndarray
     arc_cell: np.ndarray
-    distance: np.ndarray  # the arc's row in _DISTANCES
+    distance: np.ndarray  # 8 * (head < child) + distance bucket
     root_pos: np.ndarray  # (n,) the head's r_pos row: 8 * left + right bucket
 
 
@@ -269,6 +231,9 @@ class TrainConfig:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError(
+                f"step must be positive and finite, got {self.step}")
         _check_dim(self.dim)
 
 
@@ -287,10 +252,8 @@ class LinearModel:
         self.lam = lam
         self.weights = (np.zeros(dim) if weights is None else weights)
         self._mask = dim - 1
-        cats = [c.encode() for c in vocab]
-        tables, self._group = _lengths(cats)
-        self._shift = tables & self._mask
-        self._cat_crc = _crcs(cats) & self._mask
+        # each label's salt, mix(crc32(label)), masked like the keys
+        self._salt = (_key(0, _crcs(vocab)) & self._mask).astype(np.int64)
         # spans per block of score_table, which bounds its working arrays
         self._block_spans = max(1, _BLOCK // len(vocab))
 
@@ -303,18 +266,15 @@ class LinearModel:
                     ) -> list[Hashes]:
         """The :class:`Hashes` of every sentence, made in one pass.
 
-        Each distinct word, tag and pair of neighbouring tags of the batch
-        is hashed once per template. A pair template such as ``s_pp=<tag
-        i>~<tag j>`` joins its head ``s_pp=<tag i>~``, shifted under every
-        tail length in one ``_shift`` per group of heads, to the crc32 of
-        its tail by crc32's affine rule. Sentences are laid out shortest
-        first, so that the spans and arcs of one length are one broadcast.
-        One ``np.unique`` over keys that carry the sentence (or the pair
+        Each template's first mix is made once per distinct word or tag, so
+        a template on one position is a gather and each further part one
+        mix per span or arc. Sentences are laid out shortest first, so that
+        the spans and arcs of one length are one broadcast. One
+        ``np.unique`` over masked keys that carry the sentence (or the pair
         block) in their high 32 bits makes every sentence's :class:`Keys`.
         Arcs and roots are left empty in division mode."""
         if not sentences:
             return []
-        crc = zlib.crc32
         count = len(sentences)
         joint = self.mode == "joint"
         order = sorted(range(count), key=lambda s: len(sentences[s]))
@@ -330,29 +290,6 @@ class LinearModel:
                               for t in sentences[s]), 1]
         tags = np.array(tag_seq, dtype=np.int64)
         words = np.array(word_seq, dtype=np.int64)
-        tag_b = [t.encode() for t in tag_at]
-        word_b = [w.encode() for w in word_at]
-        pair_b: list[bytes] = []
-        if joint:
-            # "<tag p>~<tag p+1>", the pair at each position p but the last
-            pair_keys, pair_at = np.unique(tags[:-1] * len(tag_b) + tags[1:],
-                                           return_inverse=True)
-            pair_b = [tag_b[k // len(tag_b)] + b"~" + tag_b[k % len(tag_b)]
-                      for k in pair_keys.tolist()]
-        # every tail's shift table and crc32: tags, then words, then pairs
-        tables, which = _lengths([*tag_b, *word_b, *pair_b])
-        cut = [len(tag_b), len(tag_b) + len(word_b)]
-        t_len, w_len, p_len = np.split(which, cut)
-        t_crc, w_crc, p_crc = np.split(_crcs([*tag_b, *word_b, *pair_b]), cut)
-
-        def heads(prefixes: list[bytes], parts: list[bytes]) -> np.ndarray:
-            """crc32 of prefix + part + "~" under every tail length."""
-            return _shift(tables, np.array(
-                [[crc(p + x + b"~") for x in parts] for p in prefixes]))
-
-        def whole(prefixes: list[bytes], parts: list[bytes]) -> np.ndarray:
-            return np.array([[crc(p + x) for x in parts] for p in prefixes])
-
         # the spans, arcs and tokens of the batch as positions in the padded
         # sequence and rows among the tokens, one length at a time
         cols: dict[str, list] = {k: [] for k in (
@@ -397,56 +334,55 @@ class LinearModel:
         ix = {k: np.concatenate(v, axis=None) for k, v in cols.items() if v}
 
         i, j, tok = ix["i"], ix["j"], ix["tok"]
-        s_pp, s_out, *_ = lpp = heads(
-            [b"s_pp=", b"s_out=", *(b"s_lpp=" + b + b"~" for b in _BUCKETS)],
-            tag_b)
-        s_ww = heads([b"s_ww="], word_b)[0]
-        s_fp, s_prev, s_lp, s_next, s_in = whole(
-            [b"s_fp=", b"s_prev=", b"s_lp=", b"s_next=", b"s_in="], tag_b)
-        s_fw, s_lw = whole([b"s_fw=", b"s_lw="], word_b)
-        length, self_in, a_d, r_pos, d_tables, d_len, d_crc = _constants()
-        tag_i, tag_j, word_j, after = tags[i], tags[j], words[j], tags[j + 1]
+        # the values of the tags, <self> (s_in of a one-token span) and the
+        # words; the keys or first mixes of each template under each value
+        tv = _crcs([*tag_at, "<self>"])
+        wv = _crcs(word_at)
+        (s_fp, s_lp, s_prev, s_next, s_in, s_pp, s_out, a_pp, a_pw, a_ppd,
+         a_cctx, a_hctx, a_cp, a_hp, r_p) = _key(
+            _crcs(_TAG_TEMPLATES)[:, None], tv)
+        s_fw, s_lw, s_ww, a_ww, a_wp, a_hw, r_w = _key(
+            _crcs(_WORD_TEMPLATES)[:, None], wv)
+        small = np.arange(64, dtype=np.uint64)
+        s_len, a_d, r_pos = _key(_crcs(["s_len", "a_d", "r_pos"])[:, None],
+                                 small)
+        s_lpp = _key(zlib.crc32(b"s_lpp"), small[:8, None], tv)
+        tag_i, tag_j = tags[i], tags[j]
+        t_j = tv[tag_j]
         pair = np.column_stack([
-            s_pp[tag_i, t_len[tag_j]] ^ t_crc[tag_j],
-            s_out[tags[i - 1], t_len[after]] ^ t_crc[after],
-            s_ww[words[i], w_len[word_j]] ^ w_crc[word_j],
-            lpp[2 + ix["bucket"], tag_i, t_len[tag_j]] ^ t_crc[tag_j]])
+            _key(s_pp[tag_i], t_j), _key(s_out[tags[i - 1]], tv[tags[j + 1]]),
+            _key(s_ww[words[i]], wv[words[j]]),
+            _key(s_lpp[ix["bucket"], tag_i], t_j)])
         tag_t, word_t = tags[tok], words[tok]
         start = np.column_stack([s_fw[word_t], s_fp[tag_t],
                                  s_prev[tags[tok - 1]]])
         end = np.column_stack([s_lw[word_t], s_lp[tag_t],
                                s_next[tags[tok + 1]]])
-        inside = np.append(s_in, self_in)[np.append(tags, len(tag_b))[
-            ix["in_pos"]]]
-        arc = np.zeros((0, 11), dtype=np.int64)
-        root = np.zeros((0, 3), dtype=np.int64)
+        inside = s_in[np.append(tags, len(tag_at))[ix["in_pos"]]]
+        arc = np.zeros((0, 11), dtype=np.uint64)
+        root = np.zeros((0, 3), dtype=np.uint64)
         if joint:
-            a_pp, a_pw, a_ppd, a_hctx = heads(
-                [b"a_pp=", b"a_pw=", b"a_ppd=", b"a_hctx="], tag_b)
-            a_ww, a_wp = heads([b"a_ww=", b"a_wp="], word_b)
-            a_cctx = heads([b"a_cctx="], pair_b)[0]
-            r_p, a_cp, a_hp = whole([b"r_p=", b"a_cp=", b"a_hp="], tag_b)
-            r_w, a_hw = whole([b"r_w=", b"a_hw="], word_b)
             child, head, dist = ix["child"], ix["head"], ix["distance"]
             tag_c, tag_h = tags[child], tags[head]
             word_c, word_h = words[child], words[head]
-            t_h, w_h = t_len[tag_h], w_len[word_h]
-            tc_h, wc_h = t_crc[tag_h], w_crc[word_h]
-            next_h = pair_at[head]
-            # a_ppd goes on past the head's tag with "~" and the distance
-            ppd = a_ppd[tag_c, t_h] ^ tc_h
+            t_h, w_h = tv[tag_h], wv[word_h]
             arc = np.column_stack([
-                a_ww[word_c, w_h] ^ wc_h, a_pp[tag_c, t_h] ^ tc_h,
-                a_wp[word_c, t_h] ^ tc_h, a_pw[tag_c, w_h] ^ wc_h, a_d[dist],
-                d_crc[dist] ^ _shift(d_tables, ppd, d_len[dist]),
-                a_cctx[pair_at[child - 1], t_h] ^ tc_h,
-                a_hctx[tag_c, p_len[next_h]] ^ p_crc[next_h],
+                _key(a_ww[word_c], w_h), _key(a_pp[tag_c], t_h),
+                _key(a_wp[word_c], t_h), _key(a_pw[tag_c], w_h),
+                a_d[dist],
+                _key(a_ppd[tag_c], t_h, small[dist]),
+                _key(a_cctx[tags[child - 1]], tv[tag_c], t_h),
+                _key(a_hctx[tag_c], t_h, tv[tags[head + 1]]),
                 a_cp[tag_c], a_hp[tag_h], a_hw[word_h]])
             root = np.column_stack([r_w[word_t], r_p[tag_t],
                                     r_pos[ix["root_pos"]]])
+        # keys keep their low 32 bits
+        length, start, inside, end, pair, arc, root = (
+            (a & 0xFFFFFFFF).view(np.int64)
+            for a in (s_len[:8], start, inside, end, pair, arc, root))
 
-        # one np.unique over every sentence's one-position and length
-        # hashes (sentence id above them) and pair hashes (block id)
+        # one np.unique over every sentence's one-position and length keys
+        # (sentence id above them) and pair keys (block id), masked
         ns = np.array([n for n, _, _ in sizes], dtype=np.int64)
         sid = np.arange(count, dtype=np.int64)
         tok_sid = np.repeat(sid, ns)[:, None] << 32
@@ -454,6 +390,7 @@ class LinearModel:
             (sid[:, None] << 32 | length).ravel(), (tok_sid | start).ravel(),
             np.repeat(sid, ns + 1) << 32 | inside, (tok_sid | end).ravel(),
             ((count + ix["block"][:, None]) << 32 | pair).ravel()])
+        bases &= -1 << 32 | self._mask
         keys, row = np.unique(bases, return_inverse=True)
         group = bases >> 32
         bounds = np.concatenate([[0], np.cumsum(np.bincount(
@@ -470,7 +407,7 @@ class LinearModel:
             at_start[first, 1], at_end[last, 1], at_start[first, 2],
             at_end[last, 2], at_inside[ix["inside"]]])
         pair_rows = at_pair.reshape(-1, 4)
-        shifted = _shift(self._shift, keys & 0xFFFFFFFF)
+        keys &= self._mask
 
         out: list[Hashes] = [None] * count  # type: ignore[list-item]
         edges = bounds.tolist()
@@ -482,9 +419,9 @@ class LinearModel:
                 inside=inside[o + b:o + b + n + 1], end=end[o:o + n],
                 pair=pair[m:m + spans], arc=arc[a:a + n * (n - 1)],
                 root=root[o:o + n] if joint else root,
-                keys=Keys(single=shifted[edges[b]:edges[b + 1]],
+                keys=Keys(single=keys[edges[b]:edges[b + 1]],
                           terms=terms[:, m:m + spans],
-                          pairs=shifted[edges[p]:edges[p + blocks]],
+                          pairs=keys[edges[p]:edges[p + blocks]],
                           pair_rows=pair_rows[m:m + spans].T,
                           blocks=bounds[p:p + blocks] - edges[p]))
             o += n
@@ -492,13 +429,6 @@ class LinearModel:
             a += n * (n - 1) if joint else 0
             k += blocks
         return out
-
-    def _label_weights(self, shifts: np.ndarray) -> np.ndarray:
-        """The weight of each distinct hash whose ``shifts`` are given under
-        every label, (distinct, labels)."""
-        idx = np.take(shifts, self._group, axis=1)
-        idx ^= self._cat_crc
-        return self.weights[idx]
 
     def _span_blocks(self, h: Hashes, n: int
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -510,7 +440,7 @@ class LinearModel:
         sum, ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``, so each
         score is what summing its 12 weights gives, to the bit."""
         keys = h.keys
-        single = self._label_weights(keys.single)
+        single = self.weights[keys.single[:, None] ^ self._salt]
         # numpy's sum starts from +0.0, so twelve -0.0 weights sum to +0.0;
         # with 0.0 added to these terms, so do the sums below
         single += 0.0
@@ -534,8 +464,8 @@ class LinearModel:
             last_two += single.take(terms[7], 0)
             part += last_two
             total += part
-            pair = self._label_weights(
-                keys.pairs[bounds[block]:bounds[block + 1]])
+            pair = self.weights[keys.pairs[bounds[block]:bounds[block + 1],
+                                           None] ^ self._salt]
             for rows in keys.pair_rows[:, b]:
                 total += pair.take(rows, 0)
             yield cells[b], total
@@ -586,13 +516,12 @@ class LinearModel:
         first = np.array([i for i, _, _ in spans], dtype=int) - 1
         last = np.array([j for _, j, _ in spans], dtype=int) - 1
         cid = np.array([self.vocab.index(c) for _, _, c in spans], dtype=int)
-        group = self._group[cid]
         # the span's row in Hashes.pair, and so in the keys' rows
         at = first * (2 * n + 1 - first) // 2 + last - first
         pair = keys.pair_rows[:, at] + keys.blocks[at // self._block_spans]
-        span_idx = np.concatenate([keys.single[keys.terms[:, at], group],
-                                   keys.pairs[pair, group]])
-        span_idx ^= self._cat_crc[cid]
+        span_idx = np.concatenate([keys.single[keys.terms[:, at]],
+                                   keys.pairs[pair]])
+        span_idx ^= self._salt[cid]
         arc_rows = [(c - 1) * (n - 1) + h_ - 1 - (h_ > c) for c, h_ in arcs]
         # root 0 (none) slices no row
         dep = np.concatenate([h.arc[arc_rows], h.root[root - 1:root]],
@@ -600,55 +529,46 @@ class LinearModel:
         return span_idx.ravel(), dep & self._mask
 
     def save(self, path: str) -> None:
-        payload = {
-            "dim": self.dim,
-            "mode": self.mode,
-            "lam": self.lam,
-            "categories": [c for c in self.vocab][2:],
-            "weights": self.weights,
-        }
+        """Write the model as an uncompressed ``.npz`` of its JSON header and
+        its weights; equal models write equal bytes."""
+        header = json.dumps({"version": FORMAT_VERSION, "dim": self.dim,
+                             "mode": self.mode, "lam": self.lam,
+                             "categories": [c for c in self.vocab][2:]})
+        # written through a handle, so that numpy adds no ".npz" to the path
         with open(path, "wb") as fh:
-            pickle.dump(payload, fh, protocol=4)
+            np.savez(fh, header=np.array(header), weights=self.weights)
 
     @classmethod
     def load(cls, path: str) -> "LinearModel":
-        """Read a saved model; the file can name numpy arrays and no code."""
+        """Read a saved model. The file is read as a zip of ``.npy`` arrays
+        without pickle, so it can hold data and no code."""
         try:
-            with open(path, "rb") as fh:
-                payload = _ModelUnpickler(fh).load()
-            weights = payload["weights"]
-            if (set(payload) != _MODEL_KEYS
-                    or not 0.0 <= payload["lam"] <= 1.0
-                    or not isinstance(weights, np.ndarray)
+            with (open(path, "rb") as fh,
+                  np.lib.npyio.NpzFile(fh, allow_pickle=False) as archive):
+                if sorted(archive.files) != ["header", "weights"]:
+                    raise ValueError("unexpected contents")
+                header = json.loads(str(archive["header"]))
+                weights = archive["weights"]
+            if header["version"] != FORMAT_VERSION:
+                raise ValueError(
+                    f"unknown format version {header['version']!r}")
+            if (set(header) != {"version", "dim", "mode", "lam",
+                                "categories"}
+                    or not 0.0 <= header["lam"] <= 1.0
                     or weights.dtype != np.float64
-                    or weights.shape != (payload["dim"],)):
+                    or weights.shape != (header["dim"],)):
                 raise ValueError("unexpected contents")
             if not np.isfinite(weights).all():
                 raise ValueError("non-finite weights")
-            return cls(vocab=CategoryVocab(payload["categories"]),
-                       dim=payload["dim"], mode=payload["mode"],
-                       lam=payload["lam"], weights=weights)
+            return cls(vocab=CategoryVocab(header["categories"]),
+                       dim=header["dim"], mode=header["mode"],
+                       lam=header["lam"], weights=weights)
         except OSError:
             raise
         except Exception as exc:
-            # outside bytes can fail to unpickle or build in many ways;
+            # outside bytes can fail to unzip, parse or build in many ways;
             # each one is a file that is not a model
             raise ModelFileError(f"{path}: not a model file ({exc})") from None
-
-
-_MODEL_KEYS = {"dim", "mode", "lam", "categories", "weights"}
-_MODEL_GLOBALS = {("numpy._core.multiarray", "_reconstruct"),
-                  ("numpy.core.multiarray", "_reconstruct"),
-                  ("numpy", "ndarray"), ("numpy", "dtype")}
-
-
-class _ModelUnpickler(pickle.Unpickler):
-    """Unpickler that admits only the globals a saved weight array names."""
-
-    def find_class(self, module: str, name: str):
-        if (module, name) not in _MODEL_GLOBALS:
-            raise pickle.UnpicklingError(f"it names {module}.{name}")
-        return super().find_class(module, name)
 
 
 def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],

@@ -4,6 +4,7 @@ Commands run in process through ``main(argv)`` so exit codes and output
 are asserted directly; one subprocess test covers the module entry point.
 """
 
+import json
 import os
 import pickle
 import subprocess
@@ -283,6 +284,18 @@ def fused_file(tmp_path_factory, data_dir):
     return str(out)
 
 
+def rewrite_model(source, path, weights=None, **header):
+    """Copy the model file ``source`` to ``path`` with header fields or the
+    weights (a function of the old ones) replaced."""
+    with np.load(source) as archive:
+        fields = json.loads(str(archive["header"]))
+        old = archive["weights"]
+    fields.update(header)
+    with open(path, "wb") as fh:
+        np.savez(fh, header=np.array(json.dumps(fields)),
+                 weights=old if weights is None else weights(old))
+
+
 @pytest.fixture(scope="module")
 def model_file(tmp_path_factory, fused_file):
     path = tmp_path_factory.mktemp("model") / "tiny.model"
@@ -334,6 +347,27 @@ class TestTrainAndModelParse:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             f"headspan train: --holdout must be at least 0, got {holdout}"]
+        assert not path.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        # nan and inf stopped with "non-finite values in span scores"
+        # (exit 2), 0 and -1 wrote a model that scores nothing or the
+        # opposite of its training
+        *(("--step", v, f"step must be positive and finite, got {v}")
+          for v in ("nan", "inf", "0.0", "-1.0")),
+        # 2^40 weights died allocating; keys carry 32 bits
+        ("--dim", str(2 ** 40),
+         f"dim must be a power of two from 2 to 2^32; got {2 ** 40}"),
+    ])
+    def test_bad_training_values_refused(self, tmp_path, fused_file, flag,
+                                         value, message, capsys):
+        path = tmp_path / "m.model"
+        code = main(["train", "--hpsg", fused_file, "--model-out", str(path),
+                     flag, value])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"headspan train: {message}"]
         assert not path.exists()
 
     def test_parse_with_model_and_eval(self, tmp_path, data_dir, model_file,
@@ -418,16 +452,14 @@ class TestTrainAndModelParse:
         err = capsys.readouterr().err
         assert code == 2
         assert not marker.exists()
-        assert err.startswith(f"headspan parse: {model}: not a model file")
-        assert "system" in err
+        assert err.splitlines() == [
+            f"headspan parse: {model}: not a model file (File is not a zip "
+            f"file)"]
 
     def test_model_file_with_lambda_out_of_range_is_refused(
             self, tmp_path, data_dir, model_file, capsys):
-        with open(model_file, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["lam"] = 5.0
         model = tmp_path / "bad-lambda.bin"
-        model.write_bytes(pickle.dumps(payload, protocol=4))
+        rewrite_model(model_file, model, lam=5.0)
         code = main(["parse", "--input", str(data_dir / "multihead.conll"),
                      "--model", str(model)])
         err = capsys.readouterr().err
@@ -440,12 +472,12 @@ class TestTrainAndModelParse:
             self, tmp_path, data_dir, model_file, capsys, value):
         # such a model used to load and parse every sentence into a
         # right-branching chain with numpy warnings, exit 0
-        with open(model_file, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["weights"] = payload["weights"].copy()
-        payload["weights"][::7] = value
+        def poison(weights):
+            weights[::7] = value
+            return weights
+
         model = tmp_path / "non-finite.bin"
-        model.write_bytes(pickle.dumps(payload, protocol=4))
+        rewrite_model(model_file, model, poison)
         out = tmp_path / "parsed.hpsg"
         code = main(["parse", "--input", str(data_dir / "multihead.conll"),
                      "--model", str(model), "--out", str(out)])
@@ -458,11 +490,8 @@ class TestTrainAndModelParse:
 
     def test_finite_weights_that_sum_past_the_float_range_exit_2(
             self, tmp_path, data_dir, model_file, capsys):
-        with open(model_file, "rb") as fh:
-            payload = pickle.load(fh)
-        payload["weights"] = np.full_like(payload["weights"], 1e308)
         model = tmp_path / "huge.bin"
-        model.write_bytes(pickle.dumps(payload, protocol=4))
+        rewrite_model(model_file, model, lambda w: np.full_like(w, 1e308))
         out = tmp_path / "parsed.hpsg"
         code = main(["parse", "--input", str(data_dir / "multihead.conll"),
                      "--model", str(model), "--out", str(out)])
@@ -751,6 +780,22 @@ class TestCheck:
     def test_cap_guard(self, capsys):
         assert main(["check", "--n-cap", "9"]) == 1
         assert main(["check", "--n-cap", "1"]) == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        # 0 and -3 printed "0 checks passed"; a nan or infinite tolerance
+        # passed every comparison whatever the decoders returned
+        *(("--trials", v, f"--trials must be at least 1, got {v}")
+          for v in ("0", "-3")),
+        *(("--tolerance", v,
+           f"--tolerance must be finite and at least 0, got {v}")
+          for v in ("nan", "inf", "-inf", "-1e-09")),
+    ])
+    def test_bad_values_refused(self, flag, value, message, capsys):
+        # one argument, so that argparse takes -inf as a value
+        assert main(["check", "--n-cap", "3", f"{flag}={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"headspan check: {message}"]
 
 
 def test_version_flag(capsys):

@@ -1,8 +1,9 @@
 """Feature hashing, scoring, and perceptron training."""
 
 import hashlib
+import json
 import pickle
-import random
+import re
 import tracemalloc
 import zlib
 from typing import Sequence
@@ -26,7 +27,6 @@ from headspan.linear import (
     TrainConfig,
     _Averager,
     _count_difference,
-    _crc_shift,
     decode_many,
     decode_with_model,
     train_linear,
@@ -42,61 +42,88 @@ from headspan.synth import sample_corpus
 from headspan.trees import HEAD_PREFIX, Token
 
 
-# The feature templates, the specification the model's factored hashes
-# follow: ``LinearModel.hashes`` must give crc32 of each of these strings.
+# The feature templates, the specification the model's keys follow. A
+# feature is its template's name and its parts: a word or tag (bytes, taken
+# as its crc32) or a small integer. ``LinearModel.hashes`` must give the low
+# 32 bits of each feature's ``key``.
 
-def _bucket(value: int, edges: Sequence[int] = (1, 2, 3, 4, 5, 8, 12)) -> bytes:
-    for e in edges:
-        if value <= e:
-            return str(e).encode()
-    return b"big"
+M64 = 2 ** 64 - 1
+
+
+def mix(z: int) -> int:
+    """splitmix64's finalizer on a Python int, kept to 64 bits."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & M64
+    return z ^ (z >> 31)
+
+
+def key(feature) -> int:
+    """A feature's 64-bit key: crc32 of its template's name, each part mixed
+    in turn as ``key = mix(key ^ part)``."""
+    name, *parts = feature
+    k = zlib.crc32(name.encode())
+    for part in parts:
+        k = mix(k ^ (zlib.crc32(part) if isinstance(part, bytes) else part))
+    return k
+
+
+def salt(label: str) -> int:
+    return mix(zlib.crc32(label.encode()))
+
+
+def _bucket(value: int, edges: Sequence[int] = (1, 2, 3, 4, 5, 8, 12)) -> int:
+    """The bucket of a length or distance: the first edge at or above it,
+    or 7 past them all."""
+    return next((k for k, e in enumerate(edges) if value <= e), len(edges))
 
 
 def span_features(words: list[bytes], tags: list[bytes], i: int,
-                  j: int) -> list[bytes]:
-    """Sparse features identifying span (i, j); label conjoined by hashing."""
+                  j: int) -> list[tuple]:
+    """Sparse features identifying span (i, j); label conjoined by salt."""
     ln = _bucket(j - i + 1)
     return [
-        b"s_len=" + ln,
-        b"s_fw=" + words[i],
-        b"s_lw=" + words[j],
-        b"s_fp=" + tags[i],
-        b"s_lp=" + tags[j],
-        b"s_prev=" + tags[i - 1],
-        b"s_next=" + tags[j + 1],
-        b"s_in=" + tags[i + 1] if i < j else b"s_in=<self>",
-        b"s_pp=" + tags[i] + b"~" + tags[j],
-        b"s_out=" + tags[i - 1] + b"~" + tags[j + 1],
-        b"s_ww=" + words[i] + b"~" + words[j],
-        b"s_lpp=" + ln + b"~" + tags[i] + b"~" + tags[j],
+        ("s_len", ln),
+        ("s_fw", words[i]),
+        ("s_lw", words[j]),
+        ("s_fp", tags[i]),
+        ("s_lp", tags[j]),
+        ("s_prev", tags[i - 1]),
+        ("s_next", tags[j + 1]),
+        ("s_in", tags[i + 1] if i < j else b"<self>"),
+        ("s_pp", tags[i], tags[j]),
+        ("s_out", tags[i - 1], tags[j + 1]),
+        ("s_ww", words[i], words[j]),
+        ("s_lpp", ln, tags[i], tags[j]),
     ]
 
 
 def arc_features(words: list[bytes], tags: list[bytes], child: int,
-                 head: int) -> list[bytes]:
+                 head: int) -> list[tuple]:
     d = head - child
-    db = (b"R" if d > 0 else b"L") + _bucket(abs(d))
+    # the direction, 0 for a head on the right and 8 on the left, and the
+    # distance's bucket
+    db = 8 * (d < 0) + _bucket(abs(d))
     return [
-        b"a_ww=" + words[child] + b"~" + words[head],
-        b"a_pp=" + tags[child] + b"~" + tags[head],
-        b"a_wp=" + words[child] + b"~" + tags[head],
-        b"a_pw=" + tags[child] + b"~" + words[head],
-        b"a_d=" + db,
-        b"a_ppd=" + tags[child] + b"~" + tags[head] + b"~" + db,
-        b"a_cctx=" + tags[child - 1] + b"~" + tags[child] + b"~" + tags[head],
-        b"a_hctx=" + tags[child] + b"~" + tags[head] + b"~" + tags[head + 1],
-        b"a_cp=" + tags[child],
-        b"a_hp=" + tags[head],
-        b"a_hw=" + words[head],
+        ("a_ww", words[child], words[head]),
+        ("a_pp", tags[child], tags[head]),
+        ("a_wp", words[child], tags[head]),
+        ("a_pw", tags[child], words[head]),
+        ("a_d", db),
+        ("a_ppd", tags[child], tags[head], db),
+        ("a_cctx", tags[child - 1], tags[child], tags[head]),
+        ("a_hctx", tags[child], tags[head], tags[head + 1]),
+        ("a_cp", tags[child]),
+        ("a_hp", tags[head]),
+        ("a_hw", words[head]),
     ]
 
 
 def root_features(words: list[bytes], tags: list[bytes], head: int,
-                  n: int) -> list[bytes]:
+                  n: int) -> list[tuple]:
     return [
-        b"r_w=" + words[head],
-        b"r_p=" + tags[head],
-        b"r_pos=" + _bucket(head) + b"~" + _bucket(n - head + 1),
+        ("r_w", words[head]),
+        ("r_p", tags[head]),
+        ("r_pos", 8 * _bucket(head) + _bucket(n - head + 1)),
     ]
 
 
@@ -110,25 +137,26 @@ def padded(tree):
 
 
 def reference_hashes(tokens):
-    """crc32 of every template string: spans (12 per span, by start then
-    end), arcs (11 per arc, by child then head) and roots (3 per head)."""
+    """The low 32 bits of every feature's key: spans (12 per span, by start
+    then end), arcs (11 per arc, by child then head) and roots (3 per
+    head)."""
     n = len(tokens)
     words, tags = padded_tokens(tokens)
     pos = range(1, n + 1)
 
-    def crcs(rows, width):
-        return np.array([[zlib.crc32(f) for f in row] for row in rows],
+    def keys(rows, width):
+        return np.array([[key(f) & 0xFFFFFFFF for f in row] for row in rows],
                         dtype=np.int64).reshape(-1, width)
 
-    return (crcs((span_features(words, tags, i, j)
+    return (keys((span_features(words, tags, i, j)
                   for i in pos for j in range(i, n + 1)), 12),
-            crcs((arc_features(words, tags, c, h)
+            keys((arc_features(words, tags, c, h)
                   for c in pos for h in pos if c != h), 11),
-            crcs((root_features(words, tags, h, n) for h in pos), 3))
+            keys((root_features(words, tags, h, n) for h in pos), 3))
 
 
 def span_hashes(h, first, last):
-    """The 12 label-free feature hashes of spans from ``first`` to ``last``
+    """The 12 label-free feature keys of spans from ``first`` to ``last``
     (0-based) read off the factored ``Hashes``, in template order."""
     n = len(h.start)
     pair = first * (2 * n + 1 - first) // 2 + last - first
@@ -141,7 +169,7 @@ def span_hashes(h, first, last):
 
 
 def assert_hashes_match(tokens):
-    """The factored hashes, template by template, against the strings'."""
+    """The factored keys, template by template, against the reference's."""
     h = LinearModel(CategoryVocab(["NP"])).hashes(tokens)
     first, last = np.triu_indices(len(tokens))
     got = (span_hashes(h, first, last), h.arc, h.root)
@@ -154,28 +182,25 @@ def assert_hashes_match(tokens):
 
 
 def reference_score_table(model, tokens):
-    """The per-label crc32 scorer that ``LinearModel.score_table`` replaced,
-    kept verbatim: one crc32 call per (span, label, feature)."""
+    """A per-label scorer from the reference keys: one index per (span,
+    label, feature), ``(key ^ salt) & mask`` on the full 64-bit values."""
     mask = model.dim - 1
-    cat_bytes = [c.encode() for c in model.vocab]
+    salts = [salt(c) for c in model.vocab]
 
     def combine(bases, cid):
-        cat = cat_bytes[cid]
-        return [zlib.crc32(cat, b) & mask for b in bases]
+        return [(b ^ salts[cid]) & mask for b in bases]
 
     def plain_idx(feats):
-        return [zlib.crc32(f) & mask for f in feats]
+        return [key(f) & mask for f in feats]
 
     n = len(tokens)
-    words = [b"<s>"] + [t.form.encode() for t in tokens] + [b"</s>"]
-    tags = [b"<s>"] + [t.pos.encode() for t in tokens] + [b"</s>"]
+    words, tags = padded_tokens(tokens)
     table = ScoreTable.zeros(n, model.vocab)
     w = model.weights
     v = len(model.vocab)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            bases = [zlib.crc32(f)
-                     for f in span_features(words, tags, i, j)]
+            bases = [key(f) for f in span_features(words, tags, i, j)]
             for cid in range(v):
                 idx = combine(bases, cid)
                 table.span[i, j, cid] = w[idx].sum()
@@ -217,28 +242,28 @@ class TestFeatureTemplates:
         words, tags = padded(sample_fused[0])
         feats = span_features(words, tags, 1, 3)
         assert len(feats) == 12
-        assert len({f.split(b"=")[0] for f in feats}) == 12
-        assert all(isinstance(f, bytes) for f in feats)
+        assert len({f[0] for f in feats}) == 12
+        assert all(isinstance(p, (bytes, int)) for f in feats for p in f[1:])
 
     def test_boundary_positions_use_sentinels(self, sample_fused):
         tree = sample_fused[0]
         words, tags = padded(tree)
         n = len(tree)
         feats = span_features(words, tags, 1, n)
-        assert b"s_prev=<s>" in feats
-        assert b"s_next=</s>" in feats
+        assert ("s_prev", b"<s>") in feats
+        assert ("s_next", b"</s>") in feats
 
     def test_single_position_span_marks_itself(self, sample_fused):
         words, tags = padded(sample_fused[0])
-        assert b"s_in=<self>" in span_features(words, tags, 2, 2)
+        assert ("s_in", b"<self>") in span_features(words, tags, 2, 2)
 
     def test_arc_templates_encode_direction_and_distance(self, sample_fused):
         words, tags = padded(sample_fused[0])
         left = arc_features(words, tags, 4, 2)
         right = arc_features(words, tags, 2, 4)
         assert len(left) == len(right) == 11
-        assert any(f.startswith(b"a_d=L") for f in left)
-        assert any(f.startswith(b"a_d=R") for f in right)
+        assert ("a_d", 8 + _bucket(2)) in left
+        assert ("a_d", _bucket(2)) in right
 
     def test_root_templates(self, sample_fused):
         words, tags = padded(sample_fused[0])
@@ -246,30 +271,27 @@ class TestFeatureTemplates:
         assert len(feats) == 3
 
     def test_hashes_are_frozen_crc32(self):
-        # crc32 is specified by IEEE 802.3; these constants hold on every
-        # platform, which is what makes saved models portable
-        assert zlib.crc32(b"s_len=1") == 2490473529
-        assert zlib.crc32(b"NP", zlib.crc32(b"s_len=1")) == 3010848548
+        # crc32 is specified by IEEE 802.3 and splitmix64 by its constants;
+        # these values hold on every platform, which is what makes saved
+        # models portable. splitmix64 seeded with 0 first returns its
+        # finalizer of the golden-ratio increment
+        assert mix(0x9E3779B97F4A7C15) == 0xE220A8397B1DCDAF
+        mixed = linear._key(0, np.array([0x9E3779B97F4A7C15], np.uint64))
+        assert mixed.tolist() == [0xE220A8397B1DCDAF]
+        assert zlib.crc32(b"s_len") == 410227471
+        assert key(("s_len", 0)) == 0xFBCBC91E35728F29
+        assert salt("NP") == 0x2CDBDD55E89F4F4A
         vocab = CategoryVocab(["NP"])
         model = LinearModel(vocab, dim=2 ** 20)
-        # one token tagged VBZ: its span's first feature is s_len=1 and its
-        # root's second r_p=VBZ
+        # one token tagged VBZ: its span's first feature is s_len of bucket
+        # 0 and its root's second r_p of VBZ
         span_idx, dep_idx = model.feature_counts(
             [Token(1, "runs", "VBZ")], [(1, 1, "NP")], [], 1)
-        assert span_idx[0] == 3010848548 & (2 ** 20 - 1)
-        assert dep_idx[1] == 3239093122 & (2 ** 20 - 1)
-        assert dep_idx[1] == 41858
-
-    def test_crc32_is_affine_in_its_start_value(self):
-        rng = random.Random(4)
-        for _ in range(500):
-            data = rng.randbytes(rng.randrange(12))
-            start = rng.getrandbits(32)
-            table = _crc_shift(len(data))
-            shift = 0
-            for p in range(4):
-                shift ^= int(table[p, start >> 8 * p & 255])
-            assert zlib.crc32(data, start) == zlib.crc32(data) ^ shift
+        assert span_idx[0] == (0xFBCBC91E35728F29 ^ 0x2CDBDD55E89F4F4A) & (
+            2 ** 20 - 1)
+        assert span_idx[0] == 901219
+        assert dep_idx[1] == key(("r_p", b"VBZ")) & (2 ** 20 - 1)
+        assert dep_idx[1] == 131245
 
 
 class TestTrainConfig:
@@ -284,6 +306,15 @@ class TestTrainConfig:
             TrainConfig(dim=1)
         with pytest.raises(ValueError, match="power of two"):
             TrainConfig(dim=1000)
+
+
+def model_arrays(weights=None, **header):
+    """A model archive's arrays: four zero weights, header fields replaced
+    by ``header``."""
+    fields = {"version": linear.FORMAT_VERSION, "dim": 4, "mode": "joint",
+              "lam": 0.5, "categories": ["A"], **header}
+    return {"header": np.array(json.dumps(fields)),
+            "weights": np.zeros(4) if weights is None else weights}
 
 
 class TestLinearModel:
@@ -351,10 +382,64 @@ class TestLinearModel:
         *({"dim": 4, "mode": "joint", "lam": 0.5, "categories": ["A"],
            "weights": np.array([0.0, 1.0, bad, 2.0])}
           for bad in (np.nan, np.inf, -np.inf)),
+        # a whole model file of the pickled format, which keyed features by
+        # crc32 of their strings
+        {"dim": 4, "mode": "joint", "lam": 0.5, "categories": ["A"],
+         "weights": np.zeros(4)},
     ])
     def test_load_refuses_other_pickles(self, tmp_path, payload):
         path = tmp_path / "other.pkl"
         path.write_bytes(pickle.dumps(payload, protocol=4))
+        with pytest.raises(ModelFileError,
+                           match=f"^{re.escape(str(path))}: not a model "
+                           f"file .*zip"):
+            LinearModel.load(str(path))
+
+    def test_load_reads_a_well_formed_archive(self, tmp_path):
+        path = tmp_path / "good.bin"
+        with open(path, "wb") as fh:
+            np.savez(fh, **model_arrays(np.array([0.0, 1.0, -2.0, 0.5])))
+        model = LinearModel.load(str(path))
+        assert (model.dim, model.mode, model.lam) == (4, "joint", 0.5)
+        assert list(model.vocab)[2:] == ["A"]
+        assert model.weights.tolist() == [0.0, 1.0, -2.0, 0.5]
+
+    @pytest.mark.parametrize("arrays, why", [
+        (model_arrays(version=linear.FORMAT_VERSION + 1),
+         "unknown format version"),
+        (model_arrays(version=0), "unknown format version 0"),
+        (model_arrays(extra=1), "unexpected contents"),
+        ({k: v for k, v in model_arrays().items() if k != "weights"},
+         "unexpected contents"),
+        ({**model_arrays(), "other": np.zeros(1)}, "unexpected contents"),
+        (model_arrays(lam=5.0), "unexpected contents"),
+        (model_arrays(lam=-0.5), "unexpected contents"),
+        (model_arrays(dim=8), "unexpected contents"),
+        (model_arrays(np.zeros((2, 2))), "unexpected contents"),
+        (model_arrays(np.zeros(4, dtype=np.int64)), "unexpected contents"),
+        (model_arrays(np.zeros(4, dtype=np.float32)), "unexpected contents"),
+        (model_arrays(np.zeros(1000), dim=1000), "power of two"),
+        (model_arrays(mode="other"), "mode must be one of"),
+        *((model_arrays(np.array([0.0, 1.0, bad, 2.0])),
+           "non-finite weights")
+          for bad in (np.nan, np.inf, -np.inf)),
+        ({"header": np.array("not json"), "weights": np.zeros(4)},
+         "Expecting value"),
+        ({"header": np.array("[1, 2]"), "weights": np.zeros(4)},
+         "list indices"),
+    ])
+    def test_load_refuses_malformed_archives(self, tmp_path, arrays, why):
+        path = tmp_path / "other.bin"
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ModelFileError,
+                           match=f"^{re.escape(str(path))}: not a model "
+                           f"file \\(.*{why}"):
+            LinearModel.load(str(path))
+
+    def test_load_refuses_a_bare_array(self, tmp_path):
+        path = tmp_path / "weights.npy"
+        np.save(path, np.zeros(4))
         with pytest.raises(ModelFileError, match="not a model file"):
             LinearModel.load(str(path))
 
@@ -367,14 +452,14 @@ class TestLinearModel:
             (tmp_path / "b.pkl").read_bytes()
 
 
-# forms and tags of one to four bytes a character, the templates' own
-# separators among them
+# forms and tags of one to four bytes a character, the characters of the
+# sentinels <s>, </s> and <self> among them
 UNICODE_TEXT = (st.text(min_size=1, max_size=6)
                 | st.text(alphabet="a~=<s/>éÜß名詞😀", min_size=1, max_size=6))
 
 
 class TestFactoredHashes:
-    """Every hash the model builds is crc32 of its template's string; a
+    """Every key the model builds is the reference key of its feature; a
     wrong chaining order shows here before any float sum can hide it."""
 
     def test_bundled_sentences(self, sample_fused):
@@ -621,13 +706,13 @@ def reference_indices(model, tokens, spans, arcs, root):
     multiset ``feature_counts`` must give."""
     mask = model.dim - 1
     words, tags = padded_tokens(tokens)
-    span_idx = [zlib.crc32(c.encode(), zlib.crc32(f)) & mask
+    span_idx = [(key(f) ^ salt(c)) & mask
                 for i, j, c in spans
                 for f in span_features(words, tags, i, j)]
     dep = [f for c, h in arcs for f in arc_features(words, tags, c, h)]
     if root:
         dep += root_features(words, tags, root, len(tokens))
-    return sorted(span_idx), sorted(zlib.crc32(f) & mask for f in dep)
+    return sorted(span_idx), sorted(key(f) & mask for f in dep)
 
 
 def same_bits(a, b):
@@ -679,7 +764,7 @@ class TestSummationOrder:
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 for c in model.vocab:
-                    terms = w[[zlib.crc32(c.encode(), zlib.crc32(f)) & mask
+                    terms = w[[(key(f) ^ salt(c)) & mask
                                for f in span_features(words, tags, i, j)]]
                     left_to_right = 0.0
                     for x in terms:
@@ -802,29 +887,30 @@ class TestTraining:
         assert history[-1]["dev_uas"] >= 95.0
 
     @pytest.mark.parametrize("mode, digest", [
-        ("joint",
-         "787508a5899a09bbaca954211e89722c8bd29a1fc9b8385406b1589e381ff3b3"),
-        ("division",
-         "e2e838ca270fe47414116b198c078c8e36e502045e99b92ef62addbbff48c10f"),
+        pytest.param("joint", "5ef9b6d34594eea42a3b2f6ade83776e"
+                     "acd19e45309a792cab7b685db82fd949", id="joint"),
+        pytest.param("division", "5b0a0c5ce76bd0aea4783b58bcb2715c"
+                     "9406c603096cc17964a570623dc82994", id="division"),
     ])
     def test_trained_weights_are_pinned(self, tiny_corpus, mode, digest):
-        # digests of the weights the per-label scorer and the Counter-based
-        # update trained; the vectorized ones must give the same bits
+        # digests of the weights trained under the integer key rule; a
+        # change to the keys, the scorer or the update shows here
         config = TrainConfig(epochs=3, dim=2 ** 16, seed=13, mode=mode)
         model, _ = train_linear(tiny_corpus, config, dev=tiny_corpus)
         got = hashlib.sha256(model.weights.astype("<f8").tobytes())
         assert got.hexdigest() == digest
 
     def test_best_dev_epoch_before_the_last_is_returned(self):
-        # dev F1 + UAS on this run peaks at epoch 3 of 4; training 3 epochs
-        # without dev ends on that epoch's averaged weights
+        # dev F1 + UAS on this run peaks at epoch 3 of 4 (166.70 against
+        # 165.22); training 3 epochs without dev ends on that epoch's
+        # averaged weights
         trees, dev = sample_corpus(8, seed=5), sample_corpus(10, seed=55)
-        config = TrainConfig(epochs=4, dim=2 ** 12, seed=13)
+        config = TrainConfig(epochs=4, dim=2 ** 12, seed=24)
         model, history = train_linear(trees, config, dev=dev)
         scores = [r["dev_f1"] + r["dev_uas"] for r in history]
         assert max(scores) == scores[2] > scores[3]
         third, _ = train_linear(trees, TrainConfig(epochs=3, dim=2 ** 12,
-                                                   seed=13))
+                                                   seed=24))
         fourth, _ = train_linear(trees, config)
         assert model.weights.tobytes() == third.weights.tobytes()
         assert model.weights.tobytes() != fourth.weights.tobytes()

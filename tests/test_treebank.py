@@ -1,8 +1,11 @@
 """Reader and writer behavior for the three on-disk formats."""
 
 import io
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from headspan.errors import AlignmentError, TreebankError
 from headspan.treebank import (
@@ -17,6 +20,16 @@ from headspan.treebank import (
     write_bracketed,
     write_conll,
     write_hpsg,
+)
+from headspan.trees import (
+    ConstituentTree,
+    ConstNode,
+    DependencyTree,
+    HpsgTree,
+    Token,
+    make_const_node,
+    make_node,
+    preterminal,
 )
 
 
@@ -209,3 +222,111 @@ def test_strip_function_tags():
     assert strip_function_tags("-NONE-") == "-NONE-"
     assert strip_function_tags("S") == "S"
     assert strip_function_tags("") == ""
+
+
+DEPTH = 2000
+LABELS = ["S", "NP", "VP", "PP", "X"]
+TAGS = ["DT", "NN", "VBZ", "IN", "JJ"]
+
+
+def deep_tree(rng: random.Random, heads: bool):
+    """A constituent or head-annotated tree ``DEPTH`` phrases deep. Each
+    phrase of its spine takes the phrase below it and, half of the time, a
+    preterminal or a two-token phrase on its left or right; a head-annotated
+    phrase takes its head from a random child. Built bottom-up with loops:
+    the tree is too deep to recurse over."""
+    levels = [(rng.choice(LABELS), rng.choice([None, None, "L", "R"]),
+               rng.randint(1, 2)) for _ in range(DEPTH)]
+    # left siblings from the top phrase down, the bottom token, then right
+    # siblings from the bottom phrase up
+    starts = {}
+    pos = 1
+    for k in reversed(range(DEPTH)):
+        if levels[k][1] == "L":
+            starts[k], pos = pos, pos + levels[k][2]
+    bottom, pos = pos, pos + 1
+    for k in range(DEPTH):
+        if levels[k][1] == "R":
+            starts[k], pos = pos, pos + levels[k][2]
+    tokens = [Token(i, f"w{rng.randrange(50)}", rng.choice(TAGS))
+              for i in range(1, pos)]
+
+    def leaf(i):
+        if heads:
+            return preterminal(i, tokens[i - 1].pos)
+        return ConstNode(label=tokens[i - 1].pos, start=i, end=i)
+
+    def phrase(label, children):
+        if heads:
+            return make_node(label, children, rng.choice(children).head)
+        return make_const_node(label, children)
+
+    node = leaf(bottom)
+    for k, (label, side, width) in enumerate(levels):
+        if side is None:
+            node = phrase(label, [node])
+            continue
+        at = starts[k]
+        sibling = leaf(at) if width == 1 else phrase(
+            rng.choice(LABELS), [leaf(at), leaf(at + 1)])
+        node = phrase(label, [sibling, node] if side == "L" else
+                      [node, sibling])
+    return (HpsgTree if heads else ConstituentTree)(tokens=tokens, root=node)
+
+
+def deep_dependencies(rng: random.Random) -> DependencyTree:
+    """A dependency tree with a head chain ``DEPTH`` tokens long through
+    randomly placed tokens, and more tokens attached anywhere on it."""
+    n = DEPTH + rng.randrange(DEPTH // 4)
+    order = list(range(1, n + 1))
+    rng.shuffle(order)
+    heads = [0] * (n + 1)
+    for k in range(1, n):
+        above = k - 1 if k < DEPTH else rng.randrange(k)
+        heads[order[k]] = order[above]
+    labels = [None, *(rng.choice(["nsubj", "obj", "nmod", None])
+                      for _ in range(n))]
+    tokens = [Token(i, f"w{rng.randrange(50)}", rng.choice(TAGS))
+              for i in range(1, n + 1)]
+    return DependencyTree(tokens=tokens, heads=heads, labels=labels)
+
+
+def phrase_depth(root) -> int:
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node.children:
+            stack += [(child, depth + 1) for child in node.children]
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def chain_depth(tree: DependencyTree) -> int:
+    """Tokens on the longest head chain, each token's depth found once."""
+    depth = [0] * len(tree.heads)
+    for i in range(1, len(tree.heads)):
+        path = []
+        while i and not depth[i]:
+            path.append(i)
+            i = tree.heads[i]
+        for d, j in enumerate(reversed(path), start=depth[i] + 1):
+            depth[j] = d
+    return max(depth)
+
+
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_deep_trees_of_random_shapes_round_trip(seed):
+    rng = random.Random(seed)
+    const, hpsg = deep_tree(rng, heads=False), deep_tree(rng, heads=True)
+    deps = deep_dependencies(rng)
+    assert phrase_depth(const.root) == phrase_depth(hpsg.root) == DEPTH
+    assert chain_depth(deps) >= DEPTH
+    const.validate()
+    hpsg.validate_spans()
+    for tree, write, read in ((const, write_bracketed, read_bracketed),
+                              (hpsg, write_hpsg, read_hpsg),
+                              (deps, write_conll, read_conll)):
+        buf = io.StringIO()
+        write([tree, tree], buf)
+        assert read(buf.getvalue()) == [tree, tree]
