@@ -9,7 +9,7 @@ bracket and dependency objectives, exactly as it steers decoding.
 
 from headspan.evaluate import attachment_scores, bracket_f1
 from headspan.fuse import project_constituents, project_dependencies
-from headspan.linear import TrainConfig, decode_with_model, train_linear
+from headspan.linear import TrainConfig, decode_many, train_linear
 from headspan.synth import sample_corpus
 
 corpus = sample_corpus(60, seed=17)
@@ -26,7 +26,7 @@ assert history[-1]["objective"] < history[0]["objective"]
 # parse the held-out sentences and score both readings at once
 gold_c = [project_constituents(t) for t in dev]
 gold_d = [project_dependencies(t) for t in dev]
-pred = [decode_with_model(model, t.tokens) for t in dev]
+pred = [tree for tree, _ in decode_many(model, [t.tokens for t in dev])]
 pred_c = [project_constituents(t) for t in pred]
 pred_d = [project_dependencies(t) for t in pred]
 

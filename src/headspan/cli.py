@@ -7,13 +7,15 @@ output against gold files, and ``check`` cross-verifies the decoders on
 random inputs.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
-malformed data, 3 failed verification in ``check``.
+malformed data, 3 failed verification in ``check``, 141 (128 + SIGPIPE)
+when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -394,7 +396,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        # flushed here, so that a reader gone early raises inside the try
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left goes to devnull, so the
+        # flush at exit cannot fail; 141 is 128 + SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

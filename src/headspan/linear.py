@@ -15,7 +15,7 @@ each distinct word and tag once. One ``np.unique`` over keys that carry
 their sentence (or pair block) in the high 32 bits gives every sentence its
 distinct keys. Parsing (:func:`decode_many`) and training hash in batches
 of at most ``_HASH_SPANS`` spans: a few dozen numpy calls a batch, not a few
-dozen a sentence. :meth:`LinearModel.hashes` is a batch of one.
+dozen a sentence.
 
 :meth:`LinearModel.score_table` gathers the weight of each distinct
 (feature, label) once, broadcasts the one-position weights to their spans
@@ -257,11 +257,6 @@ class LinearModel:
         # spans per block of score_table, which bounds its working arrays
         self._block_spans = max(1, _BLOCK // len(vocab))
 
-    def hashes(self, tokens: Sequence[Token]) -> Hashes:
-        """Every feature hash of one sentence: :meth:`hashes_many` of a
-        batch of one."""
-        return self.hashes_many([tokens])[0]
-
     def hashes_many(self, sentences: Sequence[Sequence[Token]]
                     ) -> list[Hashes]:
         """The :class:`Hashes` of every sentence, made in one pass.
@@ -482,36 +477,32 @@ class LinearModel:
         return arc, root
 
     def score_table(self, tokens: Sequence[Token],
-                    hashes: Hashes | None = None) -> ScoreTable:
-        """Dense scores for one sentence from its :meth:`hashes` (built here
-        when not given), made by this model or one with the same labels and
+                    hashes: Hashes) -> ScoreTable:
+        """Dense scores for one sentence from its hashes, made by
+        :meth:`hashes_many` of this model or one with the same labels and
         dimension, whose keys they carry."""
-        h = self.hashes(tokens) if hashes is None else hashes
         n, v = len(tokens), len(self.vocab)
         table = ScoreTable(self.vocab, n, np.zeros((n + 1, n + 1, v)),
-                           *self._dep_scores(h, n))
-        for cells, block in self._span_blocks(h, n):
+                           *self._dep_scores(hashes, n))
+        for cells, block in self._span_blocks(hashes, n):
             table.span.reshape(-1, v)[cells] = block
         return table
 
-    def summary(self, tokens: Sequence[Token], hashes: Hashes | None = None,
+    def summary(self, tokens: Sequence[Token], hashes: Hashes,
                 lam: float = 1.0) -> SpanSummary:
-        """:meth:`ScoreTable.summary` of :meth:`score_table`, bit for bit,
-        without the table."""
-        h = self.hashes(tokens) if hashes is None else hashes
+        """:meth:`ScoreTable.summary` of :meth:`score_table` on the same
+        hashes, bit for bit, without the table."""
         n = len(tokens)
-        return summarize(self.vocab, n, self._span_blocks(h, n),
-                         *self._dep_scores(h, n), lam)
+        return summarize(self.vocab, n, self._span_blocks(hashes, n),
+                         *self._dep_scores(hashes, n), lam)
 
     def feature_counts(self, tokens: Sequence[Token],
                        spans: list[tuple[int, int, str]],
                        arcs: list[tuple[int, int]], root: int,
-                       hashes: Hashes | None = None
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Feature indices of an analysis, repeats kept: spans', then the
-        arcs' and root's."""
-        h = self.hashes(tokens) if hashes is None else hashes
-        keys = h.keys
+                       hashes: Hashes) -> tuple[np.ndarray, np.ndarray]:
+        """Feature indices of an analysis under its sentence's hashes,
+        repeats kept: spans', then the arcs' and root's."""
+        keys = hashes.keys
         n = len(tokens)
         first = np.array([i for i, _, _ in spans], dtype=int) - 1
         last = np.array([j for _, j, _ in spans], dtype=int) - 1
@@ -522,10 +513,10 @@ class LinearModel:
         span_idx = np.concatenate([keys.single[keys.terms[:, at]],
                                    keys.pairs[pair]])
         span_idx ^= self._salt[cid]
-        arc_rows = [(c - 1) * (n - 1) + h_ - 1 - (h_ > c) for c, h_ in arcs]
+        arc_rows = [(c - 1) * (n - 1) + h - 1 - (h > c) for c, h in arcs]
         # root 0 (none) slices no row
-        dep = np.concatenate([h.arc[arc_rows], h.root[root - 1:root]],
-                             axis=None)
+        dep = np.concatenate([hashes.arc[arc_rows],
+                              hashes.root[root - 1:root]], axis=None)
         return span_idx.ravel(), dep & self._mask
 
     def save(self, path: str) -> None:
@@ -596,11 +587,9 @@ def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
-                      lam: float | None = None,
-                      hashes: Hashes | None = None) -> HpsgTree:
+                      lam: float | None = None) -> HpsgTree:
     """Parse one sentence with a trained model, honoring its mode."""
-    tree, _ = next(decode_many(model, [tokens], lam=lam, first=None,
-                               hashes=None if hashes is None else [hashes]))
+    tree, _ = next(decode_many(model, [tokens], lam=lam, first=None))
     return tree
 
 

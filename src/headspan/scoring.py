@@ -151,10 +151,6 @@ class ScoreTable:
                    arc=np.zeros((n + 1, n + 1)),
                    root=np.zeros(n + 1))
 
-    def copy(self) -> "ScoreTable":
-        return ScoreTable(vocab=self.vocab, n=self.n, span=self.span.copy(),
-                          arc=self.arc.copy(), root=self.root.copy())
-
     def mixed(self, lam: float) -> "ScoreTable":
         """The table under interpolation ``lam``, the weight every decoder
         and training see: spans times ``lam``, arcs and root times

@@ -138,15 +138,17 @@ class DependencyTree:
             h = self.heads[i]
             if not 0 <= h <= n or h == i:
                 raise StructureError(f"token {i} has invalid head {h}")
-        # cycle check: every token must reach the root
+        # cycle check: walk i marks the tokens it meets with i and stops at
+        # the root or at an earlier walk's mark, which reaches the root, so
+        # each head is read once; meeting its own mark is a cycle
+        walk = [0] * (n + 1)
         for i in range(1, n + 1):
-            seen = set()
             j = i
-            while j != 0:
-                if j in seen:
-                    raise StructureError(f"cycle through token {i}")
-                seen.add(j)
+            while j and not walk[j]:
+                walk[j] = i
                 j = self.heads[j]
+            if j and walk[j] == i:
+                raise StructureError(f"cycle through token {i}")
 
 
 @dataclass(eq=False, repr=False)

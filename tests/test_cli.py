@@ -812,3 +812,32 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("headspan ")
+
+
+@pytest.mark.parametrize("copies", [1, 40])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path,
+                                                      multihead_files, copies):
+    """``parse ... | head -1`` with the reader gone at once: one copy of the
+    five trees fits stdout's buffer and meets the closed pipe at the last
+    flush, forty copies meet it while they are written."""
+    _, conll = multihead_files
+    block = Path(conll).read_text("utf-8").strip("\n") + "\n\n"
+    conll_in = tmp_path / "in.conll"
+    conll_in.write_text(block * copies, "utf-8")
+    with open(conll_in, encoding="utf-8") as fh:
+        lengths = [len(d.tokens) for d in read_conll(fh)]
+    rng = np.random.default_rng(5)
+    vocab = CategoryVocab(["NP", "VP", "S"])
+    scores = tmp_path / "scores.txt"
+    with open(scores, "w", encoding="utf-8") as fh:
+        write_scores([random_score_table(rng, n, vocab) for n in lengths], fh)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "headspan", "parse", "--input", str(conll_in),
+         "--scores", str(scores)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert "Traceback" not in err
+    assert "Exception ignored" not in err

@@ -44,8 +44,8 @@ from headspan.trees import HEAD_PREFIX, Token
 
 # The feature templates, the specification the model's keys follow. A
 # feature is its template's name and its parts: a word or tag (bytes, taken
-# as its crc32) or a small integer. ``LinearModel.hashes`` must give the low
-# 32 bits of each feature's ``key``.
+# as its crc32) or a small integer. ``LinearModel.hashes_many`` must give
+# the low 32 bits of each feature's ``key``.
 
 M64 = 2 ** 64 - 1
 
@@ -170,7 +170,7 @@ def span_hashes(h, first, last):
 
 def assert_hashes_match(tokens):
     """The factored keys, template by template, against the reference's."""
-    h = LinearModel(CategoryVocab(["NP"])).hashes(tokens)
+    h = LinearModel(CategoryVocab(["NP"])).hashes_many([tokens])[0]
     first, last = np.triu_indices(len(tokens))
     got = (span_hashes(h, first, last), h.arc, h.root)
     for part, mine, want in zip(("span", "arc", "root"), got,
@@ -224,7 +224,7 @@ def noisy_model(vocab, dim, mode, seed=0):
 
 
 def assert_tables_equal(model, tokens):
-    got = model.score_table(tokens)
+    got = model.score_table(tokens, model.hashes_many([tokens])[0])
     want = reference_score_table(model, tokens)
     for part in ("span", "arc", "root"):
         np.testing.assert_array_equal(getattr(got, part), getattr(want, part),
@@ -285,8 +285,9 @@ class TestFeatureTemplates:
         model = LinearModel(vocab, dim=2 ** 20)
         # one token tagged VBZ: its span's first feature is s_len of bucket
         # 0 and its root's second r_p of VBZ
+        tokens = [Token(1, "runs", "VBZ")]
         span_idx, dep_idx = model.feature_counts(
-            [Token(1, "runs", "VBZ")], [(1, 1, "NP")], [], 1)
+            tokens, [(1, 1, "NP")], [], 1, model.hashes_many([tokens])[0])
         assert span_idx[0] == (0xFBCBC91E35728F29 ^ 0x2CDBDD55E89F4F4A) & (
             2 ** 20 - 1)
         assert span_idx[0] == 901219
@@ -321,7 +322,8 @@ class TestLinearModel:
     def test_zero_weights_score_zero(self, sample_fused):
         vocab = CategoryVocab.from_trees(sample_fused[:5])
         model = LinearModel(vocab, dim=2 ** 16)
-        table = model.score_table(sample_fused[0].tokens)
+        tokens = sample_fused[0].tokens
+        table = model.score_table(tokens, model.hashes_many([tokens])[0])
         assert not table.span.any()
         assert not table.arc.any()
         assert not table.root.any()
@@ -349,8 +351,9 @@ class TestLinearModel:
         vocab = CategoryVocab.from_trees([tree])
         model = LinearModel(vocab)
         spans, arcs, root = tree_parts(tree)
-        a = model.feature_counts(tree.tokens, spans, arcs, root)
-        b = model.feature_counts(tree.tokens, spans, arcs, root)
+        hashes = model.hashes_many([tree.tokens])[0]
+        a = model.feature_counts(tree.tokens, spans, arcs, root, hashes)
+        b = model.feature_counts(tree.tokens, spans, arcs, root, hashes)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
             assert _count_difference(x, y)[0].size == 0
@@ -367,8 +370,9 @@ class TestLinearModel:
         assert (again.dim, again.mode, again.lam) == (2 ** 16, "joint", 0.25)
         np.testing.assert_array_equal(again.weights, model.weights)
         tokens = sample_fused[0].tokens
-        np.testing.assert_array_equal(again.score_table(tokens).span,
-                                      model.score_table(tokens).span)
+        np.testing.assert_array_equal(
+            again.score_table(tokens, again.hashes_many([tokens])[0]).span,
+            model.score_table(tokens, model.hashes_many([tokens])[0]).span)
 
     @pytest.mark.parametrize("payload", [
         {"weights": np.zeros(4)},
@@ -486,11 +490,12 @@ def assert_same_hashes(got, want):
 
 
 def assert_batch_matches(model, sentences):
-    """``hashes_many`` of the whole batch equals ``hashes`` of each."""
+    """``hashes_many`` of the whole batch equals ``hashes_many`` of each
+    alone."""
     batch = model.hashes_many(sentences)
     assert len(batch) == len(sentences)
     for tokens, got in zip(sentences, batch):
-        assert_same_hashes(got, model.hashes(tokens))
+        assert_same_hashes(got, model.hashes_many([tokens])[0])
 
 
 class TestBatchHashes:
@@ -554,8 +559,10 @@ class TestBatchedDecode:
         out = []
         for ordinal, tokens in enumerate(sentences, start=1):
             try:
-                out.append(decode_table(model.score_table(tokens), route, lam,
-                                        tokens, len_cap, ordinal))
+                table = model.score_table(tokens,
+                                          model.hashes_many([tokens])[0])
+                out.append(decode_table(table, route, lam, tokens, len_cap,
+                                        ordinal))
             except ScoreFileError as exc:
                 return out, str(exc)
         return out, None
@@ -690,7 +697,7 @@ class TestScoreTableMatchesReference:
         tokens = [Token(i, f"w{i % 50}", f"T{i % 9}")
                   for i in range(1, LEN_CAP + 1)]
         # the hashes are built first, untraced, so the peak is the scorer's
-        hashes = model.hashes(tokens)
+        hashes = model.hashes_many([tokens])[0]
         tracemalloc.start()
         try:
             table = model.score_table(tokens, hashes)
@@ -738,7 +745,8 @@ class TestSummationOrder:
         model.weights = np.random.default_rng(8).choice(MIXED_MAGNITUDES,
                                                         size=model.dim)
         for tree in sample_fused[:60]:
-            got = model.score_table(tree.tokens)
+            got = model.score_table(tree.tokens,
+                                    model.hashes_many([tree.tokens])[0])
             want = reference_score_table(model, tree.tokens)
             for part in ("span", "arc", "root"):
                 assert same_bits(getattr(got, part), getattr(want, part)), \
@@ -748,7 +756,8 @@ class TestSummationOrder:
                                                             sample_fused):
         model = LinearModel(CategoryVocab(MIXED_LABELS), dim=2 ** 8)
         model.weights = np.full(model.dim, -0.0)
-        table = model.score_table(sample_fused[0].tokens)
+        tokens = sample_fused[0].tokens
+        table = model.score_table(tokens, model.hashes_many([tokens])[0])
         for part in (table.span, table.arc, table.root):
             assert not np.signbit(part).any()
 
@@ -783,7 +792,8 @@ class TestFeatureCounts:
         model = noisy_model(vocab, 2 ** 16, mode, seed=2)
         for tree in sample_fused[:40]:
             tokens = tree.tokens
-            table = model.score_table(tokens)
+            hashes = model.hashes_many([tokens])[0]
+            table = model.score_table(tokens, hashes)
             if division_mode:
                 gold = (tree_parts(tree, division_labels=True)[0], [], 0)
                 pred_tree, _ = decode_division(table.summary(1.0), tokens)
@@ -794,7 +804,7 @@ class TestFeatureCounts:
                     table.summary(0.5), tokens)
                 pred = (p_spans, *tree_arcs(pred_tree))
             for parts in (gold, pred):
-                got = model.feature_counts(tokens, *parts)
+                got = model.feature_counts(tokens, *parts, hashes)
                 want = reference_indices(model, tokens, *parts)
                 for mine, theirs in zip(got, want):
                     assert sorted(mine.tolist()) == theirs
@@ -810,12 +820,13 @@ class TestFeatureCounts:
         for tree in sample_fused[:12]:
             tokens = tree.tokens
             spans_in = len(tokens) * (len(tokens) + 1) // 2
-            assert len(model.hashes(tokens).keys.blocks) == (spans_in + 1) // 2
+            hashes = model.hashes_many([tokens])[0]
+            assert len(hashes.keys.blocks) == (spans_in + 1) // 2
             assert_tables_equal(model, tokens)
             spans = [(i, j, label) for i in range(1, len(tokens) + 1)
                      for j in range(i, len(tokens) + 1)
                      for label in ("NP", "名詞", "S+VP+NP")]
-            got = model.feature_counts(tokens, spans, [], 0)
+            got = model.feature_counts(tokens, spans, [], 0, hashes)
             want = reference_indices(model, tokens, spans, [], 0)
             assert sorted(got[0].tolist()) == want[0]
 

@@ -166,7 +166,8 @@ def test_score_table_helpers():
     assert table.span.shape == (4, 4, 3)
     assert table.arc.shape == (4, 4)
     assert table.root.shape == (4,)
-    dup = table.copy()
+    dup = ScoreTable(vocab, 3, table.span.copy(), table.arc.copy(),
+                     table.root.copy())
     dup.span[1, 1, 0] = 5.0
     assert table.span[1, 1, 0] == 0.0
     table.check_finite()

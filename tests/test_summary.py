@@ -230,8 +230,8 @@ class TestModelSummaries:
         assert model._block_spans == 3
         for tree in sample_fused[:30]:
             tokens, n = tree.tokens, len(tree)
-            table = model.score_table(tokens)
-            h = model.hashes(tokens)
+            h = model.hashes_many([tokens])[0]
+            table = model.score_table(tokens, h)
             for lam in (0.0, 0.5, 1.0):
                 mixed = table.mixed(lam)
                 got = model.summary(tokens, h, lam)
@@ -268,9 +268,11 @@ class TestModelSummaries:
                 yield cells, block
 
         monkeypatch.setattr(model, "_span_blocks", poisoned)
+        tokens = sample_fused[3].tokens
+        hashes = model.hashes_many([tokens])[0]
         with pytest.raises(ScoreFileError,
                            match="^non-finite values in span scores$"):
-            model.summary(sample_fused[3].tokens, lam=0.5)
+            model.summary(tokens, hashes, lam=0.5)
 
     def test_memory_at_the_length_cap_stays_a_quarter_of_the_table(self):
         # the model path never holds the (n+1) x (n+1) x V span array
@@ -280,7 +282,7 @@ class TestModelSummaries:
         tokens = [Token(i, f"w{i % 50}", f"T{i % 9}")
                   for i in range(1, LEN_CAP + 1)]
         # the hashes are built first, untraced, so the peak is the scorer's
-        hashes = model.hashes(tokens)
+        hashes = model.hashes_many([tokens])[0]
         tracemalloc.start()
         try:
             summary = model.summary(tokens, hashes, 0.5)
