@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .decode import (
     BRUTE_FORCE_CAP,
-    LEN_CAP,
     ROUTES,
     brute_force,
     decode_division,
@@ -92,9 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float,
                    help="span weight, 0 = arcs only, 1 = spans only "
                    "(default: the model's, or 0.5 with --scores)")
-    p.add_argument("--len-cap", type=int, default=LEN_CAP,
-                   help="longest sentence the joint decoder accepts before "
-                   f"falling back to the span decoder, at most {LEN_CAP}")
     p.add_argument("--out", help="head-annotated trees output")
     p.add_argument("--out-const", help="constituent projection output")
     p.add_argument("--out-dep", help="dependency projection output")
@@ -197,12 +193,6 @@ def _check_alignment(tables, sentences) -> None:
 def cmd_parse(args) -> int:
     if (args.scores is None) == (args.model is None):
         raise ValueError("provide exactly one of --scores and --model")
-    if args.len_cap > LEN_CAP:
-        raise SizeGuardError(
-            f"--len-cap above {LEN_CAP} would fill joint charts past their "
-            f"memory bound")
-    if args.len_cap < 0:
-        raise ValueError(f"--len-cap must be at least 0, got {args.len_cap}")
     sentences = _load_parse_input(args.input)
     if args.scores is not None:
         with open(args.scores, encoding="utf-8") as fh:
@@ -210,8 +200,7 @@ def cmd_parse(args) -> int:
         _check_alignment(tables, sentences)
         decoder = args.decoder or "joint"
         lam = 0.5 if args.lam is None else args.lam
-        results = decode_tables(sentences, tables.__getitem__, decoder, lam,
-                                args.len_cap)
+        results = decode_tables(sentences, tables.__getitem__, decoder, lam)
     else:
         model = LinearModel.load(args.model)
         decoder = args.decoder or model.mode
@@ -220,7 +209,7 @@ def cmd_parse(args) -> int:
             raise ValueError(
                 f"a division-mode model has head-marked span labels and no "
                 f"arc weights; use --decoder division, not {decoder}")
-        results = decode_many(model, sentences, decoder, lam, args.len_cap)
+        results = decode_many(model, sentences, decoder, lam)
     if decoder == "eisner" and (args.out or args.out_const):
         raise ValueError("the eisner decoder produces dependencies only; "
                          "use --out-dep")

@@ -53,12 +53,13 @@ fill lays the charts one after another and gives every view a leading
 batch axis, one more stride, and the readback and hook store one more
 index array. A single sentence takes the same plan without the batch axis.
 ``decode_tables`` decodes a list of sentences a length at a time, filling
-at most ``batch_size(n)`` charts together: as many as keep each length
-whole within the step budget and their summaries and charts within
-``_BATCH_BYTES`` (4 MB). Measured by ``tools/fill_timing.py --batch``, a
-batch of 8 fills a sentence of 3 to 16 tokens 2 to 5 times faster than one
-at a time, and a batch of 2 about 1.2 times at 40 to 48 tokens. The two
-budgets leave one chart a fill from 54 tokens.
+at most ``batch_size(n)`` charts together: as many as keep their summaries
+and charts within ``_BATCH_BYTES`` (4 MB), which at every length up to
+``LEN_CAP`` also keeps each length whole within the step budget. Measured
+by ``tools/fill_timing.py --batch``, a batch of 8 fills a sentence of 3 to
+16 tokens 2 to 5 times faster than one at a time, and a batch of 2 about
+1.2 times at 40 to 48 tokens. The budget leaves one chart a fill from 54
+tokens.
 
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
@@ -66,11 +67,13 @@ ignored), ``decode_eisner`` a first-order projective dependency decoder
 way, and ``brute_force`` an exhaustive re-derivation, which reduces the
 mixed table itself, used to certify the charts on small sentences.
 ``decode_table`` is the single route from a sentence's scores, a table's or
-the linear model's, to a tree: it picks one of the three decoders, applies
-the sentence-length cap and asks for the scores' summary under the
-decoder's weight; ``decode_joint_batch`` takes its joint route for
-same-length sentences at once, and ``decode_tables`` runs both over the
-sentences of a file.
+the linear model's, to a tree: it picks one of the three decoders, sends
+joint sentences above ``LEN_CAP`` tokens to the span decoder and asks for
+the scores' summary under the decoder's weight. The span route reads heads
+from ``H_`` marks where the labels carry them, and otherwise fuses its
+brackets with the best projective arcs; ``decode_joint_batch`` takes the
+joint route for same-length sentences at once, and ``decode_tables`` runs
+both over the sentences of a file.
 
 Ties are broken deterministically everywhere: smaller split point first,
 then smaller sub-head, then smaller category id. A span's left dependent
@@ -89,8 +92,10 @@ import numpy as np
 
 from . import division
 from .errors import ScoreFileError, SizeGuardError
+from .fuse import fuse, project_constituents
 from .scoring import ScoreTable, SpanSummary
 from .trees import (
+    HEAD_PREFIX,
     ConstituentTree,
     ConstNode,
     DependencyTree,
@@ -639,15 +644,13 @@ _BATCH_BYTES = 1 << 22
 
 
 def batch_size(n: int) -> int:
-    """How many length-n charts one fill takes: as many as keep the largest
+    """How many length-n charts one fill takes: as many as keep the charts,
+    their summaries (two scores and two ids a span) and arcs within
+    ``_BATCH_BYTES``. Up to ``LEN_CAP`` that also keeps the largest
     length's candidates, (n-L+1)(L-1)L per chart, within the step budget,
-    so that no length of a batch is cut into steps, and the charts, their
-    summaries (two scores and two ids a span) and arcs within
-    ``_BATCH_BYTES``."""
-    most = max((n - length + 1) * length * length
-               for length in range(1, n + 1))
+    so that no length of a batch is cut into steps."""
     per_chart = 8 * (n + 1) ** 2 * 5 + 12 * (n + 1) ** 3
-    return max(1, min(_STEP_CANDIDATES // most, _BATCH_BYTES // per_chart))
+    return max(1, _BATCH_BYTES // per_chart)
 
 
 @contextlib.contextmanager
@@ -663,24 +666,26 @@ def _named(ordinal: int | None) -> Iterator[None]:
 
 def decode_table(table, route: str, lam: float,
                  tokens: Sequence[Token] | None = None,
-                 len_cap: int = LEN_CAP, ordinal: int | None = None
+                 ordinal: int | None = None
                  ) -> tuple[HpsgTree | DependencyTree, list[str]]:
     """Decode one sentence's scores along ``route``: a :class:`ScoreTable`,
     or anything else with its ``n`` and ``summary(lam)``.
 
     ``joint`` weighs spans by ``lam`` and falls back to ``division`` above
-    ``len_cap`` tokens; ``division`` recovers heads from the span decoder's
-    labels; ``eisner`` returns a dependency tree. The notes record the
-    fallback and any head-recovery flags. Scores with a non-finite value
-    are refused, naming sentence ``ordinal`` when it is given: finite
-    weights can still sum to an infinite score. So are those that leave no
-    label for the sentence span on the routes that label it.
+    ``LEN_CAP`` tokens; ``eisner`` returns a dependency tree. ``division``
+    recovers heads from the span decoder's ``H_`` marks, or, when no label
+    carries one, fuses its brackets with the best projective arcs. The
+    notes record the fallback and any head-recovery flags or residual
+    spans. Scores with a non-finite value are refused, naming sentence
+    ``ordinal`` when it is given: finite weights can still sum to an
+    infinite score. So are those that leave no label for the sentence span
+    on the routes that label it.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     notes = []
-    if route == "joint" and table.n > len_cap:
-        notes.append(f"length {table.n} above cap {len_cap}, using the span "
+    if route == "joint" and table.n > LEN_CAP:
+        notes.append(f"length {table.n} above cap {LEN_CAP}, using the span "
                      f"decoder")
         route = "division"
     with _named(ordinal):
@@ -688,9 +693,17 @@ def decode_table(table, route: str, lam: float,
             return decode_eisner(table.summary(0.0), tokens)[0], []
         if route == "joint":
             return decode_joint_mixed(table.summary(lam), tokens)[0], notes
-        dtree, _ = decode_division(table.summary(1.0), tokens)
-    tree, flags = division.from_division(dtree)
-    return tree, notes + flags
+        summary = table.summary(1.0)
+        tree, flags = division.from_division(
+            decode_division(summary, tokens)[0])
+        if any(c.startswith(HEAD_PREFIX) for c in summary.vocab):
+            return tree, notes + flags
+        # bare labels mark no head daughter, so every binary span would
+        # take its leftmost child's head: the heads come from the arcs
+        deps, _ = decode_eisner(table.summary(0.0), tokens)
+    tree, report = fuse(project_constituents(tree), deps)
+    return tree, notes + [f"residual span ({i},{j})"
+                          for i, j in report.offending_spans]
 
 
 def decode_joint_batch(tables: Iterable, lam: float,
@@ -725,14 +738,13 @@ def decode_joint_batch(tables: Iterable, lam: float,
 
 def decode_tables(sentences: Sequence[Sequence[Token]],
                   table_of: Callable, route: str,
-                  lam: float, len_cap: int = LEN_CAP,
-                  first: int | None = 1
+                  lam: float, first: int | None = 1
                   ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
     """Each sentence's (tree, notes) from :func:`decode_table`, in input
     order; ``table_of(k)`` makes sentence k's scores (those
     :func:`decode_table` takes) when it is decoded.
 
-    Joint decodes within ``len_cap`` go one length at a time, in fills of
+    Joint decodes within ``LEN_CAP`` go one length at a time, in fills of
     ``batch_size(n)`` charts, so that only one batch's summaries are held;
     the others go one by one. An error is raised when its sentence's
     turn comes, so a refusal names the first bad sentence in input order;
@@ -742,12 +754,12 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
     results: list = [None] * len(sentences)
     lengths: dict[int, list[int]] = {}
     for k, tokens in enumerate(sentences):
-        if route == "joint" and len(tokens) <= len_cap:
+        if route == "joint" and len(tokens) <= LEN_CAP:
             lengths.setdefault(len(tokens), []).append(k)
             continue
         try:
             results[k] = decode_table(table_of(k), route, lam, tokens,
-                                      len_cap, ordinals[k])
+                                      ordinals[k])
         except Exception as exc:
             # raised in its turn below, as a sentence-by-sentence decode
             # would raise it

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import AlignmentError
 from .trees import (
@@ -95,7 +95,8 @@ class EvalReport:
                 out.has_labels = src.has_labels
         return out
 
-    def format_text(self) -> str:
+    def _rows(self) -> list[tuple[str, str]]:
+        """(name, value) of every score the report holds, in print order."""
         rows = [("sentences", f"{self.sentences}")]
         if self.has_brackets:
             rows += [
@@ -108,23 +109,18 @@ class EvalReport:
             rows.append(("UAS", f"{self.uas:.2f}"))
             if self.has_labels:
                 rows.append(("LAS", f"{self.las:.2f}"))
+        return rows
+
+    def format_text(self) -> str:
+        rows = self._rows()
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)
 
     def format_keyvalues(self) -> str:
-        rows = [("sentences", f"{self.sentences}")]
-        if self.has_brackets:
-            rows += [
-                ("bracket_recall", f"{self.recall:.2f}"),
-                ("bracket_precision", f"{self.precision:.2f}"),
-                ("bracket_f1", f"{self.f1:.2f}"),
-                ("exact_match", f"{self.exact_rate:.2f}"),
-            ]
-        if self.has_deps:
-            rows.append(("uas", f"{self.uas:.2f}"))
-            if self.has_labels:
-                rows.append(("las", f"{self.las:.2f}"))
-        return "\n".join(f"{name}={val}" for name, val in rows)
+        """``name=value`` lines, each name lowercased with ``_`` for its
+        spaces."""
+        return "\n".join(f"{name.lower().replace(' ', '_')}={val}"
+                         for name, val in self._rows())
 
 
 def _kept_positions(tree: ConstituentTree,
@@ -137,8 +133,7 @@ def _kept_positions(tree: ConstituentTree,
     return counts
 
 
-def _bracket_multiset(tree: ConstituentTree, kept: list[int],
-                      label_map: Mapping[str, str] | None) -> Counter:
+def _bracket_multiset(tree: ConstituentTree, kept: list[int]) -> Counter:
     out: Counter = Counter()
     for node in tree.iter_nodes():
         if node.is_preterminal:
@@ -148,8 +143,6 @@ def _bracket_multiset(tree: ConstituentTree, kept: list[int],
             label = label[len(HEAD_PREFIX):]
         if label in (EMPTY, SPLIT) or not label:
             continue
-        if label_map:
-            label = label_map.get(label, label)
         inside = kept[node.end] - kept[node.start - 1]
         if inside == 0:
             continue
@@ -159,8 +152,7 @@ def _bracket_multiset(tree: ConstituentTree, kept: list[int],
 
 def bracket_f1(gold: Sequence[ConstituentTree],
                pred: Sequence[ConstituentTree],
-               punct: frozenset[str] = DEFAULT_PUNCT,
-               label_map: Mapping[str, str] | None = None) -> EvalReport:
+               punct: frozenset[str] = DEFAULT_PUNCT) -> EvalReport:
     """Micro-averaged labeled bracket scores over aligned corpora.
 
     Punctuation membership is decided by the gold part of speech and the
@@ -176,8 +168,8 @@ def bracket_f1(gold: Sequence[ConstituentTree],
                 f"sentence {ordinal}: {len(g.tokens)} gold tokens vs "
                 f"{len(p.tokens)} predicted")
         kept = _kept_positions(g, punct)
-        gc = _bracket_multiset(g, kept, label_map)
-        pc = _bracket_multiset(p, kept, label_map)
+        gc = _bracket_multiset(g, kept)
+        pc = _bracket_multiset(p, kept)
         report.bracket_gold += sum(gc.values())
         report.bracket_pred += sum(pc.values())
         report.bracket_match += sum((gc & pc).values())

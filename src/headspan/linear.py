@@ -13,9 +13,9 @@ mix(crc32(c))``: labelling a key is one XOR.
 :meth:`LinearModel.hashes_many` hashes a batch of sentences in one pass,
 each distinct word and tag once. One ``np.unique`` over keys that carry
 their sentence (or pair block) in the high 32 bits gives every sentence its
-distinct keys. Parsing (:func:`decode_many`) and training hash in batches
-of at most ``_HASH_SPANS`` spans: a few dozen numpy calls a batch, not a few
-dozen a sentence.
+distinct keys. Parsing (:func:`decode_many`) and training hash in windows
+of at most ``_WINDOW_SPANS`` spans: a few dozen numpy calls a window, not a
+few dozen a sentence.
 
 :meth:`LinearModel.score_table` gathers the weight of each distinct
 (feature, label) once, broadcasts the one-position weights to their spans
@@ -117,14 +117,11 @@ _TAG_TEMPLATES = ("s_fp", "s_lp", "s_prev", "s_next", "s_in", "s_pp",
 _WORD_TEMPLATES = ("s_fw", "s_lw", "s_ww", "a_ww", "a_wp", "a_hw", "r_w")
 # span-label scores computed per block, which bounds the working arrays
 _BLOCK = 2 ** 16
-# spans of the sentences hashed in one pass, which bounds its working
-# arrays: about 40 sentences of 10 tokens, which hash as fast a sentence as
-# 120 do with under half their peak memory
-_HASH_SPANS = 2 ** 11
-# spans of the sentences that decode_many hashes before decoding them, whose
-# hashes it holds: on 5000 sentences of 3 to 16 tokens, 2^13 parses within
-# 6% of 2^15 and 2^17 with 76 MB of peak RSS against 98 and 181, and 2^11
-# is 15% slower than 2^13, its length groups smaller
+# spans of the sentences hashed in one pass, and so those that decode_many
+# hashes before decoding them, whose hashes it holds: on 5000 sentences of
+# 3 to 16 tokens, 2^13 parses within 6% of 2^15 and 2^17 with 76 MB of peak
+# RSS against 98 and 181, and 2^11 is 15% slower than 2^13, its length
+# groups smaller
 _WINDOW_SPANS = 2 ** 13
 
 
@@ -205,13 +202,6 @@ def _batches(sentences: Sequence[Sequence], budget: int
         total += spans
     if lo < len(sentences):
         yield lo, len(sentences)
-
-
-def _hashed(model: "LinearModel", sentences: Sequence[Sequence[Token]]
-            ) -> list[Hashes]:
-    """Every sentence's hashes, made ``_HASH_SPANS`` spans at a time."""
-    return [h for lo, hi in _batches(sentences, _HASH_SPANS)
-            for h in model.hashes_many(sentences[lo:hi])]
 
 
 @dataclass
@@ -564,26 +554,27 @@ class LinearModel:
 
 def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
                 route: str | None = None, lam: float | None = None,
-                len_cap: int = LEN_CAP, hashes: Sequence[Hashes] | None = None,
-                first: int | None = 1
+                hashes: Sequence[Hashes] | None = None, first: int | None = 1
                 ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
     """Parse sentences with a trained model: :func:`decode_tables` along
     ``route`` (default the model's mode) under ``lam`` (default the
     model's), each sentence scored into its summary when it is decoded.
-    Sentences are hashed (``hashes`` gives them made already) and decoded a
-    window of ``_WINDOW_SPANS`` spans at a time, which bounds the hashes
+    Sentences are hashed, each window of ``_WINDOW_SPANS`` spans in one
+    :meth:`LinearModel.hashes_many` call (``hashes`` gives them made
+    already), and decoded a window at a time, which bounds the hashes
     held."""
     route = model.mode if route is None else route
     lam = model.lam if lam is None else lam
     for lo, hi in _batches(sentences, _WINDOW_SPANS):
         window = sentences[lo:hi]
-        made = _hashed(model, window) if hashes is None else hashes[lo:hi]
+        made = (model.hashes_many(window) if hashes is None
+                else hashes[lo:hi])
         # sentence k's scores as decode_tables takes them: summarized when
         # it is decoded
         yield from decode_tables(
             window, lambda k: SimpleNamespace(n=len(window[k]), summary=(
                 functools.partial(model.summary, window[k], made[k]))),
-            route, lam, len_cap, None if first is None else first + lo)
+            route, lam, None if first is None else first + lo)
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
@@ -664,9 +655,11 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                         lam=config.lam)
     lam = 1.0 if division_mode else config.lam
 
-    # every sentence's feature hashes serve all epochs and dev passes
+    # every sentence's feature hashes serve all epochs and dev passes, made
+    # a window at a time as decode_many makes them
     sentences = [tree.tokens for tree in [*trees, *(dev or ())]]
-    all_hashes = _hashed(model, sentences)
+    all_hashes = [h for lo, hi in _batches(sentences, _WINDOW_SPANS)
+                  for h in model.hashes_many(sentences[lo:hi])]
     dev_hashes = all_hashes[len(trees):]
     prepared = []
     for tree, hashes in zip(trees, all_hashes):

@@ -16,7 +16,6 @@ one block, the linear model's a block at a time.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -26,8 +25,6 @@ from . import division
 from .errors import ScoreFileError
 from .fuse import project_dependencies
 from .trees import EMPTY, SPLIT, ConstituentTree, HpsgTree
-
-log = logging.getLogger(__name__)
 
 # an analysis as the parts a table scores: labeled spans, (child, head)
 # arcs and the root, 0 when the analysis has no dependency part
@@ -61,9 +58,6 @@ class CategoryVocab:
             return self._ids[category]
         except KeyError:
             raise KeyError(f"unknown category {category!r}") from None
-
-    def get(self, category: str) -> int | None:
-        return self._ids.get(category)
 
     def category(self, idx: int) -> str:
         return self._cats[idx]
@@ -344,14 +338,9 @@ def write_scores(tables: Sequence[ScoreTable], stream: IO[str]) -> None:
                     f"ROOT {head} {float(table.root[head])!r}\n")
 
 
-def read_scores(stream: IO[str] | str,
-                vocab: CategoryVocab | None = None) -> list[ScoreTable]:
-    """Parse the text score format into tables.
-
-    Without a vocabulary, one is built from the categories in the file.
-    With one, entries naming unknown categories are skipped and counted in
-    a single warning, so a fixed-vocabulary parser can read wider files.
-    """
+def read_scores(stream: IO[str] | str) -> list[ScoreTable]:
+    """Parse the text score format into tables over one vocabulary, built
+    from the categories the file names."""
     if isinstance(stream, str):
         lines = stream.splitlines()
     else:
@@ -383,18 +372,11 @@ def read_scores(stream: IO[str] | str,
                                  line=lineno)
         current.append((lineno, fields))
 
-    if vocab is None:
-        cats: set[str] = set()
-        for _, _, entries in records:
-            for _, fields in entries:
-                if fields[0] == "SPAN" and len(fields) == 5:
-                    cats.add(fields[3])
-        cats.discard(EMPTY)
-        cats.discard(SPLIT)
-        vocab = CategoryVocab(sorted(cats))
+    cats = {fields[3] for _, _, entries in records for _, fields in entries
+            if fields[0] == "SPAN" and len(fields) == 5}
+    vocab = CategoryVocab(sorted(cats - {EMPTY, SPLIT}))
 
     tables = []
-    skipped = 0
     for ordinal, n, entries in records:
         table = ScoreTable.zeros(n, vocab)
         for lineno, fields in entries:
@@ -410,11 +392,7 @@ def read_scores(stream: IO[str] | str,
                         raise ScoreFileError(
                             f"span ({i},{j}) outside sentence of length {n}",
                             line=lineno)
-                    cid = vocab.get(fields[3])
-                    if cid is None:
-                        skipped += 1
-                        continue
-                    table.span[i, j, cid] = value
+                    table.span[i, j, vocab.index(fields[3])] = value
                 elif kind == "ARC":
                     if len(fields) != 4:
                         raise ScoreFileError("ARC needs dependent head score",
@@ -449,7 +427,4 @@ def read_scores(stream: IO[str] | str,
         except ValueError as exc:
             raise ScoreFileError(f"sentence {ordinal}: {exc}") from None
         tables.append(table)
-    if skipped:
-        log.warning("skipped %d score entries with unknown categories",
-                    skipped)
     return tables

@@ -205,9 +205,9 @@ def random_tree(rng: random.Random, n: int) -> HpsgTree:
 
 
 def random_score_table(rng: np.random.Generator, n: int,
-                       vocab: CategoryVocab, low: float = -1.0,
-                       high: float = 1.0) -> ScoreTable:
-    """Dense uniform random scores, for decoder agreement checks.
+                       vocab: CategoryVocab) -> ScoreTable:
+    """Dense scores drawn uniformly from [-1, 1), for decoder agreement
+    checks.
 
     Slots with no meaning (index 0, reversed spans, self-loop arcs) stay
     zero so written score files contain only legal entries.
@@ -216,10 +216,10 @@ def random_score_table(rng: np.random.Generator, n: int,
     table = ScoreTable.zeros(n, vocab)
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            table.span[i, j] = rng.uniform(low, high, v)
+            table.span[i, j] = rng.uniform(-1.0, 1.0, v)
     for child in range(1, n + 1):
         for head in range(1, n + 1):
             if head != child:
-                table.arc[child, head] = rng.uniform(low, high)
-    table.root[1:] = rng.uniform(low, high, n)
+                table.arc[child, head] = rng.uniform(-1.0, 1.0)
+    table.root[1:] = rng.uniform(-1.0, 1.0, n)
     return table

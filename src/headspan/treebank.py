@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import logging
 import re
-from functools import partial
 from operator import attrgetter
 from typing import IO, Any, Callable, Iterable, Iterator, Optional
 
@@ -130,8 +129,8 @@ def _leaf_or_children(label: str, parts: list, tokens: list[Token],
     return parts
 
 
-def _close_const(label: str, parts: list, tokens: list[Token], line: int,
-                 strip_tags: bool) -> Optional[ConstNode]:
+def _close_const(label: str, parts: list, tokens: list[Token],
+                 line: int) -> Optional[ConstNode]:
     """One constituent bracket; None for ``-NONE-`` and emptied brackets."""
     got = _leaf_or_children(label, parts, tokens, line)
     if isinstance(got, Token):
@@ -142,8 +141,7 @@ def _close_const(label: str, parts: list, tokens: list[Token], line: int,
     children = [child for child in got if child is not None]
     if not children:
         return None  # all children were empty elements
-    return make_const_node(strip_function_tags(label) if strip_tags
-                           else label, children)
+    return make_const_node(strip_function_tags(label), children)
 
 
 def _close_hpsg(label: str, parts: list, tokens: list[Token],
@@ -180,13 +178,12 @@ def _format_tree(root, tokens: list[Token], name: Callable[..., str]) -> str:
     return "".join(out)[1:]
 
 
-def read_bracketed(stream: IO[str] | str, strip_tags: bool = True) -> list[ConstituentTree]:
+def read_bracketed(stream: IO[str] | str) -> list[ConstituentTree]:
     """Read every bracketed tree from a stream or string."""
     text = stream if isinstance(stream, str) else stream.read()
-    close = partial(_close_const, strip_tags=strip_tags)
     trees = []
-    for ordinal, (root, tokens, line) in enumerate(_read_sexprs(text, close),
-                                                   start=1):
+    for ordinal, (root, tokens, line) in enumerate(
+            _read_sexprs(text, _close_const), start=1):
         # unwrap an anonymous top-level pair: ( (S ...) )
         while root and not root.label and len(root.children) == 1:
             root = root.children[0]

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from headspan import decode
 from headspan.cli import main
-from headspan.decode import LEN_CAP
 from headspan.fuse import project_dependencies
 from headspan.linear import LinearModel
 from headspan.scoring import CategoryVocab, oracle_scores, write_scores
@@ -142,11 +142,12 @@ class TestParse:
 
     def test_len_cap_falls_back_to_span_decoder(self, tmp_path,
                                                 multihead_files, score_file,
-                                                capsys):
+                                                capsys, monkeypatch):
+        monkeypatch.setattr(decode, "LEN_CAP", 8)
         _, conll = multihead_files
         out = tmp_path / "parsed.hpsg"
         code = main(["parse", "--input", conll, "--scores", score_file,
-                     "--len-cap", "8", "--out", str(out)])
+                     "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 0
         # the two nine-token sentences exceed the cap
@@ -154,29 +155,22 @@ class TestParse:
         with open(out, encoding="utf-8") as fh:
             assert len(read_hpsg(fh)) == 5
 
-    def test_len_cap_above_the_chart_bound_refused(self, tmp_path,
-                                                   multihead_files,
-                                                   score_file, capsys):
-        _, conll = multihead_files
-        out = tmp_path / "parsed.hpsg"
-        code = main(["parse", "--input", conll, "--scores", score_file,
-                     "--len-cap", str(LEN_CAP + 1), "--out", str(out)])
-        assert code == 1
-        assert f"--len-cap above {LEN_CAP}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_negative_len_cap_refused(self, tmp_path, multihead_files,
-                                      score_file, capsys):
-        # a negative cap sent every sentence to the span decoder, with the
-        # note "above cap -1"
-        _, conll = multihead_files
-        out = tmp_path / "parsed.hpsg"
-        code = main(["parse", "--input", conll, "--scores", score_file,
-                     "--len-cap", "-1", "--out", str(out)])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "headspan parse: --len-cap must be at least 0, got -1"]
-        assert not out.exists()
+    def test_span_decoder_takes_heads_from_arcs_of_bare_labels(
+            self, tmp_path, data_dir, sample_fused, capsys):
+        # oracle scores of bare labels mark no head daughter; the arcs do
+        vocab = CategoryVocab.from_trees(sample_fused)
+        scores = tmp_path / "scores.txt"
+        with open(scores, "w", encoding="utf-8") as fh:
+            write_scores([oracle_scores(t, vocab) for t in sample_fused], fh)
+        out = tmp_path / "parsed.conll"
+        code = main(["parse", "--input", str(data_dir / "sample.conll"),
+                     "--scores", str(scores), "--decoder", "division",
+                     "--out-dep", str(out)])
+        assert code == 0
+        assert "no H-marked child" not in capsys.readouterr().err
+        with open(out, encoding="utf-8") as fh:
+            assert [d.heads for d in read_conll(fh)] == [
+                project_dependencies(t).heads for t in sample_fused]
 
     def test_bracketed_input_detected(self, tmp_path, multihead_files,
                                       score_file):

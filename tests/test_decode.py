@@ -640,7 +640,8 @@ class TestBatchedFills:
         assert got[7] == want
         assert peak < 2 * decode._BATCH_BYTES
 
-    def test_decode_tables_match_decode_table(self, sample_fused):
+    def test_decode_tables_match_decode_table(self, sample_fused,
+                                              monkeypatch):
         # score-file tables of every length, one of them non-finite: the
         # same trees and notes, then the refusal of the first bad one
         vocab = CategoryVocab.from_trees(sample_fused)
@@ -650,13 +651,14 @@ class TestBatchedFills:
         for table in tables:
             table.span += rng.normal(scale=0.5, size=table.span.shape)
         sentences = [t.tokens for t in trees]
-        for route, len_cap in (("joint", LEN_CAP), ("joint", 7),
-                               ("division", LEN_CAP), ("eisner", LEN_CAP)):
-            want = [decode_table(table, route, 0.4, tokens, len_cap, k)
+        for route, cap in (("joint", LEN_CAP), ("joint", 7),
+                           ("division", LEN_CAP), ("eisner", LEN_CAP)):
+            monkeypatch.setattr(decode, "LEN_CAP", cap)
+            want = [decode_table(table, route, 0.4, tokens, k)
                     for k, (tokens, table) in enumerate(
                         zip(sentences, tables), start=1)]
             assert list(decode.decode_tables(
-                sentences, tables.__getitem__, route, 0.4, len_cap)) == want
+                sentences, tables.__getitem__, route, 0.4)) == want
         tables[30].arc[1, 2] = np.nan
         got = decode.decode_tables(sentences, tables.__getitem__, "joint",
                                    0.4)
@@ -895,6 +897,30 @@ def recursion_headroom(frames: int):
         sys.setrecursionlimit(saved)
 
 
+class TestSpanRouteOfBareLabels:
+    """Labels without ``H_`` marks, those of a joint model or a joint score
+    file, name no head daughter, so the span route takes the heads from
+    the arcs."""
+
+    def test_division_route_returns_gold(self, sample_fused):
+        vocab = CategoryVocab.from_trees(sample_fused)
+        for gold in sample_fused:
+            tree, notes = decode_table(oracle_scores(gold, vocab),
+                                       "division", 0.5, gold.tokens)
+            assert notes == []
+            assert tree == gold
+
+    def test_joint_route_above_the_cap_returns_gold(self, sample_fused,
+                                                    monkeypatch):
+        monkeypatch.setattr(decode, "LEN_CAP", 5)
+        gold = max(sample_fused, key=len)
+        table = oracle_scores(gold, CategoryVocab.from_trees([gold]))
+        tree, notes = decode_table(table, "joint", 0.5, gold.tokens)
+        assert notes == [f"length {len(gold)} above cap 5, using the span "
+                         f"decoder"]
+        assert tree == gold
+
+
 class TestLongAndDeep:
     """Backtracks and encoders walk with explicit stacks, so the length
     of a right-branching sentence is no way to exhaust the Python stack."""
@@ -905,7 +931,7 @@ class TestLongAndDeep:
         gold = right_branching(1100)
         vocab = CategoryVocab.from_trees([gold], division_labels=True)
         table = oracle_scores(gold, vocab, division_labels=True)
-        tree, notes = decode_table(table, "joint", 0.5, gold.tokens, 240)
+        tree, notes = decode_table(table, "joint", 0.5, gold.tokens)
         assert notes == ["length 1100 above cap 240, using the span decoder"]
         assert tree == gold
 

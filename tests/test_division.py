@@ -141,8 +141,7 @@ class TestRoundTrip:
 
 class TestDecodingFallbacks:
     def test_missing_marks_flag_and_keep_leftmost_head(self):
-        tree = read_bracketed("(X (<E> (A a)) (<E> (B b)))",
-                              strip_tags=False)[0]
+        tree = read_bracketed("(X (<E> (A a)) (<E> (B b)))")[0]
         back, flags = from_division(tree)
         assert len(flags) == 1
         assert "(1,2)" in flags[0]
@@ -150,12 +149,12 @@ class TestDecodingFallbacks:
         assert [ch.label for ch in back.root.children] == ["A", "B"]
 
     def test_empty_root_over_two_pieces_rejected(self):
-        tree = read_bracketed("(<E> (H_A a) (B b))", strip_tags=False)[0]
+        tree = read_bracketed("(<E> (H_A a) (B b))")[0]
         with pytest.raises(StructureError):
             from_division(tree)
 
     def test_chain_atom_expands_in_original_order(self):
-        tree = read_bracketed("(S+VP (H_VBZ runs))", strip_tags=False)[0]
+        tree = read_bracketed("(S+VP (H_VBZ runs))")[0]
         back, flags = from_division(tree)
         assert flags == []
         assert back.root.label == "S"

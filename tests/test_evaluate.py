@@ -110,12 +110,6 @@ class TestBracketPairs:
         assert report.f1 == pytest.approx(72.73, abs=0.005)
         assert report.exact_rate == pytest.approx(20.0, abs=0.005)
 
-    def test_label_map_merges_categories(self):
-        gold, pred, *_ = HAND_PAIRS[4]
-        report = bracket_f1(trees(gold), trees(pred),
-                            label_map={"ADJP": "NP"})
-        assert report.f1 == 100.0
-
     def test_all_punct_spans_are_dropped(self):
         gold = trees("(S (NP (NNP A)) (X (, ,) (. .)))")
         pred = trees("(S (NP (NNP A)) (, ,) (. .))")

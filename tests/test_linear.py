@@ -555,47 +555,50 @@ class TestBatchedDecode:
     at a time, and raises the first refusal in input order."""
 
     @staticmethod
-    def one_at_a_time(model, sentences, route, lam, len_cap):
+    def one_at_a_time(model, sentences, route, lam):
         out = []
         for ordinal, tokens in enumerate(sentences, start=1):
             try:
                 table = model.score_table(tokens,
                                           model.hashes_many([tokens])[0])
-                out.append(decode_table(table, route, lam, tokens, len_cap,
+                out.append(decode_table(table, route, lam, tokens,
                                         ordinal))
             except ScoreFileError as exc:
                 return out, str(exc)
         return out, None
 
     @staticmethod
-    def batched(model, sentences, route, lam, len_cap):
+    def batched(model, sentences, route, lam):
         out = []
         try:
-            for result in decode_many(model, sentences, route, lam, len_cap):
+            for result in decode_many(model, sentences, route, lam):
                 out.append(result)
         except ScoreFileError as exc:
             return out, str(exc)
         return out, None
 
-    @pytest.mark.parametrize("route, len_cap", [
+    @pytest.mark.parametrize("route, cap", [
         ("joint", LEN_CAP), ("joint", 6), ("division", LEN_CAP),
         ("eisner", LEN_CAP)])
-    def test_same_trees_and_notes(self, sample_fused, route, len_cap,
+    def test_same_trees_and_notes(self, sample_fused, route, cap,
                                   monkeypatch):
-        # small windows, hash batches and fill batches, so that lengths
-        # meet across several of each
+        # small windows and fill batches, so that lengths meet across
+        # several of each
         monkeypatch.setattr(linear, "_WINDOW_SPANS", 400)
-        monkeypatch.setattr(linear, "_HASH_SPANS", 150)
         monkeypatch.setattr(decode, "batch_size", lambda n: 3)
+        monkeypatch.setattr(decode, "LEN_CAP", cap)
         vocab = CategoryVocab.from_trees(sample_fused)
         model = noisy_model(vocab, 2 ** 16, "joint", seed=8)
         sentences = [t.tokens for t in sample_fused[:60]]
-        want = self.one_at_a_time(model, sentences, route, 0.4, len_cap)
-        got = self.batched(model, sentences, route, 0.4, len_cap)
+        want = self.one_at_a_time(model, sentences, route, 0.4)
+        got = self.batched(model, sentences, route, 0.4)
         assert got == want
         assert want[1] is None and len(want[0]) == 60
+        # the span route takes a joint model's heads from its arcs, so the
+        # only notes are those of the cap
         notes = [note for _, found in want[0] for note in found]
-        assert (len(notes) > 0) == (len_cap < LEN_CAP or route == "division")
+        assert all("above cap" in note for note in notes)
+        assert (len(notes) > 0) == (cap < LEN_CAP)
 
     def refusals(self, sample_fused, route, value, monkeypatch):
         """One-at-a-time and batched results when sentences 4 and 9 (by
@@ -628,8 +631,8 @@ class TestBatchedDecode:
 
         monkeypatch.setattr(model, "hashes_many", hashed)
         monkeypatch.setattr(model, "_span_blocks", blocks)
-        return (self.one_at_a_time(model, sentences, route, 0.5, LEN_CAP),
-                self.batched(model, sentences, route, 0.5, LEN_CAP))
+        return (self.one_at_a_time(model, sentences, route, 0.5),
+                self.batched(model, sentences, route, 0.5))
 
     @pytest.mark.parametrize("route", ["joint", "division"])
     def test_first_refusal_in_input_order(self, sample_fused, route,

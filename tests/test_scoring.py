@@ -1,7 +1,6 @@
 """Score tables, the oracle construction, and the text score format."""
 
 import io
-import logging
 
 import numpy as np
 import pytest
@@ -37,7 +36,6 @@ class TestCategoryVocab:
 
     def test_lookup_errors_and_get(self):
         vocab = CategoryVocab(["NP"])
-        assert vocab.get("VP") is None
         assert "VP" not in vocab
         with pytest.raises(KeyError):
             vocab.index("VP")
@@ -88,10 +86,11 @@ class TestScoreFormat:
         tables = [random_score_table(rng, n, vocab) for n in (1, 2, 5, 9)]
         buf = io.StringIO()
         write_scores(tables, buf)
-        again = read_scores(buf.getvalue(), vocab=vocab)
+        again = read_scores(buf.getvalue())
         assert len(again) == len(tables)
         for a, b in zip(tables, again):
             assert b.n == a.n
+            assert b.vocab == vocab
             np.testing.assert_array_equal(a.span, b.span)
             np.testing.assert_array_equal(a.arc, b.arc)
             np.testing.assert_array_equal(a.root, b.root)
@@ -115,20 +114,11 @@ class TestScoreFormat:
         table, = read_scores(text)
         assert table.root[1] == 2.0
 
-    def test_unknown_categories_skipped_with_warning(self, caplog):
-        vocab = CategoryVocab(["NP"])
-        text = "#sent 1 2\nSPAN 1 2 WEIRD 3.0\nSPAN 1 2 NP 1.0\nROOT 1 1.0"
-        with caplog.at_level(logging.WARNING):
-            table, = read_scores(text, vocab=vocab)
-        assert "skipped 1" in caplog.text
-        assert table.span[1, 2, vocab.index("NP")] == 1.0
-        assert table.span[1, 2].sum() == 1.0
-
 
 class TestScoreFormatErrors:
-    def err(self, text, vocab=None):
+    def err(self, text):
         with pytest.raises(ScoreFileError) as got:
-            read_scores(text, vocab=vocab)
+            read_scores(text)
         return got.value
 
     def test_span_outside_sentence(self):

@@ -54,11 +54,6 @@ class TestBracketed:
         tree = read_bracketed(
             "(S (NP-SBJ-1 (DT the) (NN dog)) (VP=2 (VBD ran)))")[0]
         assert [n.label for n in tree.internal_nodes()] == ["S", "NP", "VP"]
-        kept = read_bracketed(
-            "(S (NP-SBJ-1 (DT the) (NN dog)) (VP=2 (VBD ran)))",
-            strip_tags=False)[0]
-        assert [n.label for n in kept.internal_nodes()] == ["S", "NP-SBJ-1",
-                                                            "VP=2"]
 
     def test_unbalanced_close_reports_line(self):
         with pytest.raises(TreebankError) as err:
