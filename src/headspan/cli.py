@@ -6,9 +6,9 @@ a trained model, ``train`` fits the linear model, ``eval`` scores parser
 output against gold files, and ``check`` cross-verifies the decoders on
 random inputs.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 unreadable or
-malformed data, 3 failed verification in ``check``, 141 (128 + SIGPIPE)
-when the reader of stdout closes it early.
+Exit codes: 0 success, 1 usage or configuration error or out of memory, 2
+unreadable or malformed data, 3 failed verification in ``check``, 141
+(128 + SIGPIPE) when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -382,6 +382,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"headspan {args.command}: input nested deeper than the "
               f"recursion limit ({sys.getrecursionlimit()})", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"headspan {args.command}: out of memory "
+              f"({str(exc) or 'an allocation failed'})", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

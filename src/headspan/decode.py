@@ -34,8 +34,8 @@ arrays stay in cache. Time is O(n^4), sum over L of (n-L+1)(L-1)L
 candidates, with one Python iteration per length or step. Memory is O(n^3)
 at 12 bytes per cell, a float64 for the inner score or hook and an int32
 split point, plus the arrays of one step. The dependent's head is not
-stored; the backtrack recomputes it from the hooks' inputs in O(n) per
-node.
+stored; the walk back recomputes it from the hooks' inputs in O(n) per
+node and yields the derivation's parts: labeled spans, arcs and root.
 
 What a fill computes without the scores is its plan: per length, each
 operand's byte offset, shape and strides, the split-point mask and the
@@ -65,15 +65,16 @@ tokens.
 ignored), ``decode_eisner`` a first-order projective dependency decoder
 (spans ignored), both filled a length at a time through views in the same
 way, and ``brute_force`` an exhaustive re-derivation, which reduces the
-mixed table itself, used to certify the charts on small sentences.
-``decode_table`` is the single route from a sentence's scores, a table's or
-the linear model's, to a tree: it picks one of the three decoders, sends
-joint sentences above ``LEN_CAP`` tokens to the span decoder and asks for
-the scores' summary under the decoder's weight. The span route reads heads
-from ``H_`` marks where the labels carry them, and otherwise fuses its
-brackets with the best projective arcs; ``decode_joint_batch`` takes the
-joint route for same-length sentences at once, and ``decode_tables`` runs
-both over the sentences of a file.
+mixed table itself, used to certify the charts on small sentences. Both
+it and the joint chart end in parts, from which ``division.from_parts``
+builds the tree. ``decode_table`` is the single route from a sentence's
+scores, a table's or the linear model's, to a tree: it picks one of the
+three decoders, sends joint sentences above ``LEN_CAP`` tokens to the span
+decoder and asks for the scores' summary under the decoder's weight. The
+span route reads heads from ``H_`` marks where the labels carry them, and
+otherwise fuses its brackets with the best projective arcs;
+``decode_joint_batch`` takes the joint route for same-length sentences at
+once, and ``decode_tables`` runs both over the sentences of a file.
 
 Ties are broken deterministically everywhere: smaller split point first,
 then smaller sub-head, then smaller category id. A span's left dependent
@@ -93,13 +94,12 @@ import numpy as np
 from . import division
 from .errors import ScoreFileError, SizeGuardError
 from .fuse import fuse, project_constituents
-from .scoring import ScoreTable, SpanSummary
+from .scoring import Parts, ScoreTable, SpanSummary
 from .trees import (
     HEAD_PREFIX,
     ConstituentTree,
     ConstNode,
     DependencyTree,
-    HpsgNode,
     HpsgTree,
     Token,
     fold,
@@ -373,70 +373,23 @@ def fill_joint_chart(best: np.ndarray, arc_m: np.ndarray
             for b in range(lead[0])]
 
 
-def _build_tree(backpointer: Callable[[int, int, int], tuple[int, int, int]],
-                summary: SpanSummary, tokens: Sequence[Token], h_root: int
-                ) -> tuple[HpsgNode, list[tuple[int, int, str]]]:
-    """Tree and labeled derivation spans read off chart backpointers.
-
-    ``backpointer(i, j, h)`` gives (side, dependent head, split) as
-    :meth:`JointChart.backpointer` does.
-    """
-    cat_any, cat_real = summary.label[..., 0], summary.label[..., 1]
-    vocab, n = summary.vocab, summary.n
-    spans_out: list[tuple[int, int, str]] = []
-
-    # a state (i, j, h, is_complete, lid) is span (i, j) headed by h; lid
-    # fixes its label (the root's), None takes the best one for the span
-    def halves(state: tuple) -> tuple:
-        i, j, h = state[:3]
-        if i == j:
-            return ()
-        s, r, k = backpointer(i, j, h)
-        if s == 0:
-            return (i, k, r, True, None), (k + 1, j, h, False, None)
-        return (i, k, h, False, None), (k + 1, j, r, True, None)
-
-    def build(state: tuple, parts: list[list[HpsgNode]]) -> list[HpsgNode]:
-        i, j, h, is_complete, lid = state
-        if i == j:
-            children = [HpsgNode(label=tokens[i - 1].pos, head=i, start=i,
-                                 end=i)]
-            if lid is None:
-                lid = int(cat_any[i, i])
-        else:
-            children = parts[0] + parts[1]
-            if lid is None:
-                lid = int((cat_real if is_complete else cat_any)[i, j])
-        label = vocab.category(lid)
-        spans_out.append((i, j, label))
-        if lid == 0:
-            return children
-        return [division.expand_chain(label, children, h, i, j)]
-
-    nodes = fold((1, n, h_root, True, summary.top[0]), halves, build)
-    return nodes[0], spans_out
-
-
-def decode_joint_mixed(mixed: SpanSummary,
-                       tokens: Sequence[Token] | None = None,
-                       chart: JointChart | None = None
-                       ) -> tuple[HpsgTree, float, list[tuple[int, int, str]]]:
+def decode_joint_mixed(mixed: SpanSummary, chart: JointChart | None = None
+                       ) -> tuple[Parts, float]:
     """Joint decode over the summary of a table that already carries its
     interpolation weights (``ScoreTable.summary`` or
     ``LinearModel.summary``), reading ``chart`` when it was filled already
     (in a batch).
 
-    Besides the tree and its score, returns the labeled spans of the exact
-    derivation the chart chose (2n - 1 of them, empty categories included).
-    The derivation can binarize the tree's flat phrases differently from the
-    canonical head-outward encoding at no loss, so re-encoding the returned
-    tree may touch different chart cells; the span list is the record of
-    what was actually scored.
+    Returns the parts of the derivation the chart chose and its score: its
+    2n - 1 labeled spans in post-order, empty categories included, its
+    (dependent, head) arcs in ascending dependent order and its root;
+    :func:`~headspan.division.from_parts` makes the tree. The derivation
+    can binarize a flat phrase differently from the canonical head-outward
+    encoding at no loss, so ``tree_parts`` of that tree may list other
+    spans; these are the ones that were scored.
     """
-    n, root_m = mixed.n, mixed.root
-    if tokens is None:
-        tokens = _placeholder_tokens(n)
-    root_span_best = mixed.sentence_label()[1]
+    n, root_m, vocab = mixed.n, mixed.root, mixed.vocab
+    root_lid, root_span_best = mixed.sentence_label()
     if chart is None:
         chart = fill_joint_chart(mixed.best, mixed.arc)
     if n == 1:
@@ -448,17 +401,34 @@ def decode_joint_mixed(mixed: SpanSummary,
         totals = chart.complete(1, n) + adjust + root_m[1:n + 1]
     h_root = int(np.argmax(totals)) + 1
     score = float(totals[h_root - 1])
-    root, spans = _build_tree(chart.backpointer, mixed, tokens, h_root)
-    tree = HpsgTree(tokens=list(tokens), root=root)
-    return tree, score, spans
+    # a state is span (i, j) headed by h, standing as a finished dependent
+    # or continuing; a right-first pre-order walk, read backwards, lists
+    # the spans in post-order
+    heads = [0] * (n + 1)
+    order = []
+    stack = [(1, n, h_root, True)]
+    while stack:
+        i, j, h, complete = stack.pop()
+        order.append((i, j, int(complete and i < j)))
+        if i < j:
+            side, r, k = chart.backpointer(i, j, h)
+            heads[r] = h
+            stack += ([(i, k, r, True), (k + 1, j, h, False)] if side == 0
+                      else [(i, k, h, False), (k + 1, j, r, True)])
+    spans = [(i, j, vocab.category(int(mixed.label[i, j, real])))
+             for i, j, real in reversed(order[1:])]
+    spans.append((1, n, vocab.category(root_lid)))
+    arcs = [(d, heads[d]) for d in range(1, n + 1) if d != h_root]
+    return (spans, arcs, h_root), score
 
 
 def decode_joint(table: ScoreTable, lam: float = 0.5,
                  tokens: Sequence[Token] | None = None
                  ) -> tuple[HpsgTree, float]:
     """Best head-annotated tree under the objective interpolated by ``lam``."""
-    tree, score, _ = decode_joint_mixed(table.summary(lam), tokens)
-    return tree, score
+    parts, score = decode_joint_mixed(table.summary(lam))
+    tokens = tokens or _placeholder_tokens(table.n)
+    return division.from_parts(parts, tokens), score
 
 
 def _first_max(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -692,7 +662,7 @@ def decode_table(table, route: str, lam: float,
         if route == "eisner":
             return decode_eisner(table.summary(0.0), tokens)[0], []
         if route == "joint":
-            return decode_joint_mixed(table.summary(lam), tokens)[0], notes
+            return decode_joint(table, lam, tokens)[0], notes
         summary = table.summary(1.0)
         tree, flags = division.from_division(
             decode_division(summary, tokens)[0])
@@ -732,7 +702,8 @@ def decode_joint_batch(tables: Iterable, lam: float,
         charts = fill_joint_chart(np.stack([s.best for _, s in ready]),
                                   np.stack([s.arc for _, s in ready]))
     for (k, summary), chart in zip(ready, charts):
-        out[k] = decode_joint_mixed(summary, tokens[k], chart)[0], []
+        parts, _ = decode_joint_mixed(summary, chart)
+        out[k] = division.from_parts(parts, tokens[k]), []
     return out
 
 
@@ -786,15 +757,15 @@ BRUTE_FORCE_CAP = 8
 def _enumerate_derivations(n: int) -> tuple[tuple, ...]:
     """All projective head-outward derivations of a length-n sentence.
 
-    Each derivation is (head, arcs, spans, struct): arcs as (dependent,
-    head) pairs, spans as (start, end, stands_complete) for every internal
-    span strictly inside (1, n), and struct a nested tuple for rebuilding
-    the tree. Sub-lists are cached per span; scoring never is. The result
-    for the last n asked is kept, so checks that score many tables of one
-    length enumerate once; at n = 8 that is 54 912 derivations, about 36
-    MB. It is a tuple of tuples, which no caller can change. Refuses
-    sentences longer than ``BRUTE_FORCE_CAP`` tokens: the number of
-    derivations grows too fast beyond that to be worth enumerating.
+    Each derivation is (head, arcs, spans): arcs as (dependent, head)
+    pairs, spans as (start, end, stands_complete) for every internal span
+    strictly inside (1, n). Sub-lists are cached per span; scoring never
+    is. The result for the last n asked is kept, so checks that score many
+    tables of one length enumerate once; at n = 8 that is 54 912
+    derivations, about 29 MB. It is a tuple of tuples, which no caller can
+    change. Refuses sentences longer than ``BRUTE_FORCE_CAP`` tokens: the
+    number of derivations grows too fast beyond that to be worth
+    enumerating.
     """
     if n > BRUTE_FORCE_CAP:
         raise SizeGuardError(
@@ -806,12 +777,12 @@ def _enumerate_derivations(n: int) -> tuple[tuple, ...]:
         if got is not None:
             return got
         if i == j:
-            out = [(i, (), (), None)]
+            out = [(i, (), ())]
         else:
             out = []
             for k in range(i, j):
-                for hl, al, sl, tl in ders(i, k):
-                    for hr, ar, sr, tr in ders(k + 1, j):
+                for hl, al, sl in ders(i, k):
+                    for hr, ar, sr in ders(k + 1, j):
                         arcs = al + ar
                         spans = sl + sr
                         left_c = ((i, k, True),) if i < k else ()
@@ -819,11 +790,9 @@ def _enumerate_derivations(n: int) -> tuple[tuple, ...]:
                         right_c = ((k + 1, j, True),) if k + 1 < j else ()
                         right_p = ((k + 1, j, False),) if k + 1 < j else ()
                         out.append((hr, arcs + ((hl, hr),),
-                                    spans + left_c + right_p,
-                                    (k, 0, hl, hr, tl, tr)))
+                                    spans + left_c + right_p))
                         out.append((hl, arcs + ((hr, hl),),
-                                    spans + left_p + right_c,
-                                    (k, 1, hl, hr, tl, tr)))
+                                    spans + left_p + right_c))
         memo[(i, j)] = out
         return out
 
@@ -836,10 +805,8 @@ def brute_force(table: ScoreTable, lam: float = 0.5,
     """Exhaustive maximizer over every derivation, scored from scratch."""
     n = table.n
     derivations = _enumerate_derivations(n)
-    if tokens is None:
-        tokens = _placeholder_tokens(n)
     mixed = table.mixed(lam)
-    # labels for the shared tree builder; the scores below are reduced here
+    # labels of the winning spans; the scores below are reduced here
     summary = table.summary(lam)
     span_m = mixed.span
     arc_l = mixed.arc.tolist()
@@ -859,7 +826,7 @@ def brute_force(table: ScoreTable, lam: float = 0.5,
 
     best_score = -np.inf
     best = None
-    for head, arcs, spans, struct in derivations:
+    for head, arcs, spans in derivations:
         score = base + top + root_l[head]
         for child, parent in arcs:
             score += arc_l[child][parent]
@@ -867,23 +834,21 @@ def brute_force(table: ScoreTable, lam: float = 0.5,
             score += real_l[a][b] if stands else any_l[a][b]
         if score > best_score:
             best_score = score
-            best = (head, struct)
+            best = (head, arcs, spans)
 
     assert best is not None
-    # the winning derivation as chart backpointers, for the shared builder
-    head, struct = best
-    pointers = {}
-    stack = [(1, n, head, struct)]
-    while stack:
-        i, j, h, node = stack.pop()
-        if i == j:
-            continue
-        k, dep_side, hl, hr, tl, tr = node
-        pointers[i, j, h] = (dep_side, hl if dep_side == 0 else hr, k)
-        stack += [(i, k, hl, tl), (k + 1, j, hr, tr)]
-    root, _ = _build_tree(lambda i, j, h: pointers[i, j, h], summary,
-                          tokens, head)
-    return HpsgTree(tokens=list(tokens), root=root), float(best_score)
+    head, arcs, spans = best
+    # labeled as the chart labels them: a lone token is the sentence span,
+    # and a span standing as a dependent takes its best real label
+    cells = [(i, i, 0) for i in range(1, n + 1) if n > 1] + [
+        (i, j, int(stands)) for i, j, stands in spans]
+    vocab = summary.vocab
+    labeled = [(i, j, vocab.category(int(summary.label[i, j, c])))
+               for i, j, c in cells]
+    labeled.append((1, n, vocab.category(summary.top[0])))
+    tree = division.from_parts((labeled, sorted(arcs), head),
+                               tokens or _placeholder_tokens(n))
+    return tree, float(best_score)
 
 
 def max_projective_score(table: ScoreTable) -> float:
@@ -891,7 +856,7 @@ def max_projective_score(table: ScoreTable) -> float:
     arc_l = table.arc.tolist()
     root_l = table.root.tolist()
     best = -np.inf
-    for head, arcs, _, _ in _enumerate_derivations(table.n):
+    for head, arcs, _ in _enumerate_derivations(table.n):
         score = root_l[head]
         for child, parent in arcs:
             score += arc_l[child][parent]

@@ -18,12 +18,16 @@ produce head-annotated output:
   therefore the last child whose label carries ``H_``. A single (unary)
   child always carries it. The root label is bare.
 
-``from_division`` inverts all of this. On labelings a decoder might emit
-that violate the prefix discipline (no ``H_`` child at all) it keeps the
-leftmost child's head and records a flag instead of failing.
+``from_parts`` inverts the bare form from its labeled spans and arcs, as
+the joint decoders return them. ``from_division`` inverts all of this. On
+labelings a decoder might emit that violate the prefix discipline (no
+``H_`` child at all) it keeps the leftmost child's head and records a flag
+instead of failing.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import StructureError
 from .trees import (
@@ -36,7 +40,11 @@ from .trees import (
     Token,
     children_of,
     fold,
+    preterminal,
 )
+
+if TYPE_CHECKING:
+    from .scoring import Parts
 
 CHAIN_JOINER = "+"
 
@@ -82,6 +90,30 @@ def binarize_head_outward(tree: HpsgTree) -> HpsgNode:
     tree.validate_spans()
     return wrap_bare(fold(tree.root, lambda nd: _unary_chain(nd)[-1].children,
                           encode))
+
+
+def from_parts(parts: Parts, tokens: Sequence[Token]) -> HpsgTree:
+    """The head-annotated tree of a binary derivation over ``tokens``:
+    its 2n - 1 labeled spans in any order, its arcs and its root.
+
+    A binary span takes the head of whichever child the other child
+    depends on; ``<E>`` spans dissolve into their children and ``+`` atoms
+    unfold into unary chains, undoing :func:`binarize_head_outward`.
+    """
+    spans, arcs, _ = parts
+    head_of = dict(arcs)
+    # (nodes, head) of each finished span, taken children first
+    stack: list[tuple[list[HpsgNode], int]] = []
+    for i, j, label in sorted(spans, key=lambda s: (s[1], -s[0])):
+        if i == j:
+            head, kids = i, [preterminal(i, tokens[i - 1].pos)]
+        else:
+            (left, hl), (right, hr) = stack.pop(-2), stack.pop()
+            head = hr if head_of.get(hl) == hr else hl
+            kids = left + right
+        stack.append((kids if label == EMPTY else
+                      [expand_chain(label, kids, head, i, j)], head))
+    return HpsgTree(tokens=list(tokens), root=stack[0][0][0])
 
 
 def _unary_chain(node: HpsgNode) -> list[HpsgNode]:

@@ -71,7 +71,6 @@ from .scoring import (
     SpanSummary,
     labeled_spans,
     summarize,
-    tree_arcs,
     tree_parts,
     tree_spans,
 )
@@ -700,9 +699,7 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                 pred_tree, pred_score = decode_division(aug, tokens)
                 pred = (labeled_spans(pred_tree.root), [], 0)
             else:
-                pred_tree, pred_score, p_spans = decode_joint_mixed(aug,
-                                                                    tokens)
-                pred = (p_spans, *tree_arcs(pred_tree))
+                pred, pred_score = decode_joint_mixed(aug)
             # the gold score, summed as parts_score sums it
             _, g_arcs, g_root = gold
             dep = (sum(arc[c, h] for c, h in g_arcs) + root[g_root]

@@ -517,6 +517,26 @@ class TestTrainAndModelParse:
             "headspan parse: sentence 4: non-finite values in span scores"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("detail", ["Unable to allocate 1.6 GiB", ""])
+    def test_out_of_memory_exits_1_in_one_line(self, tmp_path, data_dir,
+                                               model_file, score_file,
+                                               monkeypatch, capsys, detail):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(detail)
+
+        conll = str(data_dir / "multihead.conll")
+        monkeypatch.setattr(LinearModel, "hashes_many", exhausted)
+        monkeypatch.setattr(decode, "fill_joint_chart", exhausted)
+        shown = f"({detail or 'an allocation failed'})"
+        for source in (["--model", model_file], ["--scores", score_file]):
+            out = tmp_path / "parsed.hpsg"
+            code = main(["parse", "--input", conll, *source,
+                         "--out", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"headspan parse: out of memory {shown}"]
+            assert not out.exists()
+
     def test_headless_phrase_in_training_trees_exits_2(self, tmp_path,
                                                         capsys):
         trees = tmp_path / "headless.hpsg"

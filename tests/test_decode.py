@@ -39,14 +39,16 @@ from headspan.decode import (
     fill_joint_chart,
     max_projective_score,
 )
-from headspan.division import from_division, to_division
+from headspan.division import from_division, from_parts, to_division
 from headspan.errors import ScoreFileError, SizeGuardError
 from headspan.fuse import project_dependencies
 from headspan.scoring import (
     CategoryVocab,
     ScoreTable,
     oracle_scores,
+    parts_score,
     reduce_labels,
+    tree_arcs,
 )
 from headspan.synth import random_score_table, random_tree
 from headspan.treebank import format_hpsg, read_hpsg
@@ -182,23 +184,33 @@ class TestJointAgainstBruteForce:
         assert fast_tree == slow_tree
 
     def test_derivation_spans_account_for_the_score(self):
+        # the parts are those of the tree they build, and score what the
+        # decoder says; a chain atom unfolds and folds back
         rng = np.random.default_rng(31)
-        vocab = CategoryVocab(["A", "B"])
-        for n in range(2, 7):
-            for _ in range(10):
-                table = random_score_table(rng, n, vocab)
-                lam = 0.5
-                span_m = lam * table.span
-                tree, score, spans = decode_joint_mixed(table.summary(lam))
-                assert len(spans) == 2 * n - 1
-                span_part = sum(span_m[i, j, vocab.index(cat)]
-                                for i, j, cat in spans)
-                deps = project_dependencies(tree)
-                dep_part = sum(
-                    (1.0 - lam) * table.root[t] if deps.heads[t] == 0
-                    else (1.0 - lam) * table.arc[t, deps.heads[t]]
-                    for t in range(1, n + 1))
-                assert span_part + dep_part == pytest.approx(score, abs=1e-9)
+        vocab = CategoryVocab(["A", "B", "S+VP"])
+        for n in range(1, 9):
+            tokens = [Token(index=i, form=f"w{i}", pos="X")
+                      for i in range(1, n + 1)]
+            for lam in (0.0, 0.5, 1.0):
+                for _ in range(10):
+                    table = random_score_table(rng, n, vocab)
+                    span_m = lam * table.span
+                    parts, score = decode_joint_mixed(table.summary(lam))
+                    spans, arcs, root = parts
+                    tree = from_parts(parts, tokens)
+                    assert len(spans) == 2 * n - 1
+                    span_part = sum(span_m[i, j, vocab.index(cat)]
+                                    for i, j, cat in spans)
+                    deps = project_dependencies(tree)
+                    dep_part = sum(
+                        (1.0 - lam) * table.root[t] if deps.heads[t] == 0
+                        else (1.0 - lam) * table.arc[t, deps.heads[t]]
+                        for t in range(1, n + 1))
+                    assert span_part + dep_part == pytest.approx(score,
+                                                                 abs=1e-9)
+                    assert (arcs, root) == tree_arcs(tree)
+                    assert parts_score(table, parts, lam) == pytest.approx(
+                        score, abs=1e-9)
 
 
 def reference_joint_chart(span_m, arc_m):

@@ -14,9 +14,12 @@ from hypothesis import strategies as st
 from headspan.division import (
     binarize_head_outward,
     from_division,
+    from_parts,
     to_division,
 )
 from headspan.errors import StructureError
+from headspan.fuse import fuse
+from headspan.scoring import tree_parts
 from headspan.synth import random_tree
 from headspan.trees import (
     EMPTY,
@@ -137,6 +140,28 @@ class TestRoundTrip:
             back, flags = from_division(encoded)
             assert flags == []
             assert back == tree
+
+
+class TestFromParts:
+    """``from_parts`` inverts ``tree_parts``: the bare binarization's
+    labeled spans, the arcs and the root give back the tree."""
+
+    def test_identity_on_fused_corpus(self, sample_fused):
+        assert len(sample_fused) == 250
+        for tree in sample_fused:
+            assert from_parts(tree_parts(tree), tree.tokens) == tree
+
+    def test_identity_on_multihead_pairs(self, multihead_pairs):
+        # fusing reports head conflicts here, and still gives a tree
+        for k, (const, deps) in enumerate(multihead_pairs):
+            tree, _ = fuse(const, deps, ordinal=k)
+            assert from_parts(tree_parts(tree), tree.tokens) == tree
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30))
+    def test_identity_property_on_random_trees(self, seed, n):
+        tree = random_tree(random.Random(seed), n)
+        assert from_parts(tree_parts(tree), tree.tokens) == tree
 
 
 class TestDecodingFallbacks:

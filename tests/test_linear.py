@@ -35,11 +35,10 @@ from headspan.scoring import (
     CategoryVocab,
     ScoreTable,
     labeled_spans,
-    tree_arcs,
     tree_parts,
 )
 from headspan.synth import sample_corpus
-from headspan.trees import HEAD_PREFIX, Token
+from headspan.trees import HEAD_PREFIX, HpsgTree, Token
 
 
 # The feature templates, the specification the model's keys follow. A
@@ -803,9 +802,7 @@ class TestFeatureCounts:
                 pred = (labeled_spans(pred_tree.root), [], 0)
             else:
                 gold = tree_parts(tree)
-                pred_tree, _, p_spans = decode_joint_mixed(
-                    table.summary(0.5), tokens)
-                pred = (p_spans, *tree_arcs(pred_tree))
+                pred, _ = decode_joint_mixed(table.summary(0.5))
             for parts in (gold, pred):
                 got = model.feature_counts(tokens, *parts, hashes)
                 want = reference_indices(model, tokens, *parts)
@@ -951,6 +948,21 @@ class TestTraining:
             pred = decode_with_model(model, gold.tokens)
             assert len(pred) == len(gold)
             project_constituents(pred).validate()
+
+    def test_joint_training_builds_no_tree(self, sample_fused, monkeypatch):
+        # each loss-augmented decode yields parts, which the update counts
+        built = []
+        init = HpsgTree.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(HpsgTree, "__init__", counting)
+        _, history = train_linear(sample_fused[:20],
+                                  TrainConfig(epochs=2, dim=2 ** 14, seed=13))
+        assert history[0]["updates"] > 0
+        assert built == []
 
     def test_division_mode_trains(self, tiny_corpus):
         config = TrainConfig(epochs=6, dim=2 ** 18, mode="division", seed=13)

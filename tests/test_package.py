@@ -1,14 +1,18 @@
 """The package as a user meets it: its modules import alone, and the
-README's examples run and name only options the command line has."""
+README's examples run and name only options the command line has and
+functions the package has."""
 
 import argparse
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import headspan
 from headspan.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +73,36 @@ def test_readme_commands_parse():
     assert len(lines) >= 5
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+# every module but the entry point, which runs the command line on import
+MODULES = [importlib.import_module(f"headspan.{m.name}")
+           for m in pkgutil.iter_modules(headspan.__path__)
+           if m.name != "__main__"]
+
+
+def has_path(owner, names: list[str]) -> bool:
+    for name in names:
+        if not hasattr(owner, name):
+            return False
+        owner = getattr(owner, name)
+    return True
+
+
+def resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names an attribute of a ``headspan`` module, a
+    module (``linear.decode_many``) included, or of the package when it
+    starts with ``headspan``."""
+    first, *rest = dotted.split(".")
+    if first == "headspan":
+        return has_path(headspan, rest)
+    return any(has_path(m, [first, *rest]) for m in [headspan, *MODULES])
+
+
+def test_readme_names_only_functions_the_package_has():
+    prose = re.sub(r"^```.*?^```$", "", README, flags=re.M | re.S)
+    dotted = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", prose)
+    called = re.findall(r"`([A-Za-z_][\w.]*)\([^`]*\)`", prose)
+    names = set(dotted) | set(called)
+    assert len(names) >= 17
+    assert [name for name in sorted(names) if not resolves(name)] == []
