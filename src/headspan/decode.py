@@ -65,14 +65,17 @@ tokens.
 ignored), ``decode_eisner`` a first-order projective dependency decoder
 (spans ignored), both filled a length at a time through views in the same
 way, and ``brute_force`` an exhaustive re-derivation, which reduces the
-mixed table itself, used to certify the charts on small sentences. Both
-it and the joint chart end in parts, from which ``division.from_parts``
-builds the tree. ``decode_table`` is the single route from a sentence's
-scores, a table's or the linear model's, to a tree: it picks one of the
-three decoders, sends joint sentences above ``LEN_CAP`` tokens to the span
-decoder and asks for the scores' summary under the decoder's weight. The
-span route reads heads from ``H_`` marks where the labels carry them, and
-otherwise fuses its brackets with the best projective arcs;
+mixed table itself, used to certify the charts on small sentences. Every
+decoder that labels spans returns them: the span decoder its labeled
+spans, the joint chart and brute force their parts. One builder in
+``division`` makes the trees: ``from_parts`` from bare spans and arcs,
+``from_division`` from ``H_``-marked spans. ``decode_table`` is the single
+route from a sentence's scores, a table's or the linear model's, to a
+tree: it picks one of the three decoders, sends joint sentences above
+``LEN_CAP`` tokens to the span decoder and asks for the scores' summary
+under the decoder's weight. The span route reads heads from ``H_`` marks
+where the labels carry them, and otherwise fuses its brackets with the
+best projective arcs;
 ``decode_joint_batch`` takes the joint route for same-length sentences at
 once, and ``decode_tables`` runs both over the sentences of a file.
 
@@ -95,15 +98,7 @@ from . import division
 from .errors import ScoreFileError, SizeGuardError
 from .fuse import fuse, project_constituents
 from .scoring import Parts, ScoreTable, SpanSummary
-from .trees import (
-    HEAD_PREFIX,
-    ConstituentTree,
-    ConstNode,
-    DependencyTree,
-    HpsgTree,
-    Token,
-    fold,
-)
+from .trees import HEAD_PREFIX, DependencyTree, HpsgTree, Token
 
 
 @dataclass
@@ -469,21 +464,18 @@ def _division_chart(best_any: np.ndarray
     return inner, chart, split
 
 
-def decode_division(summary: SpanSummary,
-                    tokens: Sequence[Token] | None = None
-                    ) -> tuple[ConstituentTree, float]:
-    """Best labeled binary tree under the span scores of a summary alone.
+def decode_division(summary: SpanSummary
+                    ) -> tuple[list[tuple[int, int, str]], float]:
+    """Best binary bracketing under the span scores of a summary alone: its
+    2n - 1 labeled spans in post-order, the root last, and its score.
 
     Any span may take the empty category except the whole-sentence span of
     a multi-token sentence, which needs an ordinary category so the result
-    decodes to a head-annotated tree. Every span is materialized as a node,
-    empty categories included, so the returned score equals the tree's span
-    score sum exactly.
+    decodes to a head-annotated tree. Every span is scored, empty
+    categories included, so the score equals the spans' score sum exactly.
     """
     n = summary.n
     vocab = summary.vocab
-    if tokens is None:
-        tokens = _placeholder_tokens(n)
     cat_any = summary.label[..., 0]
     inner, _, split = _division_chart(summary.best[..., 0])
 
@@ -492,25 +484,20 @@ def decode_division(summary: SpanSummary,
         score = root_span_best
     else:
         score = float(inner[1, n]) + root_span_best
-
-    def halves(state: tuple[int, int, int]) -> tuple:
-        i, j, _ = state
-        if i == j:
-            return ()
-        k = int(split[i, j])
-        return (i, k, -1), (k + 1, j, -1)
-
-    def build(state: tuple[int, int, int], kids: list[ConstNode]
-              ) -> ConstNode:
-        i, j, lid = state
-        if i == j:
-            kids = [ConstNode(label=tokens[i - 1].pos, start=i, end=i)]
-        label = vocab.category(int(cat_any[i, j]) if lid < 0 else lid)
-        return ConstNode(label=label, children=kids, start=i, end=j)
-
-    tree = ConstituentTree(tokens=list(tokens),
-                           root=fold((1, n, root_lid), halves, build))
-    return tree, score
+    # a right-first pre-order walk, read backwards, lists the spans in
+    # post-order
+    order = []
+    stack = [(1, n)]
+    while stack:
+        i, j = stack.pop()
+        order.append((i, j))
+        if i < j:
+            k = int(split[i, j])
+            stack += [(i, k), (k + 1, j)]
+    spans = [(i, j, vocab.category(int(cat_any[i, j])))
+             for i, j in reversed(order[1:])]
+    spans.append((1, n, vocab.category(root_lid)))
+    return spans, score
 
 
 def _eisner_chart(arc: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -664,14 +651,16 @@ def decode_table(table, route: str, lam: float,
         if route == "joint":
             return decode_joint(table, lam, tokens)[0], notes
         summary = table.summary(1.0)
-        tree, flags = division.from_division(
-            decode_division(summary, tokens)[0])
+        spans, _ = decode_division(summary)
+        tokens = tokens or _placeholder_tokens(table.n)
         if any(c.startswith(HEAD_PREFIX) for c in summary.vocab):
+            tree, flags = division.from_division(spans, tokens)
             return tree, notes + flags
-        # bare labels mark no head daughter, so every binary span would
-        # take its leftmost child's head: the heads come from the arcs
+        # bare labels mark no head daughter: the heads come from the arcs
         deps, _ = decode_eisner(table.summary(0.0), tokens)
-    tree, report = fuse(project_constituents(tree), deps)
+    brackets = project_constituents(division.from_parts((spans, [], 0),
+                                                        tokens))
+    tree, report = fuse(brackets, deps)
     return tree, notes + [f"residual span ({i},{j})"
                           for i, j in report.offending_spans]
 

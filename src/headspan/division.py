@@ -18,11 +18,16 @@ produce head-annotated output:
   therefore the last child whose label carries ``H_``. A single (unary)
   child always carries it. The root label is bare.
 
-``from_parts`` inverts the bare form from its labeled spans and arcs, as
-the joint decoders return them. ``from_division`` inverts all of this. On
+Phrase labels that the encoding would rewrite are refused: one holding
+``+`` or spelled ``<E>`` by :func:`binarize_head_outward`, one starting
+with ``H_`` by :func:`to_division`.
+
+One children-first builder inverts both forms from their 2n - 1 labeled
+spans, as the decoders return them: ``from_parts`` the bare form, whose
+heads come from the arcs, and ``from_division`` the marked one. On
 labelings a decoder might emit that violate the prefix discipline (no
-``H_`` child at all) it keeps the leftmost child's head and records a flag
-instead of failing.
+``H_`` child at all) ``from_division`` keeps the leftmost child's head and
+records a flag instead of failing.
 """
 
 from __future__ import annotations
@@ -69,6 +74,11 @@ def binarize_head_outward(tree: HpsgTree) -> HpsgNode:
             return HpsgNode(label=node.label, head=node.head,
                             start=node.start, end=node.end)
         labels = [nd.label for nd in _unary_chain(node)]
+        for label in labels:
+            if CHAIN_JOINER in label or label == EMPTY:
+                raise StructureError(
+                    f"phrase label {label!r}: the encoding reserves "
+                    f"{CHAIN_JOINER!r} and {EMPTY}")
         if len(kids) == 1:
             # atom directly over a preterminal
             return HpsgNode(label=CHAIN_JOINER.join(labels), head=node.head,
@@ -92,30 +102,6 @@ def binarize_head_outward(tree: HpsgTree) -> HpsgNode:
                           encode))
 
 
-def from_parts(parts: Parts, tokens: Sequence[Token]) -> HpsgTree:
-    """The head-annotated tree of a binary derivation over ``tokens``:
-    its 2n - 1 labeled spans in any order, its arcs and its root.
-
-    A binary span takes the head of whichever child the other child
-    depends on; ``<E>`` spans dissolve into their children and ``+`` atoms
-    unfold into unary chains, undoing :func:`binarize_head_outward`.
-    """
-    spans, arcs, _ = parts
-    head_of = dict(arcs)
-    # (nodes, head) of each finished span, taken children first
-    stack: list[tuple[list[HpsgNode], int]] = []
-    for i, j, label in sorted(spans, key=lambda s: (s[1], -s[0])):
-        if i == j:
-            head, kids = i, [preterminal(i, tokens[i - 1].pos)]
-        else:
-            (left, hl), (right, hr) = stack.pop(-2), stack.pop()
-            head = hr if head_of.get(hl) == hr else hl
-            kids = left + right
-        stack.append((kids if label == EMPTY else
-                      [expand_chain(label, kids, head, i, j)], head))
-    return HpsgTree(tokens=list(tokens), root=stack[0][0][0])
-
-
 def _unary_chain(node: HpsgNode) -> list[HpsgNode]:
     """The node and the internal nodes below it that are only children."""
     chain = [node]
@@ -137,9 +123,72 @@ def to_division(tree: HpsgTree) -> ConstituentTree:
         return ConstNode(label=node.label, children=kids,
                          start=node.start, end=node.end)
 
+    for node in tree.internal_nodes():
+        if node.label.startswith(HEAD_PREFIX):
+            raise StructureError(
+                f"phrase label {node.label!r}: the division encoding "
+                f"reserves the prefix {HEAD_PREFIX}")
     encoded = binarize_head_outward(tree)
     return ConstituentTree(tokens=list(tree.tokens),
                            root=fold(encoded, children_of, conv))
+
+
+def from_parts(parts: Parts, tokens: Sequence[Token]) -> HpsgTree:
+    """The head-annotated tree of a binary derivation over ``tokens``:
+    its 2n - 1 bare labeled spans in any order, its arcs and its root.
+
+    A binary span takes the head of whichever child the other child
+    depends on.
+    """
+    spans, arcs, _ = parts
+    return _build(spans, tokens, dict(arcs))[0]
+
+
+def from_division(spans: Sequence[tuple[int, int, str]],
+                  tokens: Sequence[Token]) -> tuple[HpsgTree, list[str]]:
+    """The head-annotated tree of a division encoding over ``tokens``: its
+    2n - 1 ``H_``-marked labeled spans in any order.
+
+    A binary span takes the head of its right child when that child is
+    marked, else of its left. Returns the tree and a flag for each span
+    where neither child is marked, which keeps the leftmost child's head.
+    """
+    return _build(spans, tokens, None)
+
+
+def _build(spans: Sequence[tuple[int, int, str]], tokens: Sequence[Token],
+           head_of: dict[int, int] | None) -> tuple[HpsgTree, list[str]]:
+    """The tree of a binary bracketing and its head-recovery flags, with
+    heads from the arcs ``head_of`` or, when it is None, from the ``H_``
+    marks. ``<E>`` spans dissolve into their children and ``+`` atoms
+    unfold into unary chains, undoing :func:`binarize_head_outward`.
+    """
+    flags: list[str] = []
+    # (nodes, head, marked) of each finished span, taken children first
+    stack: list[tuple[list[HpsgNode], int, bool]] = []
+    for i, j, label in sorted(spans, key=lambda s: (s[1], -s[0])):
+        marked = head_of is None and label.startswith(HEAD_PREFIX)
+        if marked:
+            label = label[len(HEAD_PREFIX):]
+        if i == j:
+            head, kids = i, [preterminal(i, tokens[i - 1].pos)]
+        else:
+            (left, hl, ml), (right, hr, mr) = stack.pop(-2), stack.pop()
+            if head_of is not None:
+                head = hr if head_of.get(hl) == hr else hl
+            else:
+                head = hr if mr else hl
+                if not (ml or mr):
+                    flags.append(f"span ({i},{j}): no H-marked child, "
+                                 f"defaulting to leftmost head")
+            kids = left + right
+        stack.append((kids if label == EMPTY else
+                      [expand_chain(label, kids, head, i, j)], head, marked))
+    pieces = stack[0][0]
+    if len(pieces) != 1:
+        raise StructureError(
+            "division root is an empty category over multiple children")
+    return HpsgTree(tokens=list(tokens), root=pieces[0]), flags
 
 
 def expand_chain(label: str, children: list[HpsgNode], head: int,
@@ -152,53 +201,3 @@ def expand_chain(label: str, children: list[HpsgNode], head: int,
         node = HpsgNode(label=part, head=head, children=[node],
                         start=start, end=end)
     return node
-
-
-def _split_prefix(label: str) -> tuple[str, bool]:
-    if label.startswith(HEAD_PREFIX):
-        return label[len(HEAD_PREFIX):], True
-    return label, False
-
-
-def from_division(tree: ConstituentTree) -> tuple[HpsgTree, list[str]]:
-    """Recover the head-annotated tree from a division encoding.
-
-    Returns the tree and a list of flags describing spans where head
-    recovery had to fall back (no ``H_``-marked child); such spans default
-    to the leftmost child's head.
-    """
-    flags: list[str] = []
-    tokens: list[Token] = []
-
-    def dec(node: ConstNode, parts: list[tuple[list[HpsgNode], bool, int]]
-            ) -> tuple[list[HpsgNode], bool, int]:
-        label, marked = _split_prefix(node.label)
-        if node.is_preterminal:
-            src = tree.tokens[node.start - 1]
-            tokens.append(Token(index=node.start, form=src.form, pos=label))
-            pret = HpsgNode(label=label, head=node.start,
-                            start=node.start, end=node.end)
-            return [pret], marked, node.start
-        if len(parts) == 1:
-            # an only child is the head daughter whether or not it is marked
-            head = parts[0][2]
-        else:
-            head = next((h for _, m, h in reversed(parts) if m), None)
-            if head is None:
-                flags.append(
-                    f"span ({node.start},{node.end}): no H-marked child, "
-                    f"defaulting to leftmost head"
-                )
-                head = parts[0][2]
-        kids = [kid for nodes, _, _ in parts for kid in nodes]
-        if label == EMPTY:
-            return kids, marked, head
-        built = expand_chain(label, kids, head, node.start, node.end)
-        return [built], marked, head
-
-    pieces, _, _ = fold(tree.root, children_of, dec)
-    if len(pieces) != 1:
-        raise StructureError(
-            "division root is an empty category over multiple children"
-        )
-    return HpsgTree(tokens=tokens, root=pieces[0]), flags

@@ -64,12 +64,11 @@ from .decode import (
     decode_joint_mixed,
     decode_tables,
 )
-from .errors import ModelFileError, SizeGuardError
+from .errors import ModelFileError, SizeGuardError, StructureError
 from .scoring import (
     CategoryVocab,
     ScoreTable,
     SpanSummary,
-    labeled_spans,
     summarize,
     tree_parts,
     tree_spans,
@@ -649,6 +648,13 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
             raise SizeGuardError(
                 f"sentence {ordinal}: {len(tree)} tokens, above the joint "
                 f"decoder's cap of {LEN_CAP}; train with --mode division")
+    golds = []
+    for ordinal, tree in enumerate(trees, start=1):
+        try:
+            golds.append((tree_spans(tree, True), [], 0) if division_mode
+                         else tree_parts(tree))
+        except StructureError as exc:
+            raise StructureError(f"sentence {ordinal}: {exc}") from None
     vocab = CategoryVocab.from_trees(trees, division_labels=division_mode)
     model = LinearModel(vocab=vocab, dim=config.dim, mode=config.mode,
                         lam=config.lam)
@@ -661,9 +667,7 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                   for h in model.hashes_many(sentences[lo:hi])]
     dev_hashes = all_hashes[len(trees):]
     prepared = []
-    for tree, hashes in zip(trees, all_hashes):
-        gold = ((tree_spans(tree, True), [], 0) if division_mode
-                else tree_parts(tree))
+    for tree, hashes, gold in zip(trees, all_hashes, golds):
         n = len(tree)
         # the gold cells, which earn no loss, as flat cells and label ids,
         # and the raw scores summarize gives them each epoch
@@ -696,8 +700,8 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
             aug = summarize(vocab, n, model._span_blocks(hashes, n), arc,
                             root, lam, loss)
             if division_mode:
-                pred_tree, pred_score = decode_division(aug, tokens)
-                pred = (labeled_spans(pred_tree.root), [], 0)
+                spans, pred_score = decode_division(aug)
+                pred = (spans, [], 0)
             else:
                 pred, pred_score = decode_joint_mixed(aug)
             # the gold score, summed as parts_score sums it

@@ -24,7 +24,7 @@ from headspan.decode import (
     decode_joint,
     fill_joint_chart,
 )
-from headspan.division import from_division, to_division
+from headspan.division import from_division
 from headspan.evaluate import attachment_scores, bracket_f1
 from headspan.fuse import (
     fuse,
@@ -33,7 +33,7 @@ from headspan.fuse import (
     validate,
 )
 from headspan.linear import TrainConfig, decode_with_model, train_linear
-from headspan.scoring import CategoryVocab, oracle_scores
+from headspan.scoring import CategoryVocab, oracle_scores, tree_spans
 from headspan.synth import random_score_table
 from headspan.treebank import write_bracketed, write_hpsg
 
@@ -166,7 +166,7 @@ def test_encodings_and_projections_invert(sample_pairs, sample_fused, announce):
     sentence by sentence, over the whole corpus."""
     encode_bad = 0
     for gold in sample_fused:
-        back, flags = from_division(to_division(gold))
+        back, flags = from_division(tree_spans(gold, True), gold.tokens)
         if flags or _hpsg_text(back) != _hpsg_text(gold):
             encode_bad += 1
     project_bad = 0

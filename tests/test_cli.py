@@ -364,6 +364,30 @@ class TestTrainAndModelParse:
         assert captured.err.splitlines() == [f"headspan train: {message}"]
         assert not path.exists()
 
+    @pytest.mark.parametrize("phrase, label, mode", [
+        ("(NP+X[1] (NN[1] dogs))", "NP+X", "joint"),
+        ("(NP+X[1] (NN[1] dogs))", "NP+X", "division"),
+        ("(<E>[1] (NN[1] dogs))", "<E>", "joint"),
+        ("(<E>[1] (NN[1] dogs))", "<E>", "division"),
+        ("(H_NP[1] (NN[1] dogs))", "H_NP", "division"),
+    ])
+    def test_reserved_phrase_labels_refused(self, tmp_path, phrase, label,
+                                            mode, capsys):
+        # the encoding rewrote each of them without a word
+        data = tmp_path / "reserved.hpsg"
+        data.write_text(f"(S[2] (NN[1] dogs) (VBD[2] ran))\n"
+                        f"(S[2] {phrase} (VBD[2] ran))\n", encoding="utf-8")
+        path = tmp_path / "m.model"
+        code = main(["train", "--hpsg", str(data), "--model-out", str(path),
+                     "--mode", mode, "--dim", str(2 ** 10)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"headspan train: sentence 2: phrase label "
+                               f"{label!r}: ")
+        assert not path.exists()
+
     def test_parse_with_model_and_eval(self, tmp_path, data_dir, model_file,
                                        capsys):
         out_c = tmp_path / "pred.brackets"

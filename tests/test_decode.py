@@ -39,8 +39,8 @@ from headspan.decode import (
     fill_joint_chart,
     max_projective_score,
 )
-from headspan.division import from_division, from_parts, to_division
-from headspan.errors import ScoreFileError, SizeGuardError
+from headspan.division import from_division, from_parts
+from headspan.errors import ScoreFileError, SizeGuardError, StructureError
 from headspan.fuse import project_dependencies
 from headspan.scoring import (
     CategoryVocab,
@@ -49,6 +49,7 @@ from headspan.scoring import (
     parts_score,
     reduce_labels,
     tree_arcs,
+    tree_spans,
 )
 from headspan.synth import random_score_table, random_tree
 from headspan.treebank import format_hpsg, read_hpsg
@@ -768,11 +769,62 @@ class TestExactRecovery:
                                          division_labels=True)
         for tree in sample_fused[:30]:
             table = oracle_scores(tree, vocab, division_labels=True)
-            encoded, _ = decode_division(table.summary(1.0),
-                                         tokens=tree.tokens)
-            back, flags = from_division(encoded)
+            spans, _ = decode_division(table.summary(1.0))
+            back, flags = from_division(spans, tree.tokens)
             assert flags == []
             assert back == tree
+
+
+@lru_cache(maxsize=None)
+def bracketings(n: int) -> frozenset:
+    """Every binary bracketing of n tokens as its set of spans, read off
+    the derivations that brute force enumerates."""
+    outer = {(1, n)} | {(i, i) for i in range(1, n + 1)}
+    return frozenset(frozenset(outer | {(a, b) for a, b, _ in spans})
+                     for _, _, spans in _enumerate_derivations(n))
+
+
+class TestSpanDecoderAgainstExhaustiveSearch:
+    """The span decoder's spans, score and tree, each held to a test-side
+    maximum over every bracketing on small random tables."""
+
+    def test_random_tables(self):
+        rng = np.random.default_rng(47)
+        vocab = CategoryVocab(["A", "S+VP", "H_A", "H_S+VP", "H_<E>"])
+        refused = 0
+        for n in range(1, BRUTE_FORCE_CAP + 1):
+            for _ in range(6):
+                table = random_score_table(rng, n, vocab)
+                spans, score = decode_division(table.summary(1.0))
+                assert len(spans) == 2 * n - 1
+                assert spans == sorted(spans, key=lambda s: (s[1], -s[0]))
+                assert spans[-1][:2] == (1, n)
+                assert frozenset((i, j) for i, j, _ in spans) in bracketings(n)
+                assert parts_score(table, (spans, [], 0), 1.0) == \
+                    pytest.approx(score, abs=1e-9)
+                # the sentence span takes an ordinary category; a lone
+                # token may stay bare
+                top = table.span[1, n, 2:].max()
+                if n == 1:
+                    top = max(top, table.span[1, 1, 0])
+                best = max(sum(table.span[i, j].max() for i, j in spans
+                               if (i, j) != (1, n))
+                           for spans in bracketings(n))
+                assert score == pytest.approx(best + top, abs=1e-9)
+                tokens = [Token(i, f"w{i}", "T") for i in range(1, n + 1)]
+                try:
+                    want = from_division(spans, tokens)
+                except StructureError:
+                    # a sentence span labeled H_<E> dissolves
+                    assert spans[-1][2] == "H_<E>"
+                    with pytest.raises(StructureError):
+                        decode_table(table, "division", 0.5, tokens)
+                    refused += 1
+                    continue
+                assert decode_table(table, "division", 0.5, tokens) == want
+        # seeded: 7 of the 48 sentence spans take H_<E>, which no encoded
+        # tree has at its root
+        assert refused == 7
 
 
 class TestDegenerationToSingleTaskDecoders:
@@ -967,10 +1019,9 @@ class TestLongAndDeep:
         with recursion_headroom(60):
             joint, _ = decode_joint(table, tokens=gold.tokens)
             deps, _ = decode_eisner(table, tokens=gold.tokens)
-            spans, _ = decode_division(div_table.summary(1.0),
-                                       tokens=gold.tokens)
-            recovered, flags = from_division(spans)
-            encoded, _ = from_division(to_division(gold))
+            spans, _ = decode_division(div_table.summary(1.0))
+            recovered, flags = from_division(spans, gold.tokens)
+            encoded, _ = from_division(tree_spans(gold, True), gold.tokens)
             text = format_hpsg(gold)
             (reread,) = read_hpsg(text)
             assert joint == recovered == encoded == reread == gold

@@ -6,6 +6,7 @@ prefix marks) and then frozen.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,22 +20,31 @@ from headspan.division import (
 )
 from headspan.errors import StructureError
 from headspan.fuse import fuse
-from headspan.scoring import tree_parts
+from headspan.scoring import tree_parts, tree_spans
 from headspan.synth import random_tree
 from headspan.trees import (
     EMPTY,
-    HEAD_PREFIX,
     HpsgTree,
     Token,
     make_node,
     preterminal,
 )
-from headspan.treebank import format_bracketed, read_bracketed, read_hpsg
+from headspan.treebank import format_bracketed, read_hpsg
 
 
 def encode_text(hpsg_text: str) -> str:
     tree = read_hpsg(hpsg_text)[0]
     return format_bracketed(to_division(tree))
+
+
+def round_trip(tree: HpsgTree) -> tuple[HpsgTree, list[str]]:
+    """The tree and flags ``from_division`` makes of the tree's encoding."""
+    return from_division(tree_spans(tree, division_labels=True), tree.tokens)
+
+
+def tokens_of(tags: str) -> list[Token]:
+    return [Token(i, tag.lower(), tag) for i, tag in
+            enumerate(tags.split(), start=1)]
 
 
 class TestEncoding:
@@ -79,6 +89,38 @@ class TestEncoding:
             binarize_head_outward(tree)
 
 
+RESERVED = [
+    # as they were: NP over X, the unmarked right child taking the head
+    # back from S, and a phrase dissolved into its children
+    ("(S[2] (NP+X[1] (NN[1] dogs)) (VBD[2] ran))", "NP+X"),
+    ("(S[1] (NN[1] dogs) (H_NP[2] (VBD[2] ran)))", "H_NP"),
+    ("(S[2] (<E>[1] (NN[1] dogs)) (VBD[2] ran))", EMPTY),
+]
+
+
+class TestReservedPhraseLabels:
+    """Phrase labels the encodings would rewrite are refused."""
+
+    @pytest.mark.parametrize("text, label", RESERVED)
+    def test_division_encoding_refuses(self, text, label):
+        tree = read_hpsg(text)[0]
+        with pytest.raises(StructureError,
+                           match=f"^phrase label {re.escape(repr(label))}"):
+            to_division(tree)
+
+    @pytest.mark.parametrize("text, label", RESERVED[::2])
+    def test_bare_encoding_refuses(self, text, label):
+        tree = read_hpsg(text)[0]
+        with pytest.raises(StructureError,
+                           match=f"^phrase label {re.escape(repr(label))}"):
+            binarize_head_outward(tree)
+
+    def test_bare_encoding_keeps_the_head_prefix(self):
+        # joint labels carry no marks, so H_ is an ordinary letter pair
+        tree = read_hpsg(RESERVED[1][0])[0]
+        assert from_parts(tree_parts(tree), tree.tokens) == tree
+
+
 class TestBinaryInvariants:
     def test_every_node_has_at_most_two_children(self, sample_fused):
         for tree in sample_fused:
@@ -110,7 +152,7 @@ class TestBinaryInvariants:
 class TestRoundTrip:
     def test_identity_on_fused_corpus(self, sample_fused):
         for tree in sample_fused:
-            back, flags = from_division(to_division(tree))
+            back, flags = round_trip(tree)
             assert flags == []
             assert back == tree
 
@@ -118,7 +160,7 @@ class TestRoundTrip:
         rng = random.Random(20)
         for _ in range(200):
             tree = random_tree(rng, rng.randint(1, 12))
-            back, flags = from_division(to_division(tree))
+            back, flags = round_trip(tree)
             assert flags == []
             assert back == tree
 
@@ -126,20 +168,7 @@ class TestRoundTrip:
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 30))
     def test_identity_property_on_random_trees(self, seed, n):
         tree = random_tree(random.Random(seed), n)
-        assert from_division(to_division(tree)) == (tree, [])
-
-    def test_bare_preterminal_labels_decode_without_flags(self,
-                                                          sample_fused):
-        # span decoders emit POS tags unprefixed; the only-child rule must
-        # recover heads for single-token spans without raising flags
-        for tree in sample_fused[:50]:
-            encoded = to_division(tree)
-            for node in encoded.iter_nodes():
-                if node.is_preterminal and node.label.startswith(HEAD_PREFIX):
-                    node.label = node.label[len(HEAD_PREFIX):]
-            back, flags = from_division(encoded)
-            assert flags == []
-            assert back == tree
+        assert round_trip(tree) == (tree, [])
 
 
 class TestFromParts:
@@ -166,21 +195,20 @@ class TestFromParts:
 
 class TestDecodingFallbacks:
     def test_missing_marks_flag_and_keep_leftmost_head(self):
-        tree = read_bracketed("(X (<E> (A a)) (<E> (B b)))")[0]
-        back, flags = from_division(tree)
+        spans = [(1, 1, EMPTY), (2, 2, EMPTY), (1, 2, "X")]
+        back, flags = from_division(spans, tokens_of("A B"))
         assert len(flags) == 1
         assert "(1,2)" in flags[0]
         assert back.root.head == 1
         assert [ch.label for ch in back.root.children] == ["A", "B"]
 
     def test_empty_root_over_two_pieces_rejected(self):
-        tree = read_bracketed("(<E> (H_A a) (B b))")[0]
+        spans = [(1, 1, "H_" + EMPTY), (2, 2, EMPTY), (1, 2, EMPTY)]
         with pytest.raises(StructureError):
-            from_division(tree)
+            from_division(spans, tokens_of("A B"))
 
     def test_chain_atom_expands_in_original_order(self):
-        tree = read_bracketed("(S+VP (H_VBZ runs))")[0]
-        back, flags = from_division(tree)
+        back, flags = from_division([(1, 1, "S+VP")], tokens_of("VBZ"))
         assert flags == []
         assert back.root.label == "S"
         assert back.root.children[0].label == "VP"

@@ -34,11 +34,10 @@ from headspan.linear import (
 from headspan.scoring import (
     CategoryVocab,
     ScoreTable,
-    labeled_spans,
     tree_parts,
 )
 from headspan.synth import sample_corpus
-from headspan.trees import HEAD_PREFIX, HpsgTree, Token
+from headspan.trees import HEAD_PREFIX, ConstNode, HpsgNode, HpsgTree, Token
 
 
 # The feature templates, the specification the model's keys follow. A
@@ -798,8 +797,7 @@ class TestFeatureCounts:
             table = model.score_table(tokens, hashes)
             if division_mode:
                 gold = (tree_parts(tree, division_labels=True)[0], [], 0)
-                pred_tree, _ = decode_division(table.summary(1.0), tokens)
-                pred = (labeled_spans(pred_tree.root), [], 0)
+                pred = (decode_division(table.summary(1.0))[0], [], 0)
             else:
                 gold = tree_parts(tree)
                 pred, _ = decode_joint_mixed(table.summary(0.5))
@@ -963,6 +961,26 @@ class TestTraining:
                                   TrainConfig(epochs=2, dim=2 ** 14, seed=13))
         assert history[0]["updates"] > 0
         assert built == []
+
+    def test_division_training_builds_no_tree(self, sample_fused,
+                                              monkeypatch):
+        # only the gold encoding builds nodes, once for all epochs; each
+        # loss-augmented decode yields spans, which the update counts
+        built = []
+        for cls in (ConstNode, HpsgNode):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                built.append(1)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        counts = []
+        for epochs in (1, 3):
+            built.clear()
+            _, history = train_linear(sample_fused[:20], TrainConfig(
+                epochs=epochs, dim=2 ** 14, mode="division", seed=13))
+            assert history[-1]["updates"] > 0
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
 
     def test_division_mode_trains(self, tiny_corpus):
         config = TrainConfig(epochs=6, dim=2 ** 18, mode="division", seed=13)
