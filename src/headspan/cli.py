@@ -199,6 +199,9 @@ def cmd_parse(args) -> int:
             tables = read_scores(fh)
         _check_alignment(tables, sentences)
         decoder = args.decoder or "joint"
+        if decoder == "joint" and tables and tables[0].vocab.has_marks():
+            raise ValueError("the scores have head-marked (H_) span labels; "
+                             "use --decoder division, not joint")
         lam = 0.5 if args.lam is None else args.lam
         results = decode_tables(sentences, tables.__getitem__, decoder, lam)
     else:

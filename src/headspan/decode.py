@@ -98,7 +98,7 @@ from . import division
 from .errors import ScoreFileError, SizeGuardError
 from .fuse import fuse, project_constituents
 from .scoring import Parts, ScoreTable, SpanSummary
-from .trees import HEAD_PREFIX, DependencyTree, HpsgTree, Token
+from .trees import DependencyTree, HpsgTree, Token
 
 
 @dataclass
@@ -470,9 +470,9 @@ def decode_division(summary: SpanSummary
     2n - 1 labeled spans in post-order, the root last, and its score.
 
     Any span may take the empty category except the whole-sentence span of
-    a multi-token sentence, which needs an ordinary category so the result
-    decodes to a head-annotated tree. Every span is scored, empty
-    categories included, so the score equals the spans' score sum exactly.
+    a multi-token sentence, which needs an ordinary category without an
+    ``H_`` mark so the result decodes to a head-annotated tree. Every span
+    is scored, empty categories included, so the score is their exact sum.
     """
     n = summary.n
     vocab = summary.vocab
@@ -653,7 +653,7 @@ def decode_table(table, route: str, lam: float,
         summary = table.summary(1.0)
         spans, _ = decode_division(summary)
         tokens = tokens or _placeholder_tokens(table.n)
-        if any(c.startswith(HEAD_PREFIX) for c in summary.vocab):
+        if summary.vocab.has_marks():
             tree, flags = division.from_division(spans, tokens)
             return tree, notes + flags
         # bare labels mark no head daughter: the heads come from the arcs

@@ -17,13 +17,13 @@ distinct keys. Parsing (:func:`decode_many`) and training hash in windows
 of at most ``_WINDOW_SPANS`` spans: a few dozen numpy calls a window, not a
 few dozen a sentence.
 
-:meth:`LinearModel.score_table` gathers the weight of each distinct
-(feature, label) once, broadcasts the one-position weights to their spans
-and adds a span's 12 terms in the order of numpy's pairwise sum, so every
-score is bit for bit what summing the span's 12 weights gives. Parsing and
-training read :meth:`LinearModel.summary`, which reduces the same blocks
-over labels as they come, so they never hold the V-wide span array (74 MB
-at 240 tokens and 166 labels).
+The scorer gathers each distinct (feature, label) weight once: per
+sentence (:meth:`LinearModel.score_table`, training) or per window of
+:func:`decode_many`, within ``_GATHER_BYTES``. A span's 12 terms are added
+in the order of numpy's pairwise sum, so every score is bit for bit what
+summing them gives. Parsing and training read :meth:`LinearModel.summary`,
+which reduces the same blocks over labels as they come, never holding the
+V-wide span array (74 MB at 240 tokens and 166 labels).
 
 Training is a structured perceptron with
 loss-augmented decoding: at each sentence the decoder runs on scores where
@@ -121,6 +121,9 @@ _BLOCK = 2 ** 16
 # RSS against 98 and 181, and 2^11 is 15% slower than 2^13, its length
 # groups smaller
 _WINDOW_SPANS = 2 ** 13
+# bytes of a group's weights in decode_many: 4 times a block's pair keys'
+# (4 * _BLOCK), and at 166 labels twice parse-wide's 2923 distinct keys
+_GATHER_BYTES = 2 ** 23
 
 
 class Keys(NamedTuple):
@@ -413,29 +416,45 @@ class LinearModel:
             k += blocks
         return out
 
-    def _span_blocks(self, h: Hashes, n: int
+    def _weigh(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's (keys, V) weights plus 0.0, as numpy's sums of -0.0
+        give +0.0; ``_block_spans`` keys at a time in "clip" mode (masked
+        keys never clip), unbuffered and faster than one gather."""
+        out = np.empty((len(keys), len(self.vocab)))
+        step = self._block_spans
+        for lo in range(0, len(keys), step):
+            self.weights.take(keys[lo:lo + step, None] ^ self._salt,
+                              out=out[lo:lo + step], mode="clip")
+        out += 0.0
+        return out
+
+    def _span_blocks(self, h: Hashes, n: int, gathered: tuple | None = None
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """Raw span scores a block at a time: the block's flat cells in an
         (n+1, n+1) table and their (spans, labels) scores. Each distinct
-        feature is weighted once per label: those of one position (or of
-        the span length) for the sentence, the four pair templates for the
-        block. A span's 12 terms are added in the order of numpy's pairwise
-        sum, ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``, so each
+        feature is weighted once per label: in ``gathered``, a group's table
+        (:meth:`_gathers`) and this sentence's rows in it, or else those of
+        one position (or the span length) for the sentence and the four
+        pair templates for the block. A span's 12 terms are added in the
+        order of numpy's pairwise sum,
+        ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``, so each
         score is what summing its 12 weights gives, to the bit."""
         keys = h.keys
-        single = self.weights[keys.single[:, None] ^ self._salt]
-        # numpy's sum starts from +0.0, so twelve -0.0 weights sum to +0.0;
-        # with 0.0 added to these terms, so do the sums below
-        single += 0.0
-        step = self._block_spans
+        single, rows = gathered or (self._weigh(keys.single), None)
+        pair, step = single, self._block_spans
         bounds = [*keys.blocks, len(keys.pairs)]
         cells = _layout(n).cell
         for block, lo in enumerate(range(0, len(cells), step)):
             b = slice(lo, lo + step)
-            terms = keys.terms[:, b]
-            # ((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7)) over template k's weight
-            # a_k, in place once an operand is spent: few arrays live at once.
-            # take(rows, 0) gathers the rows faster than indexing does
+            terms, pair_rows = keys.terms[:, b], keys.pair_rows[:, b]
+            if rows is None:
+                pair = self._weigh(keys.pairs[bounds[block]:bounds[block + 1]])
+            else:
+                terms = rows.take(terms)
+                pair_rows = rows.take(pair_rows + (len(keys.single)
+                                                   + bounds[block]))
+            # template k's weights a_k, added in place once an operand is
+            # spent; take(rows, 0) gathers faster than indexing does
             total = single.take(terms[0], 0)
             total += single.take(terms[1], 0)
             part = single.take(terms[2], 0)
@@ -447,11 +466,34 @@ class LinearModel:
             last_two += single.take(terms[7], 0)
             part += last_two
             total += part
-            pair = self.weights[keys.pairs[bounds[block]:bounds[block + 1],
-                                           None] ^ self._salt]
-            for rows in keys.pair_rows[:, b]:
-                total += pair.take(rows, 0)
+            for at in pair_rows:
+                total += pair.take(at, 0)
             yield cells[b], total
+
+    def _gathers(self, hashes: Sequence[Hashes]) -> Iterator[tuple]:
+        """Consecutive groups (lo, hi) of ``hashes`` and each sentence's
+        ``gathered``: a table of the group's keys' weights, within
+        ``_GATHER_BYTES``, and its keys' rows; None if alone it exceeds."""
+        cap = _GATHER_BYTES // (8 * len(self.vocab))
+        keys = [np.concatenate([h.keys.single, h.keys.pairs]) for h in hashes]
+        lo = 0
+        while lo < len(keys):
+            ends = np.cumsum([len(k) for k in keys[lo:]])
+            distinct, first, rows = np.unique(np.concatenate(
+                keys[lo:]), return_index=True, return_inverse=True)
+            # each sentence's keys first seen there, and so how many fit
+            new = np.bincount(np.searchsorted(ends, first, "right"),
+                              minlength=len(ends))
+            size = int(np.searchsorted(np.cumsum(new), cap, "right"))
+            if size:
+                # the group's keys renumbered; no local keeps its table
+                kept = first < ends[size - 1]
+                rows = (np.cumsum(kept) - 1)[rows[:ends[size - 1]]]
+                yield lo, lo + size, [*zip(itertools.repeat(self._weigh(
+                    distinct[kept])), np.split(rows, ends[:size - 1]))]
+            else:
+                yield lo, lo + 1, [None]
+            lo += max(size, 1)
 
     def _dep_scores(self, h: Hashes, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Raw (n+1, n+1) arc and (n+1,) root scores, zero in division
@@ -477,12 +519,12 @@ class LinearModel:
         return table
 
     def summary(self, tokens: Sequence[Token], hashes: Hashes,
-                lam: float = 1.0) -> SpanSummary:
+                lam: float = 1.0, gathered=None) -> SpanSummary:
         """:meth:`ScoreTable.summary` of :meth:`score_table` on the same
-        hashes, bit for bit, without the table."""
+        hashes (``gathered`` or not), bit for bit, without the table."""
         n = len(tokens)
-        return summarize(self.vocab, n, self._span_blocks(hashes, n),
-                         *self._dep_scores(hashes, n), lam)
+        return summarize(self.vocab, n, self._span_blocks(
+            hashes, n, gathered), *self._dep_scores(hashes, n), lam)
 
     def feature_counts(self, tokens: Sequence[Token],
                        spans: list[tuple[int, int, str]],
@@ -556,23 +598,25 @@ def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
                 ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
     """Parse sentences with a trained model: :func:`decode_tables` along
     ``route`` (default the model's mode) under ``lam`` (default the
-    model's), each sentence scored into its summary when it is decoded.
-    Sentences are hashed, each window of ``_WINDOW_SPANS`` spans in one
-    :meth:`LinearModel.hashes_many` call (``hashes`` gives them made
-    already), and decoded a window at a time, which bounds the hashes
-    held."""
+    model's), each sentence summarized when it is decoded. Each window of
+    ``_WINDOW_SPANS`` spans is hashed in one :meth:`LinearModel.hashes_many`
+    call (unless ``hashes`` are given), its weights gathered once
+    (:meth:`LinearModel._gathers`) and decoded, which bounds what is held."""
     route = model.mode if route is None else route
     lam = model.lam if lam is None else lam
     for lo, hi in _batches(sentences, _WINDOW_SPANS):
         window = sentences[lo:hi]
         made = (model.hashes_many(window) if hashes is None
                 else hashes[lo:hi])
-        # sentence k's scores as decode_tables takes them: summarized when
-        # it is decoded
-        yield from decode_tables(
-            window, lambda k: SimpleNamespace(n=len(window[k]), summary=(
-                functools.partial(model.summary, window[k], made[k]))),
-            route, lam, None if first is None else first + lo)
+        for a, b, gathered in model._gathers(made):
+            # sentence k's scores as decode_tables takes them, summarized
+            # when it is decoded; the table goes before the next is made
+            group, hashed = window[a:b], made[a:b]
+            yield from decode_tables(group, lambda k: SimpleNamespace(
+                n=len(group[k]), summary=functools.partial(
+                    model.summary, group[k], hashed[k], gathered=gathered[k])),
+                route, lam, None if first is None else first + lo + a)
+            del gathered
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
@@ -655,7 +699,8 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                          else tree_parts(tree))
         except StructureError as exc:
             raise StructureError(f"sentence {ordinal}: {exc}") from None
-    vocab = CategoryVocab.from_trees(trees, division_labels=division_mode)
+    # from_trees' vocabulary, without encoding each tree again
+    vocab = CategoryVocab.from_spans(spans for spans, _, _ in golds)
     model = LinearModel(vocab=vocab, dim=config.dim, mode=config.mode,
                         lam=config.lam)
     lam = 1.0 if division_mode else config.lam

@@ -24,7 +24,7 @@ import numpy as np
 from . import division
 from .errors import ScoreFileError
 from .fuse import project_dependencies
-from .trees import EMPTY, SPLIT, ConstituentTree, HpsgTree
+from .trees import EMPTY, HEAD_PREFIX, SPLIT, ConstituentTree, HpsgTree
 
 # an analysis as the parts a table scores: labeled spans, (child, head)
 # arcs and the root, 0 when the analysis has no dependency part
@@ -37,11 +37,13 @@ class CategoryVocab:
     Ids 0 and 1 are reserved for the empty and split categories. Extra
     categories are stored in the order given; :meth:`from_trees` sorts them
     so corpora produce the same vocabulary regardless of sentence order.
+    ``unmarked`` holds the ids of those without an ``H_`` mark, ascending.
     """
 
     def __init__(self, categories: Iterable[str] = ()):
         self._cats = [EMPTY, SPLIT]
         self._ids = {EMPTY: 0, SPLIT: 1}
+        self.unmarked = np.zeros(0, dtype=np.int64)
         for cat in categories:
             self.add(cat)
 
@@ -51,7 +53,13 @@ class CategoryVocab:
             got = len(self._cats)
             self._cats.append(category)
             self._ids[category] = got
+            if not category.startswith(HEAD_PREFIX):
+                self.unmarked = np.append(self.unmarked, got)
         return got
+
+    def has_marks(self) -> bool:
+        """Whether some category carries an ``H_`` mark."""
+        return len(self.unmarked) < len(self._cats) - 2
 
     def index(self, category: str) -> int:
         try:
@@ -83,12 +91,13 @@ class CategoryVocab:
         (for a parser scoring division trees directly); otherwise labels are
         the bare atoms of the binarized form.
         """
-        seen: set[str] = set()
-        for tree in trees:
-            seen.update(lab for _, _, lab in tree_spans(tree, division_labels))
-        seen.discard(EMPTY)
-        seen.discard(SPLIT)
-        return cls(sorted(seen))
+        return cls.from_spans(tree_spans(t, division_labels) for t in trees)
+
+    @classmethod
+    def from_spans(cls, analyses: Iterable[list]) -> "CategoryVocab":
+        """Vocabulary of every label of these analyses' labeled spans."""
+        return cls(sorted({label for spans in analyses
+                           for _, _, label in spans} - {EMPTY, SPLIT}))
 
 
 def labeled_spans(node) -> list[tuple[int, int, str]]:
@@ -189,8 +198,9 @@ class SpanSummary:
     def sentence_label(self) -> tuple[int, float]:
         """``top``, refused when no label may take the sentence span."""
         if self.top is None:
-            raise ScoreFileError("score table has no ordinary category to "
-                                 "label the sentence span")
+            unmarked = " without an H_ mark" if self.vocab.has_marks() else ""
+            raise ScoreFileError(f"score table has no ordinary category"
+                                 f"{unmarked} to label the sentence span")
         return self.top
 
 
@@ -210,16 +220,18 @@ def reduce_labels(span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, label
 
 
-def _sentence_label(row: np.ndarray, n: int) -> tuple[int, float] | None:
+def _sentence_label(row: np.ndarray, ids: np.ndarray, n: int
+                    ) -> tuple[int, float] | None:
     """:class:`SpanSummary`'s ``top`` from the scores ``row`` of the
-    whole-sentence span. Fusing refuses a divided sentence span, so ``#``
-    never labels it; a lone token may stay bare (the empty category), a
-    longer sentence needs an ordinary category."""
-    if n == 1 and not row[2:].max(initial=-np.inf) > row[0]:
+    whole-sentence span: fusing refuses a divided sentence span, and no
+    encoded tree marks its root, so it takes one of ``ids``, neither ``#``
+    nor ``H_``-marked. A lone token may also stay bare (the empty one)."""
+    ordinary = row[ids]
+    if n == 1 and not ordinary.max(initial=-np.inf) > row[0]:
         return 0, float(row[0])
-    if len(row) <= 2:
+    if not len(ids):
         return None
-    lid = int(row[2:].argmax()) + 2
+    lid = int(ids[ordinary.argmax()])
     return lid, float(row[lid])
 
 
@@ -257,7 +269,7 @@ def summarize(vocab: CategoryVocab, n: int,
             reduce_labels(mixed)
         whole = np.flatnonzero(cells == 2 * n + 1)      # span (1, n)
         if len(whole):
-            top = _sentence_label(mixed[whole[0]], n)
+            top = _sentence_label(mixed[whole[0]], vocab.unmarked, n)
     for name, part in (("arc", arc), ("root", root)):
         if not np.isfinite(part).all():
             raise ScoreFileError(f"non-finite values in {name} scores")

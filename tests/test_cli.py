@@ -231,6 +231,57 @@ class TestParse:
             "category to label the sentence span"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("decoder", [None, "joint"])
+    def test_head_marked_scores_are_refused_on_the_joint_route(
+            self, tmp_path, decoder, capsys):
+        # the joint decoder would write H_<E> and H_A as phrases; the span
+        # decoder reads the marks as heads, and labels the sentence span
+        # S+VP, not the higher-scoring H_<E>
+        scores = tmp_path / "scores.txt"
+        scores.write_text("#sent 1 2\nSPAN 1 1 A 0.5\nSPAN 2 2 H_A 0.7\n"
+                          "SPAN 1 2 H_<E> 5.0\nSPAN 1 2 S+VP 1.0\n"
+                          "ARC 2 1 1.0\nROOT 1 1.0\n", encoding="utf-8")
+        sentences = tmp_path / "in.conll"
+        sentences.write_text("1\ta\t_\tX\tX\t_\t0\troot\t_\t_\n"
+                             "2\tb\t_\tX\tX\t_\t1\tdep\t_\t_\n",
+                             encoding="utf-8")
+        out = tmp_path / "parsed.hpsg"
+        chosen = [] if decoder is None else ["--decoder", decoder]
+        code = main(["parse", "--input", str(sentences), "--scores",
+                     str(scores), *chosen, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: the scores have head-marked (H_) span labels; "
+            "use --decoder division, not joint"]
+        assert not out.exists()
+        assert main(["parse", "--input", str(sentences), "--scores",
+                     str(scores), "--decoder", "division", "--out",
+                     str(out)]) == 0
+        assert out.read_text(encoding="utf-8").split() == [
+            "(S[2]", "(VP[2]", "(A[1]", "(X[1]", "a))", "(A[2]", "(X[2]",
+            "b))))"]
+
+    def test_sentence_span_without_an_unmarked_category_exits_2(
+            self, tmp_path, capsys):
+        # a lone token may stay bare; sentence 2's sentence span may take
+        # no H_ label, and the scores have no other
+        scores = tmp_path / "scores.txt"
+        scores.write_text("#sent 1 1\nSPAN 1 1 H_A 1.0\n"
+                          "#sent 2 2\nSPAN 1 2 H_A 1.0\n", encoding="utf-8")
+        sentences = tmp_path / "in.conll"
+        sentences.write_text("1\ta\t_\tX\tX\t_\t0\troot\t_\t_\n\n"
+                             "1\ta\t_\tX\tX\t_\t0\troot\t_\t_\n"
+                             "2\tb\t_\tX\tX\t_\t1\tdep\t_\t_\n",
+                             encoding="utf-8")
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input", str(sentences), "--scores",
+                     str(scores), "--decoder", "division", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: sentence 2: score table has no ordinary "
+            "category without an H_ mark to label the sentence span"]
+        assert not out.exists()
+
     def test_eisner_reads_a_table_without_an_ordinary_category(
             self, tmp_path):
         # the dependency route never labels the sentence span
@@ -526,8 +577,8 @@ class TestTrainAndModelParse:
         # block, not the summary's values, can refuse it
         blocks = LinearModel._span_blocks
 
-        def poisoned(self, h, n):
-            for cells, block in blocks(self, h, n):
+        def poisoned(self, h, n, *gathered):
+            for cells, block in blocks(self, h, n, *gathered):
                 if n == 7 and cells[0] == n + 2:    # span (1, 1)
                     block[0, -1] = -np.inf
                 yield cells, block

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headspan import decode, linear
+from headspan import decode, division, linear
 from headspan.decode import (
     LEN_CAP,
     decode_division,
@@ -619,10 +619,10 @@ class TestBatchedDecode:
                             if id(tokens) in bad)
             return made
 
-        def blocks(h, n):
+        def blocks(h, n, *gathered):
             # the span blocks that score_table and summary both read; span
             # (1, 1), flat cell n + 2, is the first row of the first block
-            for cells, block in span_blocks(h, n):
+            for cells, block in span_blocks(h, n, *gathered):
                 if cells[0] == n + 2 and any(h is p for p in poisoned):
                     block[0, 0] = value
                 yield cells, block
@@ -647,6 +647,81 @@ class TestBatchedDecode:
         want, got = self.refusals(sample_fused, route, -np.inf, monkeypatch)
         assert want[1] == "sentence 4: non-finite values in span scores"
         assert got == want
+
+    @pytest.mark.parametrize("setting", ["defaults", "windows", "groups"])
+    def test_windows_and_gather_groups_keep_the_results(
+            self, sample_fused, setting, monkeypatch):
+        # blocks of 3 spans, so that a sentence's pair keys cross blocks
+        vocab = CategoryVocab.from_trees(sample_fused)
+        monkeypatch.setattr(linear, "_BLOCK", 3 * len(vocab))
+        model = noisy_model(vocab, 2 ** 16, "joint", seed=8)
+        sentences = [t.tokens for t in sample_fused[:40]]
+        alone = [model.hashes_many([tokens])[0] for tokens in sentences]
+        want = [model.summary(tokens, h, 0.5)
+                for tokens, h in zip(sentences, alone)]
+        if setting == "windows":
+            monkeypatch.setattr(linear, "_WINDOW_SPANS", 40)
+        if setting == "groups":
+            # the median sentence's keys: longer sentences are gathered a
+            # block at a time, shorter ones in groups
+            keys = sorted(len(h.keys.single) + len(h.keys.pairs)
+                          for h in alone)
+            monkeypatch.setattr(linear, "_GATHER_BYTES",
+                                8 * len(vocab) * keys[len(keys) // 2])
+        groups, got = [], {}
+        gathers, summary = model._gathers, model.summary
+
+        def grouped(hashes):
+            for lo, hi, gathered in gathers(hashes):
+                groups.append(None if gathered[0] is None else hi - lo)
+                yield lo, hi, gathered
+
+        def kept(tokens, hashes, lam, gathered=None):
+            got[id(tokens)] = summary(tokens, hashes, lam, gathered)
+            return got[id(tokens)]
+
+        monkeypatch.setattr(model, "_gathers", grouped)
+        monkeypatch.setattr(model, "summary", kept)
+        trees = self.batched(model, sentences, "joint", 0.5)
+        assert trees == self.one_at_a_time(model, sentences, "joint", 0.5)
+        for tokens, summary_alone in zip(sentences, want):
+            assert same_summary(got[id(tokens)], summary_alone)
+        if setting == "defaults":
+            assert groups == [40]
+        elif setting == "windows":
+            assert len(groups) > 10 and None not in groups
+        else:
+            assert None in groups and max(g or 0 for g in groups) > 1
+
+    def test_one_gathered_table_at_a_time_within_the_budget(self,
+                                                            monkeypatch):
+        # three sentences of 30 distinct words and tags nearly fill a
+        # table at 166 labels, so six make two groups
+        labels = [f"L{k}" for k in range(164)]
+        model = LinearModel(CategoryVocab(labels), dim=2 ** 16)
+        sentences = [[Token(i, f"w{s}_{i}", f"T{s}_{i}")
+                      for i in range(1, 31)] for s in range(6)]
+        hashes = model.hashes_many(sentences)
+        tables = []
+        weigh = model._weigh
+
+        def weighed(keys):
+            table = weigh(keys)
+            tables.append(table.nbytes)
+            return table
+
+        # no decoding: what is traced is the gathered tables' memory
+        monkeypatch.setattr(model, "_weigh", weighed)
+        monkeypatch.setattr(linear, "decode_tables", lambda *args: iter(()))
+        tracemalloc.start()
+        try:
+            for _ in decode_many(model, sentences, hashes=hashes):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tables) == 2 and min(tables) > linear._GATHER_BYTES * 0.9
+        assert peak <= linear._GATHER_BYTES + 2 ** 20
 
     def test_dev_passes_see_the_per_sentence_trees(self, tiny_corpus):
         model, _ = train_linear(tiny_corpus, TrainConfig(epochs=2,
@@ -726,6 +801,13 @@ def reference_indices(model, tokens, spans, arcs, root):
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64),
                                                  b.view(np.int64))
+
+
+def same_summary(a, b):
+    """Two summaries hold the same bits; repr tells -0.0 from 0.0."""
+    return (same_bits(a.best, b.best) and np.array_equal(a.label, b.label)
+            and repr(a.top) == repr(b.top) and same_bits(a.arc, b.arc)
+            and same_bits(a.root, b.root))
 
 
 # weights whose sums depend on the order they are added in: 2^53 + 1
@@ -898,12 +980,14 @@ class TestTraining:
     @pytest.mark.parametrize("mode, digest", [
         pytest.param("joint", "5ef9b6d34594eea42a3b2f6ade83776e"
                      "acd19e45309a792cab7b685db82fd949", id="joint"),
-        pytest.param("division", "5b0a0c5ce76bd0aea4783b58bcb2715c"
-                     "9406c603096cc17964a570623dc82994", id="division"),
+        pytest.param("division", "a146b7965791de79eecaa081d2f50b5b"
+                     "c5b55dc13613677bdfceb1ac98d995fa", id="division"),
     ])
     def test_trained_weights_are_pinned(self, tiny_corpus, mode, digest):
-        # digests of the weights trained under the integer key rule; a
-        # change to the keys, the scorer or the update shows here
+        # digests of the weights trained under the integer key rule, the
+        # division one since the span decoder gives the sentence span no
+        # H_ label; a change to the keys, the scorer or the update shows
+        # here
         config = TrainConfig(epochs=3, dim=2 ** 16, seed=13, mode=mode)
         model, _ = train_linear(tiny_corpus, config, dev=tiny_corpus)
         got = hashlib.sha256(model.weights.astype("<f8").tobytes())
@@ -961,6 +1045,26 @@ class TestTraining:
                                   TrainConfig(epochs=2, dim=2 ** 14, seed=13))
         assert history[0]["updates"] > 0
         assert built == []
+
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_each_tree_is_encoded_once(self, sample_fused, mode,
+                                       monkeypatch):
+        # the vocabulary comes from the gold spans, not a second encoding
+        calls = []
+        encode = division.binarize_head_outward
+
+        def counting(tree):
+            calls.append(1)
+            return encode(tree)
+
+        monkeypatch.setattr(division, "binarize_head_outward", counting)
+        trees = sample_fused[:20]
+        model, _ = train_linear(trees, TrainConfig(epochs=1, dim=2 ** 14,
+                                                   mode=mode, seed=13))
+        assert len(calls) == 20
+        monkeypatch.setattr(division, "binarize_head_outward", encode)
+        assert model.vocab == CategoryVocab.from_trees(
+            trees, division_labels=mode == "division")
 
     def test_division_training_builds_no_tree(self, sample_fused,
                                               monkeypatch):

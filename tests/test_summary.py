@@ -30,16 +30,19 @@ from headspan.scoring import (
     tree_spans,
 )
 from headspan.synth import random_score_table
-from headspan.trees import Token
+from headspan.trees import HEAD_PREFIX, Token
 
 
-def reference_reductions(span_m: np.ndarray, n: int) -> tuple:
+def reference_reductions(span_m: np.ndarray, n: int,
+                         vocab: CategoryVocab) -> tuple:
     """What the decoders computed from the (n+1, n+1, V) array: best score
     over all labels and over labels 1.., the argmax over all labels, the
     best real label with ``#`` losing ties, and the whole-sentence label
-    and score (None when the sentence needs an ordinary category and the
-    table has none)."""
+    and score among the ordinary categories without an ``H_`` mark (None
+    when the sentence needs one and the table has none)."""
     v = span_m.shape[2]
+    ids = [k for k, c in enumerate(vocab)
+           if k >= 2 and not c.startswith(HEAD_PREFIX)]
     best_any = span_m.max(axis=2)
     best_real = span_m[:, :, 1:].max(axis=2)
     cat_any = span_m.argmax(axis=2)
@@ -52,13 +55,13 @@ def reference_reductions(span_m: np.ndarray, n: int) -> tuple:
     if n == 1:
         empty = float(span_m[1, 1, 0])
         top = (0, empty)
-        if v > 2 and float(span_m[1, 1, 2:].max()) > empty:
-            lid = int(span_m[1, 1, 2:].argmax()) + 2
+        if ids and float(span_m[1, 1, ids].max()) > empty:
+            lid = ids[int(span_m[1, 1, ids].argmax())]
             top = (lid, float(span_m[1, 1, lid]))
-    elif v <= 2:
+    elif not ids:
         top = None
     else:
-        lid = int(span_m[1, n, 2:].argmax()) + 2
+        lid = ids[int(span_m[1, n, ids].argmax())]
         top = (lid, float(span_m[1, n, lid]))
     return best_any, best_real, cat_any, cat_real, top
 
@@ -75,7 +78,7 @@ def assert_summary_matches(summary, span_m: np.ndarray) -> None:
     reference reductions of ``span_m``, bit for bit."""
     n = summary.n
     best_any, best_real, cat_any, cat_real, top = reference_reductions(
-        span_m, n)
+        span_m, n, summary.vocab)
     i, j = np.triu_indices(n + 1)
     i, j = i[i >= 1], j[i >= 1]
     assert same_bits(summary.best[i, j, 0], best_any[i, j])
@@ -116,6 +119,25 @@ class TestDenseSummaries:
                         with pytest.raises(ScoreFileError,
                                            match="no ordinary category"):
                             summary.sentence_label()
+
+    @pytest.mark.parametrize("labels", [["H_A"], ["A", "H_<E>", "H_A", "S"]])
+    def test_the_sentence_span_takes_no_head_mark(self, labels):
+        rng = np.random.default_rng(6)
+        vocab = CategoryVocab(labels)
+        marked = [vocab.index(c) for c in labels if c.startswith(HEAD_PREFIX)]
+        for n in range(1, 8):
+            table = random_score_table(rng, n, vocab)
+            table.span[1, n, marked] += 10.0     # the marks would win
+            summary = table.summary(1.0)
+            assert_summary_matches(summary, table.span)
+            if labels == ["H_A"] and n > 1:
+                with pytest.raises(ScoreFileError, match=(
+                        "^score table has no ordinary category without an "
+                        "H_ mark to label the sentence span$")):
+                    summary.sentence_label()
+            else:
+                lid, _ = summary.sentence_label()
+                assert not vocab.category(lid).startswith(HEAD_PREFIX)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 6), v=st.integers(2, 5))
@@ -261,8 +283,8 @@ class TestModelSummaries:
         model = tied_model(vocab, "joint", seed=7)
         blocks = model._span_blocks
 
-        def poisoned(h, n):
-            for cells, block in blocks(h, n):
+        def poisoned(h, n, *gathered):
+            for cells, block in blocks(h, n, *gathered):
                 # the last label of the last span, which -inf never wins
                 block[-1, -1] = value
                 yield cells, block
