@@ -221,10 +221,16 @@ def cmd_parse(args) -> int:
     # finite weights can sum past the float range; decode_tables refuses
     # the table then, so numpy's overflow warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        for ordinal, (tree, notes) in enumerate(results, start=1):
-            for note in notes:
-                print(f"sentence {ordinal}: {note}", file=sys.stderr)
-            parsed.append(tree)
+        try:
+            for tree, notes in results:
+                for note in notes:
+                    print(f"sentence {len(parsed) + 1}: {note}",
+                          file=sys.stderr)
+                parsed.append(tree)
+        except ScoreFileError as exc:
+            # raised in its sentence's turn, after the results before it
+            raise ScoreFileError(f"sentence {len(parsed) + 1}: {exc}"
+                                 ) from None
 
     # eisner output is already a dependency tree: written as it is
     as_dep = (lambda t: t) if decoder == "eisner" else project_dependencies

@@ -69,15 +69,16 @@ mixed table itself, used to certify the charts on small sentences. Every
 decoder that labels spans returns them: the span decoder its labeled
 spans, the joint chart and brute force their parts. One builder in
 ``division`` makes the trees: ``from_parts`` from bare spans and arcs,
-``from_division`` from ``H_``-marked spans. ``decode_table`` is the single
-route from a sentence's scores, a table's or the linear model's, to a
-tree: it picks one of the three decoders, sends joint sentences above
+``from_division`` from ``H_``-marked spans. ``decode_table`` takes one
+sentence's scores, a table's or the linear model's, to a tree: it picks
+one of the three decoders, sends joint sentences above
 ``LEN_CAP`` tokens to the span decoder and asks for the scores' summary
 under the decoder's weight. The span route reads heads from ``H_`` marks
 where the labels carry them, and otherwise fuses its brackets with the
 best projective arcs;
 ``decode_joint_batch`` takes the joint route for same-length sentences at
-once, and ``decode_tables`` runs both over the sentences of a file.
+once, and ``decode_tables`` runs both over the sentences of a file,
+raising a refusal in its sentence's turn.
 
 Ties are broken deterministically everywhere: smaller split point first,
 then smaller sub-head, then smaller category id. A span's left dependent
@@ -87,7 +88,6 @@ split points are all smaller.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -610,20 +610,8 @@ def batch_size(n: int) -> int:
     return max(1, _BATCH_BYTES // per_chart)
 
 
-@contextlib.contextmanager
-def _named(ordinal: int | None) -> Iterator[None]:
-    """Name sentence ``ordinal``, when it is given, in a refusal of its
-    scores raised inside."""
-    try:
-        yield
-    except ScoreFileError as exc:
-        where = "" if ordinal is None else f"sentence {ordinal}: "
-        raise ScoreFileError(f"{where}{exc}") from None
-
-
 def decode_table(table, route: str, lam: float,
-                 tokens: Sequence[Token] | None = None,
-                 ordinal: int | None = None
+                 tokens: Sequence[Token] | None = None
                  ) -> tuple[HpsgTree | DependencyTree, list[str]]:
     """Decode one sentence's scores along ``route``: a :class:`ScoreTable`,
     or anything else with its ``n`` and ``summary(lam)``.
@@ -633,10 +621,9 @@ def decode_table(table, route: str, lam: float,
     recovers heads from the span decoder's ``H_`` marks, or, when no label
     carries one, fuses its brackets with the best projective arcs. The
     notes record the fallback and any head-recovery flags or residual
-    spans. Scores with a non-finite value are refused, naming sentence
-    ``ordinal`` when it is given: finite weights can still sum to an
-    infinite score. So are those that leave no label for the sentence span
-    on the routes that label it.
+    spans. Scores with a non-finite value are refused: finite weights can
+    still sum to an infinite score. So are those that leave no label for
+    the sentence span on the routes that label it.
     """
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
@@ -645,19 +632,18 @@ def decode_table(table, route: str, lam: float,
         notes.append(f"length {table.n} above cap {LEN_CAP}, using the span "
                      f"decoder")
         route = "division"
-    with _named(ordinal):
-        if route == "eisner":
-            return decode_eisner(table.summary(0.0), tokens)[0], []
-        if route == "joint":
-            return decode_joint(table, lam, tokens)[0], notes
-        summary = table.summary(1.0)
-        spans, _ = decode_division(summary)
-        tokens = tokens or _placeholder_tokens(table.n)
-        if summary.vocab.has_marks():
-            tree, flags = division.from_division(spans, tokens)
-            return tree, notes + flags
-        # bare labels mark no head daughter: the heads come from the arcs
-        deps, _ = decode_eisner(table.summary(0.0), tokens)
+    if route == "eisner":
+        return decode_eisner(table.summary(0.0), tokens)[0], []
+    if route == "joint":
+        return decode_joint(table, lam, tokens)[0], notes
+    summary = table.summary(1.0)
+    spans, _ = decode_division(summary)
+    tokens = tokens or _placeholder_tokens(table.n)
+    if summary.vocab.has_marks():
+        tree, flags = division.from_division(spans, tokens)
+        return tree, notes + flags
+    # bare labels mark no head daughter: the heads come from the arcs
+    deps, _ = decode_eisner(table.summary(0.0), tokens)
     brackets = project_constituents(division.from_parts((spans, [], 0),
                                                         tokens))
     tree, report = fuse(brackets, deps)
@@ -666,8 +652,7 @@ def decode_table(table, route: str, lam: float,
 
 
 def decode_joint_batch(tables: Iterable, lam: float,
-                       tokens: Sequence[Sequence[Token]],
-                       ordinals: Sequence[int | None]) -> list:
+                       tokens: Sequence[Sequence[Token]]) -> list:
     """:func:`decode_table`'s joint route for the scores of sentences of one
     length within the length cap, with their charts filled in one batch:
     per sentence its (tree, notes), or the error that refuses it. The trees
@@ -677,9 +662,8 @@ def decode_joint_batch(tables: Iterable, lam: float,
     ready = []
     for k, table in enumerate(tables):
         try:
-            with _named(ordinals[k]):
-                summary = table.summary(lam)
-                summary.sentence_label()    # refused before the fill
+            summary = table.summary(lam)
+            summary.sentence_label()    # refused before the fill
             ready.append((k, summary))
         except (ScoreFileError, ValueError) as exc:
             out[k] = exc
@@ -697,8 +681,7 @@ def decode_joint_batch(tables: Iterable, lam: float,
 
 
 def decode_tables(sentences: Sequence[Sequence[Token]],
-                  table_of: Callable, route: str,
-                  lam: float, first: int | None = 1
+                  table_of: Callable, route: str, lam: float
                   ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
     """Each sentence's (tree, notes) from :func:`decode_table`, in input
     order; ``table_of(k)`` makes sentence k's scores (those
@@ -707,10 +690,8 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
     Joint decodes within ``LEN_CAP`` go one length at a time, in fills of
     ``batch_size(n)`` charts, so that only one batch's summaries are held;
     the others go one by one. An error is raised when its sentence's
-    turn comes, so a refusal names the first bad sentence in input order;
-    ``first`` is the ordinal of the first sentence, None to name none."""
-    ordinals = [None if first is None else first + k
-                for k in range(len(sentences))]
+    turn comes, after the results of every sentence before it, so a caller
+    that counts the results knows which sentence was refused."""
     results: list = [None] * len(sentences)
     lengths: dict[int, list[int]] = {}
     for k, tokens in enumerate(sentences):
@@ -718,8 +699,7 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
             lengths.setdefault(len(tokens), []).append(k)
             continue
         try:
-            results[k] = decode_table(table_of(k), route, lam, tokens,
-                                      ordinals[k])
+            results[k] = decode_table(table_of(k), route, lam, tokens)
         except Exception as exc:
             # raised in its turn below, as a sentence-by-sentence decode
             # would raise it
@@ -729,8 +709,7 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
         for at in range(0, len(members), size):
             chunk = members[at:at + size]
             done = decode_joint_batch((table_of(k) for k in chunk), lam,
-                                      [sentences[k] for k in chunk],
-                                      [ordinals[k] for k in chunk])
+                                      [sentences[k] for k in chunk])
             for k, result in zip(chunk, done):
                 results[k] = result
     for result in results:
@@ -803,15 +782,18 @@ def brute_force(table: ScoreTable, lam: float = 0.5,
     any_l = span_m.max(axis=2).tolist()
     real_l = span_m[:, :, 1:].max(axis=2).tolist()
 
-    # the sentence span takes an ordinary category; a lone token may stay
-    # bare (the empty category)
-    top_row = span_m[1, n].tolist()
+    # the sentence span takes an ordinary category without an H_ mark, and
+    # is refused as the decoders refuse it; a lone token may stay bare
+    # (the empty category)
+    summary.sentence_label()
+    top_row = span_m[1, n]
+    ordinary = top_row[summary.vocab.unmarked].tolist()
     if n == 1:
-        base = max(top_row[:1] + top_row[2:])
+        base = max([float(top_row[0]), *ordinary])
         top = 0.0
     else:
         base = sum(any_l[i][i] for i in range(1, n + 1))
-        top = max(top_row[2:])
+        top = max(ordinary)
 
     best_score = -np.inf
     best = None

@@ -126,43 +126,33 @@ _WINDOW_SPANS = 2 ** 13
 _GATHER_BYTES = 2 ** 23
 
 
-class Keys(NamedTuple):
-    """A sentence's distinct feature keys, masked to one model's dimension:
-    a label's weight index is a key XOR its salt, so no column per label."""
+class Hashes(NamedTuple):
+    """One sentence's feature keys (:meth:`LinearModel.hashes_many`): its
+    distinct span keys, masked to one model's dimension (a label's weight
+    index is a key XOR its salt, so no column per label), and the low 32
+    bits of its arc and root keys, rows counting positions from 0 for token
+    1. All arrays are int64, and may be views into arrays that a batch of
+    sentences shares."""
 
     single: np.ndarray  # (distinct,) one-position and length keys
     terms: np.ndarray   # (8, spans) row in single of span templates 0..7
     pairs: np.ndarray   # (distinct,) pair keys, block by block
     pair_rows: np.ndarray  # (4, spans) row within the span's block's part
     blocks: np.ndarray  # (blocks,) where each block's part of pairs starts
-
-
-class Hashes(NamedTuple):
-    """Label-free keys of one sentence's features, the low 32 bits of each
-    (:meth:`LinearModel.hashes_many`), and their :class:`Keys`. Rows count
-    positions from 0 for token 1; all arrays are int64, and may be views
-    into arrays that a batch of sentences shares."""
-
-    length: np.ndarray  # (8,) s_len per length bucket
-    start: np.ndarray   # (n, 3) s_fw, s_fp, s_prev of spans starting there
-    inside: np.ndarray  # (n + 1,) s_in of longer spans starting there; <self>
-    end: np.ndarray     # (n, 3) s_lw, s_lp, s_next of spans ending there
-    pair: np.ndarray    # (n(n+1)/2, 4) s_pp, s_out, s_ww, s_lpp by start, end
     arc: np.ndarray     # (n(n-1), 11) every arc template, by child then head
     root: np.ndarray    # (n, 3) every root template
-    keys: Keys
 
 
 class _Layout(NamedTuple):
     """Index arrays of every span and arc of a length-n sentence: spans by
-    start then end (the order of ``Hashes.pair``), arcs by child then head
+    start then end (the order of ``Hashes.terms``), arcs by child then head
     (that of ``Hashes.arc``); positions 0-based, cells flat in an (n+1,
     n+1) table."""
 
     first: np.ndarray
     last: np.ndarray
     bucket: np.ndarray   # length bucket
-    inside: np.ndarray   # row in Hashes.inside
+    inside: np.ndarray   # s_in row: the start, or n for <self>
     cell: np.ndarray
     child: np.ndarray
     head: np.ndarray
@@ -257,7 +247,7 @@ class LinearModel:
         mix per span or arc. Sentences are laid out shortest first, so that
         the spans and arcs of one length are one broadcast. One
         ``np.unique`` over masked keys that carry the sentence (or the pair
-        block) in their high 32 bits makes every sentence's :class:`Keys`.
+        block) in their high 32 bits makes every sentence's span keys.
         Arcs and roots are left empty in division mode."""
         if not sentences:
             return []
@@ -401,15 +391,13 @@ class LinearModel:
         for b, (s, (n, spans, blocks)) in enumerate(zip(order, sizes)):
             p = count + k
             out[s] = Hashes(
-                length=length, start=start[o:o + n],
-                inside=inside[o + b:o + b + n + 1], end=end[o:o + n],
-                pair=pair[m:m + spans], arc=arc[a:a + n * (n - 1)],
-                root=root[o:o + n] if joint else root,
-                keys=Keys(single=keys[edges[b]:edges[b + 1]],
-                          terms=terms[:, m:m + spans],
-                          pairs=keys[edges[p]:edges[p + blocks]],
-                          pair_rows=pair_rows[m:m + spans].T,
-                          blocks=bounds[p:p + blocks] - edges[p]))
+                single=keys[edges[b]:edges[b + 1]],
+                terms=terms[:, m:m + spans],
+                pairs=keys[edges[p]:edges[p + blocks]],
+                pair_rows=pair_rows[m:m + spans].T,
+                blocks=bounds[p:p + blocks] - edges[p],
+                arc=arc[a:a + n * (n - 1)],
+                root=root[o:o + n] if joint else root)
             o += n
             m += spans
             a += n * (n - 1) if joint else 0
@@ -439,19 +427,18 @@ class LinearModel:
         order of numpy's pairwise sum,
         ``((a0+a1)+(a2+a3))+((a4+a5)+(a6+a7))+a8+a9+a10+a11``, so each
         score is what summing its 12 weights gives, to the bit."""
-        keys = h.keys
-        single, rows = gathered or (self._weigh(keys.single), None)
+        single, rows = gathered or (self._weigh(h.single), None)
         pair, step = single, self._block_spans
-        bounds = [*keys.blocks, len(keys.pairs)]
+        bounds = [*h.blocks, len(h.pairs)]
         cells = _layout(n).cell
         for block, lo in enumerate(range(0, len(cells), step)):
             b = slice(lo, lo + step)
-            terms, pair_rows = keys.terms[:, b], keys.pair_rows[:, b]
+            terms, pair_rows = h.terms[:, b], h.pair_rows[:, b]
             if rows is None:
-                pair = self._weigh(keys.pairs[bounds[block]:bounds[block + 1]])
+                pair = self._weigh(h.pairs[bounds[block]:bounds[block + 1]])
             else:
                 terms = rows.take(terms)
-                pair_rows = rows.take(pair_rows + (len(keys.single)
+                pair_rows = rows.take(pair_rows + (len(h.single)
                                                    + bounds[block]))
             # template k's weights a_k, added in place once an operand is
             # spent; take(rows, 0) gathers faster than indexing does
@@ -475,7 +462,7 @@ class LinearModel:
         ``gathered``: a table of the group's keys' weights, within
         ``_GATHER_BYTES``, and its keys' rows; None if alone it exceeds."""
         cap = _GATHER_BYTES // (8 * len(self.vocab))
-        keys = [np.concatenate([h.keys.single, h.keys.pairs]) for h in hashes]
+        keys = [np.concatenate([h.single, h.pairs]) for h in hashes]
         lo = 0
         while lo < len(keys):
             ends = np.cumsum([len(k) for k in keys[lo:]])
@@ -532,16 +519,16 @@ class LinearModel:
                        hashes: Hashes) -> tuple[np.ndarray, np.ndarray]:
         """Feature indices of an analysis under its sentence's hashes,
         repeats kept: spans', then the arcs' and root's."""
-        keys = hashes.keys
         n = len(tokens)
         first = np.array([i for i, _, _ in spans], dtype=int) - 1
         last = np.array([j for _, j, _ in spans], dtype=int) - 1
         cid = np.array([self.vocab.index(c) for _, _, c in spans], dtype=int)
-        # the span's row in Hashes.pair, and so in the keys' rows
+        # the span's column in the keys' rows, by start then end
         at = first * (2 * n + 1 - first) // 2 + last - first
-        pair = keys.pair_rows[:, at] + keys.blocks[at // self._block_spans]
-        span_idx = np.concatenate([keys.single[keys.terms[:, at]],
-                                   keys.pairs[pair]])
+        pair = (hashes.pair_rows[:, at]
+                + hashes.blocks[at // self._block_spans])
+        span_idx = np.concatenate([hashes.single[hashes.terms[:, at]],
+                                   hashes.pairs[pair]])
         span_idx ^= self._salt[cid]
         arc_rows = [(c - 1) * (n - 1) + h - 1 - (h > c) for c, h in arcs]
         # root 0 (none) slices no row
@@ -594,14 +581,15 @@ class LinearModel:
 
 def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
                 route: str | None = None, lam: float | None = None,
-                hashes: Sequence[Hashes] | None = None, first: int | None = 1
+                hashes: Sequence[Hashes] | None = None
                 ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
     """Parse sentences with a trained model: :func:`decode_tables` along
     ``route`` (default the model's mode) under ``lam`` (default the
     model's), each sentence summarized when it is decoded. Each window of
     ``_WINDOW_SPANS`` spans is hashed in one :meth:`LinearModel.hashes_many`
     call (unless ``hashes`` are given), its weights gathered once
-    (:meth:`LinearModel._gathers`) and decoded, which bounds what is held."""
+    (:meth:`LinearModel._gathers`) and decoded, which bounds what is held.
+    As there, a refusal is raised in its sentence's turn."""
     route = model.mode if route is None else route
     lam = model.lam if lam is None else lam
     for lo, hi in _batches(sentences, _WINDOW_SPANS):
@@ -615,14 +603,14 @@ def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
             yield from decode_tables(group, lambda k: SimpleNamespace(
                 n=len(group[k]), summary=functools.partial(
                     model.summary, group[k], hashed[k], gathered=gathered[k])),
-                route, lam, None if first is None else first + lo + a)
+                route, lam)
             del gathered
 
 
 def decode_with_model(model: LinearModel, tokens: Sequence[Token],
                       lam: float | None = None) -> HpsgTree:
     """Parse one sentence with a trained model, honoring its mode."""
-    tree, _ = next(decode_many(model, [tokens], lam=lam, first=None))
+    tree, _ = next(decode_many(model, [tokens], lam=lam))
     return tree
 
 
@@ -794,7 +782,7 @@ def _dev_scores(model: LinearModel, dev: Sequence[HpsgTree],
     """Bracket F1 and UAS of ``model`` on the held-out trees, against
     their projections ``gold`` made once for every epoch."""
     pred = [tree for tree, _ in decode_many(
-        model, [t.tokens for t in dev], hashes=hashes, first=None)]
+        model, [t.tokens for t in dev], hashes=hashes)]
     rep = evaluate.bracket_f1(gold[0], [project_constituents(t) for t in pred])
     rep2 = evaluate.attachment_scores(
         gold[1], [project_dependencies(t) for t in pred])

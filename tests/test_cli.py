@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headspan import decode
+from headspan import cli, decode
 from headspan.cli import main
 from headspan.fuse import project_dependencies
 from headspan.linear import LinearModel
@@ -280,6 +280,64 @@ class TestParse:
         assert capsys.readouterr().err.splitlines() == [
             "headspan parse: sentence 2: score table has no ordinary "
             "category without an H_ mark to label the sentence span"]
+        assert not out.exists()
+
+    @staticmethod
+    def flat_conll(path, lengths):
+        """Sentences of ``lengths`` tokens, each headed by its first."""
+        path.write_text("".join(
+            "".join(f"{i}\tw{i}\t_\tX\tX\t_\t{0 if i == 1 else 1}\t"
+                    f"dep\t_\t_\n" for i in range(1, n + 1)) + "\n"
+            for n in lengths), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("part", ["span", "arc", "root"])
+    @pytest.mark.parametrize("decoder", ["joint", "division", "eisner"])
+    def test_the_first_refused_sentence_is_named(
+            self, tmp_path, decoder, part, capsys, monkeypatch):
+        # non-finite values that reach the decoders, as finite model
+        # weights can sum to, in sentences 4 and 5; sentence 5 is as long
+        # as sentence 1, so the joint route decodes it before sentence 4
+        lengths = [3, 2, 4, 5, 3]
+        rng = np.random.default_rng(3)
+        tables = [random_score_table(rng, n, CategoryVocab(["A", "B"]))
+                  for n in lengths]
+        for table in tables[3:]:
+            getattr(table, part)[2] = np.nan
+        monkeypatch.setattr(cli, "read_scores", lambda fh: tables)
+        scores = tmp_path / "scores.txt"
+        scores.write_text("", encoding="utf-8")
+        out = tmp_path / "parsed.conll"
+        code = main(["parse", "--input",
+                     self.flat_conll(tmp_path / "in.conll", lengths),
+                     "--scores", str(scores), "--decoder", decoder,
+                     "--out-dep", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"headspan parse: sentence 4: non-finite values in {part} "
+            f"scores"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decoder", ["joint", "division"])
+    def test_the_first_sentence_span_without_a_label_is_named(
+            self, tmp_path, decoder, capsys):
+        # lone tokens may stay bare; sentence 4 is the first longer one,
+        # and the one length of the joint route's first batch holds the
+        # lone sentence 5 with the three before it
+        lengths = [1, 1, 1, 2, 1]
+        scores = tmp_path / "scores.txt"
+        scores.write_text("".join(
+            f"#sent {k} {n}\nSPAN 1 {n} # 1.0\n"
+            for k, n in enumerate(lengths, start=1)), encoding="utf-8")
+        out = tmp_path / "parsed.hpsg"
+        code = main(["parse", "--input",
+                     self.flat_conll(tmp_path / "in.conll", lengths),
+                     "--scores", str(scores), "--decoder", decoder,
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: sentence 4: score table has no ordinary "
+            "category to label the sentence span"]
         assert not out.exists()
 
     def test_eisner_reads_a_table_without_an_ordinary_category(

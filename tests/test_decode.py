@@ -155,6 +155,24 @@ class TestJointAgainstBruteForce:
                 if 0.0 < lam < 1.0:
                     assert fast_tree == slow_tree, (n, trial, lam)
 
+    def test_the_sentence_span_takes_no_head_marked_label(self):
+        # both searches label the sentence span from the labels without an
+        # H_ mark, and both refuse a table that has none
+        rng = np.random.default_rng(0)
+        vocab = CategoryVocab(["A", "H_B"])
+        for n in range(1, 6):
+            for trial in range(40):
+                table = random_score_table(rng, n, vocab)
+                fast_tree, fast = decode_joint(table, 0.5)
+                slow_tree, slow = brute_force(table, 0.5)
+                assert fast == pytest.approx(slow, abs=1e-9), (n, trial)
+                assert fast_tree == slow_tree, (n, trial)
+        table = random_score_table(rng, 3, CategoryVocab(["H_A"]))
+        for decoder in (decode_joint, brute_force):
+            with pytest.raises(ScoreFileError, match="^score table has no "
+                               "ordinary category without an H_ mark"):
+                decoder(table, 0.5)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 7),
            lam=st.sampled_from([0.0, 0.25, 0.5, 1.0]))
@@ -611,8 +629,7 @@ class TestBatchedFills:
             for table in tables:
                 table.span += rng.normal(scale=0.5, size=table.span.shape)
             tokens = [t.tokens for t in trees]
-            got = decode.decode_joint_batch(tables, 0.5, tokens,
-                                            list(range(len(trees))))
+            got = decode.decode_joint_batch(tables, 0.5, tokens)
             want = [decode_table(t, "joint", 0.5, toks)
                     for t, toks in zip(tables, tokens)]
             assert got == want
@@ -667,9 +684,8 @@ class TestBatchedFills:
         for route, cap in (("joint", LEN_CAP), ("joint", 7),
                            ("division", LEN_CAP), ("eisner", LEN_CAP)):
             monkeypatch.setattr(decode, "LEN_CAP", cap)
-            want = [decode_table(table, route, 0.4, tokens, k)
-                    for k, (tokens, table) in enumerate(
-                        zip(sentences, tables), start=1)]
+            want = [decode_table(table, route, 0.4, tokens)
+                    for tokens, table in zip(sentences, tables)]
             assert list(decode.decode_tables(
                 sentences, tables.__getitem__, route, 0.4)) == want
         tables[30].arc[1, 2] = np.nan
@@ -677,7 +693,8 @@ class TestBatchedFills:
                                    0.4)
         for _ in range(30):
             next(got)
-        with pytest.raises(ScoreFileError, match="^sentence 31: "):
+        with pytest.raises(ScoreFileError,
+                           match="^non-finite values in arc scores$"):
             next(got)
 
 
@@ -915,15 +932,22 @@ class TestEdgesAndGuards:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("route", ROUTES)
     def test_non_finite_tables_are_refused(self, part, value, route):
-        table = random_score_table(np.random.default_rng(29), 4,
-                                   CategoryVocab(["A", "B"]))
+        vocab = CategoryVocab(["A", "B"])
+        table = random_score_table(np.random.default_rng(29), 4, vocab)
         getattr(table, part)[2] = value
-        with pytest.raises(ScoreFileError, match=f"^sentence 7: non-finite "
-                           f"values in {part} scores$"):
-            decode_table(table, route, 0.5, ordinal=7)
-        with pytest.raises(ScoreFileError, match=f"^non-finite values in "
-                           f"{part} scores$"):
+        refused = f"^non-finite values in {part} scores$"
+        with pytest.raises(ScoreFileError, match=refused):
             decode_table(table, route, 0.5)
+        # as seventh of a list, after the results of the six before it
+        tables = [random_score_table(np.random.default_rng(k), 4, vocab)
+                  for k in range(6)] + [table]
+        tokens = [Token(i, f"w{i}", "T") for i in range(1, 5)]
+        got = decode.decode_tables([tokens] * 7, tables.__getitem__, route,
+                                   0.5)
+        for _ in range(6):
+            next(got)
+        with pytest.raises(ScoreFileError, match=refused):
+            next(got)
 
     def test_explicit_tokens_carried_through(self, sample_fused):
         tree = sample_fused[0]

@@ -153,24 +153,21 @@ def reference_hashes(tokens):
             keys((root_features(words, tags, h, n) for h in pos), 3))
 
 
-def span_hashes(h, first, last):
-    """The 12 label-free feature keys of spans from ``first`` to ``last``
-    (0-based) read off the factored ``Hashes``, in template order."""
-    n = len(h.start)
-    pair = first * (2 * n + 1 - first) // 2 + last - first
-    bucket = np.searchsorted([1, 2, 3, 4, 5, 8, 12], last - first + 1)
-    inside = np.where(first < last, first, n)
-    start, end = h.start[first], h.end[last]
-    return np.column_stack([
-        h.length[bucket], start[:, 0], end[:, 0], start[:, 1], end[:, 1],
-        start[:, 2], end[:, 2], h.inside[inside], h.pair[pair]])
+def span_hashes(model, h, n):
+    """The 12 feature keys of every span of a length-n sentence, by start
+    then end, read off its ``Hashes`` in template order."""
+    at = np.arange(n * (n + 1) // 2)
+    pair = h.pair_rows + h.blocks[at // model._block_spans]
+    return np.vstack([h.single[h.terms], h.pairs[pair]]).T
 
 
 def assert_hashes_match(tokens):
-    """The factored keys, template by template, against the reference's."""
-    h = LinearModel(CategoryVocab(["NP"])).hashes_many([tokens])[0]
-    first, last = np.triu_indices(len(tokens))
-    got = (span_hashes(h, first, last), h.arc, h.root)
+    """The keys, template by template, against the reference's; a model of
+    dimension 2^32 masks none of their 32 bits."""
+    model = LinearModel(CategoryVocab(["NP"]), dim=2 ** 32,
+                        weights=np.zeros(0))
+    h = model.hashes_many([tokens])[0]
+    got = (span_hashes(model, h, len(tokens)), h.arc, h.root)
     for part, mine, want in zip(("span", "arc", "root"), got,
                                 reference_hashes(tokens)):
         assert mine.shape == want.shape, part
@@ -477,12 +474,9 @@ class TestFactoredHashes:
 
 
 def assert_same_hashes(got, want):
-    """Two :class:`Hashes` equal array for array, keys included: dtype,
-    shape and every value."""
+    """Two :class:`Hashes` equal array for array: dtype, shape and every
+    value."""
     for name, mine, theirs in zip(got._fields, got, want):
-        if name == "keys":
-            assert_same_hashes(mine, theirs)
-            continue
         assert mine.dtype == theirs.dtype, name
         np.testing.assert_array_equal(mine, theirs, err_msg=name, strict=True)
 
@@ -528,7 +522,7 @@ class TestBatchHashes:
         assert_batch_matches(model, sentences)
         for tokens, h in zip(sentences, model.hashes_many(sentences)):
             spans = len(tokens) * (len(tokens) + 1) // 2
-            assert len(h.keys.blocks) == (spans + 1) // 2
+            assert len(h.blocks) == (spans + 1) // 2
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(rows=st.lists(st.lists(st.tuples(UNICODE_TEXT, UNICODE_TEXT),
@@ -555,12 +549,11 @@ class TestBatchedDecode:
     @staticmethod
     def one_at_a_time(model, sentences, route, lam):
         out = []
-        for ordinal, tokens in enumerate(sentences, start=1):
+        for tokens in sentences:
             try:
                 table = model.score_table(tokens,
                                           model.hashes_many([tokens])[0])
-                out.append(decode_table(table, route, lam, tokens,
-                                        ordinal))
+                out.append(decode_table(table, route, lam, tokens))
             except ScoreFileError as exc:
                 return out, str(exc)
         return out, None
@@ -598,11 +591,13 @@ class TestBatchedDecode:
         assert all("above cap" in note for note in notes)
         assert (len(notes) > 0) == (cap < LEN_CAP)
 
-    def refusals(self, sample_fused, route, value, monkeypatch):
+    def refusals(self, sample_fused, route, value, monkeypatch, trail=None):
         """One-at-a-time and batched results when sentences 4 and 9 (by
         ordinal) score ``value`` for span (1, 1) under the empty label.
         Sentence 9 is as long as sentence 1 and sentence 4 longer than any
-        other, so a length at a time decodes sentence 9 first."""
+        other, so a length at a time decodes sentence 9 first. ``trail``,
+        when given, receives per window of the batched decode the sizes of
+        its gather groups, as far as they were decoded."""
         vocab = CategoryVocab.from_trees(sample_fused)
         model = noisy_model(vocab, 2 ** 16, "joint", seed=8)
         sentences = [t.tokens for t in sample_fused[:12]]
@@ -629,6 +624,16 @@ class TestBatchedDecode:
 
         monkeypatch.setattr(model, "hashes_many", hashed)
         monkeypatch.setattr(model, "_span_blocks", blocks)
+        if trail is not None:
+            gathers = model._gathers
+
+            def traced(hashes):
+                trail.append([])
+                for lo, hi, gathered in gathers(hashes):
+                    trail[-1].append(hi - lo)
+                    yield lo, hi, gathered
+
+            monkeypatch.setattr(model, "_gathers", traced)
         return (self.one_at_a_time(model, sentences, route, 0.5),
                 self.batched(model, sentences, route, 0.5))
 
@@ -636,7 +641,8 @@ class TestBatchedDecode:
     def test_first_refusal_in_input_order(self, sample_fused, route,
                                           monkeypatch):
         want, got = self.refusals(sample_fused, route, np.inf, monkeypatch)
-        assert want[1] == "sentence 4: non-finite values in span scores"
+        assert want[1] == "non-finite values in span scores"
+        assert len(want[0]) == 3
         assert got == want
 
     @pytest.mark.parametrize("route", ["joint", "division"])
@@ -645,8 +651,32 @@ class TestBatchedDecode:
         # -inf wins no span, so no summary shows it: the model path must
         # refuse it from the scored blocks, as the dense table is refused
         want, got = self.refusals(sample_fused, route, -np.inf, monkeypatch)
-        assert want[1] == "sentence 4: non-finite values in span scores"
+        assert want[1] == "non-finite values in span scores"
+        assert len(want[0]) == 3
         assert got == want
+
+    @pytest.mark.parametrize("setting", ["windows", "groups"])
+    def test_a_refusal_in_a_later_window_or_group_comes_in_its_turn(
+            self, sample_fused, setting, monkeypatch):
+        # small windows, or groups of 400 keys, two short sentences':
+        # sentence 4 is decoded after a window or group that went before
+        # it, and what comes before its refusal is the three results
+        # before it
+        if setting == "windows":
+            monkeypatch.setattr(linear, "_WINDOW_SPANS", 40)
+        else:
+            labels = len(CategoryVocab.from_trees(sample_fused))
+            monkeypatch.setattr(linear, "_GATHER_BYTES", 8 * labels * 400)
+        trail: list = []
+        want, got = self.refusals(sample_fused, "joint", np.inf, monkeypatch,
+                                  trail)
+        assert want[1] == "non-finite values in span scores"
+        assert len(want[0]) == 3
+        assert got == want
+        if setting == "windows":
+            assert len(trail) > 1
+        else:
+            assert len(trail) == 1 and len(trail[0]) > 1
 
     @pytest.mark.parametrize("setting", ["defaults", "windows", "groups"])
     def test_windows_and_gather_groups_keep_the_results(
@@ -664,7 +694,7 @@ class TestBatchedDecode:
         if setting == "groups":
             # the median sentence's keys: longer sentences are gathered a
             # block at a time, shorter ones in groups
-            keys = sorted(len(h.keys.single) + len(h.keys.pairs)
+            keys = sorted(len(h.single) + len(h.pairs)
                           for h in alone)
             monkeypatch.setattr(linear, "_GATHER_BYTES",
                                 8 * len(vocab) * keys[len(keys) // 2])
@@ -901,7 +931,7 @@ class TestFeatureCounts:
             tokens = tree.tokens
             spans_in = len(tokens) * (len(tokens) + 1) // 2
             hashes = model.hashes_many([tokens])[0]
-            assert len(hashes.keys.blocks) == (spans_in + 1) // 2
+            assert len(hashes.blocks) == (spans_in + 1) // 2
             assert_tables_equal(model, tokens)
             spans = [(i, j, label) for i in range(1, len(tokens) + 1)
                      for j in range(i, len(tokens) + 1)

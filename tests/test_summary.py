@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from headspan import linear
-from headspan.decode import LEN_CAP, ROUTES, decode_table
+from headspan.decode import LEN_CAP, ROUTES, decode_tables
 from headspan.errors import ScoreFileError
 from headspan.linear import LinearModel
 from headspan.scoring import (
@@ -194,20 +194,36 @@ class TestDenseSummaries:
     def test_non_finite_arcs_are_refused_before_a_missing_label(self, route):
         # the table has no ordinary category for its sentence span either,
         # which only the routes that label it refuse, after every check of
-        # the scores' values
+        # the scores' values; fourth of a list, it is refused after the
+        # results of the three before it
         table = random_score_table(np.random.default_rng(8), 3,
                                    CategoryVocab())
+        tables = [random_score_table(np.random.default_rng(k), 3,
+                                     CategoryVocab(["A"]))
+                  for k in range(3)] + [table]
+        tokens = [Token(i, f"w{i}", "T") for i in range(1, 4)]
+
+        def decoded():
+            """How many results come before the refusal, and its message."""
+            got = 0
+            try:
+                for _ in decode_tables([tokens] * 4, tables.__getitem__,
+                                       route, 0.5):
+                    got += 1
+            except ScoreFileError as exc:
+                return got, str(exc)
+            return got, None
+
         table.arc[2, 1] = np.nan
-        with pytest.raises(ScoreFileError,
-                           match="^sentence 4: non-finite values in arc"):
-            decode_table(table, route, 0.5, ordinal=4)
+        count, refused = decoded()
+        assert count == 3 and refused.startswith("non-finite values in arc")
         table.arc[2, 1] = 0.0
+        count, refused = decoded()
         if route == "eisner":
-            decode_table(table, route, 0.5, ordinal=4)
+            assert (count, refused) == (4, None)
         else:
-            with pytest.raises(ScoreFileError, match="^sentence 4: score "
-                               "table has no ordinary category"):
-                decode_table(table, route, 0.5, ordinal=4)
+            assert count == 3
+            assert refused.startswith("score table has no ordinary category")
 
 
 # weights that make ties and signed zeros common: a span's score is a small
