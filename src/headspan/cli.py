@@ -203,7 +203,8 @@ def cmd_parse(args) -> int:
             raise ValueError("the scores have head-marked (H_) span labels; "
                              "use --decoder division, not joint")
         lam = 0.5 if args.lam is None else args.lam
-        results = decode_tables(sentences, tables.__getitem__, decoder, lam)
+        results = decode_tables(sentences, lambda k, w: tables[k].summary(w),
+                                decoder, lam)
     else:
         model = LinearModel.load(args.model)
         decoder = args.decoder or model.mode

@@ -69,16 +69,15 @@ mixed table itself, used to certify the charts on small sentences. Every
 decoder that labels spans returns them: the span decoder its labeled
 spans, the joint chart and brute force their parts. One builder in
 ``division`` makes the trees: ``from_parts`` from bare spans and arcs,
-``from_division`` from ``H_``-marked spans. ``decode_table`` takes one
-sentence's scores, a table's or the linear model's, to a tree: it picks
-one of the three decoders, sends joint sentences above
-``LEN_CAP`` tokens to the span decoder and asks for the scores' summary
-under the decoder's weight. The span route reads heads from ``H_`` marks
-where the labels carry them, and otherwise fuses its brackets with the
-best projective arcs;
-``decode_joint_batch`` takes the joint route for same-length sentences at
-once, and ``decode_tables`` runs both over the sentences of a file,
-raising a refusal in its sentence's turn.
+``from_division`` from ``H_``-marked spans. ``decode_tables`` is the one
+driver from scores to trees, for a file's sentences, a table's or the
+linear model's: it picks one of the three routes, sends joint sentences
+above ``LEN_CAP`` tokens to the span route, asks for each sentence's
+summary under the route's weight, fills the joint charts in batches and
+raises a refusal in its sentence's turn. The span route reads heads from
+``H_`` marks where the labels carry them, and otherwise fuses its
+brackets with the best projective arcs. ``decode_table`` is its
+one-sentence form over a :class:`ScoreTable`.
 
 Ties are broken deterministically everywhere: smaller split point first,
 then smaller sub-head, then smaller category id. A span's left dependent
@@ -90,12 +89,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import division
-from .errors import ScoreFileError, SizeGuardError
+from .errors import SizeGuardError
 from .fuse import fuse, project_constituents
 from .scoring import Parts, ScoreTable, SpanSummary
 from .trees import DependencyTree, HpsgTree, Token
@@ -555,9 +554,10 @@ def decode_eisner(table: ScoreTable | SpanSummary,
     """Best projective dependency tree under the arc and root scores of a
     table, or of a summary made under ``lam`` 0, which leaves them raw.
 
-    Span scores and the interpolation weight play no part here; this is the
-    dependency-only route, used to cross-check the joint decoder when the
-    interpolation weight removes the span term.
+    Span scores and the interpolation weight play no part here. This is
+    the ``eisner`` route of :func:`decode_tables`, the heads of the span
+    route where no label marks one, and the cross-check of the joint
+    decoder when the interpolation weight removes the span term.
     """
     n = table.n
     if tokens is None:
@@ -613,105 +613,92 @@ def batch_size(n: int) -> int:
 def decode_table(table, route: str, lam: float,
                  tokens: Sequence[Token] | None = None
                  ) -> tuple[HpsgTree | DependencyTree, list[str]]:
-    """Decode one sentence's scores along ``route``: a :class:`ScoreTable`,
-    or anything else with its ``n`` and ``summary(lam)``.
+    """:func:`decode_tables` of one sentence's :class:`ScoreTable`."""
+    return next(decode_tables([tokens or _placeholder_tokens(table.n)],
+                              lambda _, w: table.summary(w), route, lam))
 
-    ``joint`` weighs spans by ``lam`` and falls back to ``division`` above
-    ``LEN_CAP`` tokens; ``eisner`` returns a dependency tree. ``division``
-    recovers heads from the span decoder's ``H_`` marks, or, when no label
-    carries one, fuses its brackets with the best projective arcs. The
-    notes record the fallback and any head-recovery flags or residual
-    spans. Scores with a non-finite value are refused: finite weights can
-    still sum to an infinite score. So are those that leave no label for
-    the sentence span on the routes that label it.
-    """
-    if route not in ROUTES:
-        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
-    notes = []
-    if route == "joint" and table.n > LEN_CAP:
-        notes.append(f"length {table.n} above cap {LEN_CAP}, using the span "
-                     f"decoder")
-        route = "division"
-    if route == "eisner":
-        return decode_eisner(table.summary(0.0), tokens)[0], []
-    if route == "joint":
-        return decode_joint(table, lam, tokens)[0], notes
-    summary = table.summary(1.0)
+
+def _span_route(summary_of: Callable, k: int, tokens: Sequence[Token]
+                ) -> tuple[HpsgTree, list[str]]:
+    """Sentence k through the span decoder: heads from the ``H_`` marks
+    where the labels carry them, else from the best projective arcs."""
+    summary = summary_of(k, 1.0)
     spans, _ = decode_division(summary)
-    tokens = tokens or _placeholder_tokens(table.n)
     if summary.vocab.has_marks():
-        tree, flags = division.from_division(spans, tokens)
-        return tree, notes + flags
+        return division.from_division(spans, tokens)
     # bare labels mark no head daughter: the heads come from the arcs
-    deps, _ = decode_eisner(table.summary(0.0), tokens)
+    deps, _ = decode_eisner(summary_of(k, 0.0), tokens)
     brackets = project_constituents(division.from_parts((spans, [], 0),
                                                         tokens))
     tree, report = fuse(brackets, deps)
-    return tree, notes + [f"residual span ({i},{j})"
-                          for i, j in report.offending_spans]
-
-
-def decode_joint_batch(tables: Iterable, lam: float,
-                       tokens: Sequence[Sequence[Token]]) -> list:
-    """:func:`decode_table`'s joint route for the scores of sentences of one
-    length within the length cap, with their charts filled in one batch:
-    per sentence its (tree, notes), or the error that refuses it. The trees
-    are those of one decode at a time. Scores are summarized as they come,
-    and only the summaries are kept."""
-    out: list = [None] * len(tokens)
-    ready = []
-    for k, table in enumerate(tables):
-        try:
-            summary = table.summary(lam)
-            summary.sentence_label()    # refused before the fill
-            ready.append((k, summary))
-        except (ScoreFileError, ValueError) as exc:
-            out[k] = exc
-    charts: list = []
-    if len(ready) == 1:
-        # a lone sentence takes the plain fill, without a batch axis
-        charts = [fill_joint_chart(ready[0][1].best, ready[0][1].arc)]
-    elif ready:
-        charts = fill_joint_chart(np.stack([s.best for _, s in ready]),
-                                  np.stack([s.arc for _, s in ready]))
-    for (k, summary), chart in zip(ready, charts):
-        parts, _ = decode_joint_mixed(summary, chart)
-        out[k] = division.from_parts(parts, tokens[k]), []
-    return out
+    return tree, [f"residual span ({i},{j})"
+                  for i, j in report.offending_spans]
 
 
 def decode_tables(sentences: Sequence[Sequence[Token]],
-                  table_of: Callable, route: str, lam: float
+                  summary_of: Callable, route: str, lam: float
                   ) -> Iterator[tuple[HpsgTree | DependencyTree, list[str]]]:
-    """Each sentence's (tree, notes) from :func:`decode_table`, in input
-    order; ``table_of(k)`` makes sentence k's scores (those
-    :func:`decode_table` takes) when it is decoded.
+    """Each sentence's (tree, notes) along ``route``, in input order;
+    ``summary_of(k, w)`` makes sentence k's :class:`SpanSummary` under
+    weight ``w`` when it is decoded.
 
+    ``joint`` weighs spans by ``lam`` and falls back to ``division`` above
+    ``LEN_CAP`` tokens; ``eisner`` returns a dependency tree. The notes
+    record the fallback and any head-recovery flags or residual spans.
     Joint decodes within ``LEN_CAP`` go one length at a time, in fills of
     ``batch_size(n)`` charts, so that only one batch's summaries are held;
-    the others go one by one. An error is raised when its sentence's
-    turn comes, after the results of every sentence before it, so a caller
-    that counts the results knows which sentence was refused."""
+    the others go one by one. Scores with a non-finite value are refused:
+    finite weights can still sum to an infinite score. So are those that
+    leave no label for the sentence span on the routes that label it. A
+    sentence's error is raised when its turn comes, after the results of
+    every sentence before it, so a caller that counts the results knows
+    which sentence was refused; only an error of a fill ends it at once."""
+    if route not in ROUTES:
+        raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
     results: list = [None] * len(sentences)
     lengths: dict[int, list[int]] = {}
     for k, tokens in enumerate(sentences):
         if route == "joint" and len(tokens) <= LEN_CAP:
             lengths.setdefault(len(tokens), []).append(k)
             continue
+        # a joint sentence here is above the cap and takes the span route
+        notes = ([f"length {len(tokens)} above cap {LEN_CAP}, using the span "
+                  f"decoder"] if route == "joint" else [])
         try:
-            results[k] = decode_table(table_of(k), route, lam, tokens)
+            if route == "eisner":
+                results[k] = decode_eisner(summary_of(k, 0.0), tokens)[0], []
+            else:
+                tree, flags = _span_route(summary_of, k, tokens)
+                results[k] = tree, notes + flags
         except Exception as exc:
-            # raised in its turn below, as a sentence-by-sentence decode
-            # would raise it
             results[k] = exc
     for n, members in lengths.items():
         size = batch_size(n)
         for at in range(0, len(members), size):
-            chunk = members[at:at + size]
-            done = decode_joint_batch((table_of(k) for k in chunk), lam,
-                                      [sentences[k] for k in chunk])
-            for k, result in zip(chunk, done):
-                results[k] = result
+            ready = []
+            for k in members[at:at + size]:
+                try:
+                    summary = summary_of(k, lam)
+                    summary.sentence_label()    # refused before the fill
+                    ready.append((k, summary))
+                except Exception as exc:
+                    results[k] = exc
+            charts: list = []
+            if len(ready) == 1:
+                # a lone sentence takes the plain fill, without a batch axis
+                charts = [fill_joint_chart(ready[0][1].best, ready[0][1].arc)]
+            elif ready:
+                charts = fill_joint_chart(np.stack([s.best for _, s in ready]),
+                                          np.stack([s.arc for _, s in ready]))
+            for (k, summary), chart in zip(ready, charts):
+                try:
+                    parts, _ = decode_joint_mixed(summary, chart)
+                    results[k] = division.from_parts(parts, sentences[k]), []
+                except Exception as exc:
+                    results[k] = exc
+            chart = None    # its batch's arrays go before the next fill
     for result in results:
         if isinstance(result, Exception):
             raise result

@@ -79,18 +79,6 @@ def external_heads(heads: list[int], start: int, end: int) -> list[int]:
     ]
 
 
-def heads_of_spans(
-    c: ConstituentTree, d: DependencyTree
-) -> dict[tuple[int, int], set[int]]:
-    """External-head set for every constituent span."""
-    if len(c) != len(d):
-        raise StructureError("constituent and dependency trees differ in length")
-    return {
-        nd.span(): set(external_heads(d.heads, nd.start, nd.end))
-        for nd in c.iter_nodes()
-    }
-
-
 def fuse(
     c: ConstituentTree, d: DependencyTree, ordinal: int = 0
 ) -> tuple[HpsgTree, HeadAuditReport]:

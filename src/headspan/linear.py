@@ -48,7 +48,6 @@ import math
 import random
 import zlib
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -128,11 +127,10 @@ _GATHER_BYTES = 2 ** 23
 
 class Hashes(NamedTuple):
     """One sentence's feature keys (:meth:`LinearModel.hashes_many`): its
-    distinct span keys, masked to one model's dimension (a label's weight
-    index is a key XOR its salt, so no column per label), and the low 32
-    bits of its arc and root keys, rows counting positions from 0 for token
-    1. All arrays are int64, and may be views into arrays that a batch of
-    sentences shares."""
+    distinct span keys (a label's weight index is a key XOR its salt, so no
+    column per label) and its arc and root keys, each masked to one model's
+    dimension, rows counting positions from 0 for token 1. All arrays are
+    int64, and may be views into arrays that a batch of sentences shares."""
 
     single: np.ndarray  # (distinct,) one-position and length keys
     terms: np.ndarray   # (8, spans) row in single of span templates 0..7
@@ -235,7 +233,8 @@ class LinearModel:
         self._mask = dim - 1
         # each label's salt, mix(crc32(label)), masked like the keys
         self._salt = (_key(0, _crcs(vocab)) & self._mask).astype(np.int64)
-        # spans per block of score_table, which bounds its working arrays
+        # spans per block of hashes, gathers, summaries, score_table and
+        # training's feature counts, which bounds their working arrays
         self._block_spans = max(1, _BLOCK // len(vocab))
 
     def hashes_many(self, sentences: Sequence[Sequence[Token]]
@@ -352,13 +351,13 @@ class LinearModel:
                 a_cp[tag_c], a_hp[tag_h], a_hw[word_h]])
             root = np.column_stack([r_w[word_t], r_p[tag_t],
                                     r_pos[ix["root_pos"]]])
-        # keys keep their low 32 bits
+        # every key masked to the dimension, once
         length, start, inside, end, pair, arc, root = (
-            (a & 0xFFFFFFFF).view(np.int64)
+            (a & np.uint64(self._mask)).view(np.int64)
             for a in (s_len[:8], start, inside, end, pair, arc, root))
 
         # one np.unique over every sentence's one-position and length keys
-        # (sentence id above them) and pair keys (block id), masked
+        # (sentence id above them) and pair keys (block id)
         ns = np.array([n for n, _, _ in sizes], dtype=np.int64)
         sid = np.arange(count, dtype=np.int64)
         tok_sid = np.repeat(sid, ns)[:, None] << 32
@@ -366,7 +365,6 @@ class LinearModel:
             (sid[:, None] << 32 | length).ravel(), (tok_sid | start).ravel(),
             np.repeat(sid, ns + 1) << 32 | inside, (tok_sid | end).ravel(),
             ((count + ix["block"][:, None]) << 32 | pair).ravel()])
-        bases &= -1 << 32 | self._mask
         keys, row = np.unique(bases, return_inverse=True)
         group = bases >> 32
         bounds = np.concatenate([[0], np.cumsum(np.bincount(
@@ -383,7 +381,7 @@ class LinearModel:
             at_start[first, 1], at_end[last, 1], at_start[first, 2],
             at_end[last, 2], at_inside[ix["inside"]]])
         pair_rows = at_pair.reshape(-1, 4)
-        keys &= self._mask
+        keys &= self._mask              # without the sentence or block id
 
         out: list[Hashes] = [None] * count  # type: ignore[list-item]
         edges = bounds.tolist()
@@ -488,9 +486,9 @@ class LinearModel:
         arc = np.zeros((n + 1, n + 1))
         root = np.zeros(n + 1)
         if self.mode == "joint":
-            arc.reshape(-1)[_layout(n).arc_cell] = self.weights[
-                h.arc & self._mask].sum(-1)
-            root[1:] = self.weights[h.root & self._mask].sum(-1)
+            arc.reshape(-1)[_layout(n).arc_cell] = \
+                self.weights[h.arc].sum(-1)
+            root[1:] = self.weights[h.root].sum(-1)
         return arc, root
 
     def score_table(self, tokens: Sequence[Token],
@@ -534,7 +532,7 @@ class LinearModel:
         # root 0 (none) slices no row
         dep = np.concatenate([hashes.arc[arc_rows],
                               hashes.root[root - 1:root]], axis=None)
-        return span_idx.ravel(), dep & self._mask
+        return span_idx.ravel(), dep
 
     def save(self, path: str) -> None:
         """Write the model as an uncompressed ``.npz`` of its JSON header and
@@ -597,13 +595,10 @@ def decode_many(model: LinearModel, sentences: Sequence[Sequence[Token]],
         made = (model.hashes_many(window) if hashes is None
                 else hashes[lo:hi])
         for a, b, gathered in model._gathers(made):
-            # sentence k's scores as decode_tables takes them, summarized
-            # when it is decoded; the table goes before the next is made
+            # sentence k's summary, made when it is decoded
             group, hashed = window[a:b], made[a:b]
-            yield from decode_tables(group, lambda k: SimpleNamespace(
-                n=len(group[k]), summary=functools.partial(
-                    model.summary, group[k], hashed[k], gathered=gathered[k])),
-                route, lam)
+            yield from decode_tables(group, lambda k, w: model.summary(
+                group[k], hashed[k], w, gathered[k]), route, lam)
             del gathered
 
 

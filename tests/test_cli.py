@@ -130,6 +130,22 @@ class TestParse:
         with open(out, encoding="utf-8") as fh:
             assert len(read_conll(fh)) == 5
 
+    @pytest.mark.parametrize("lam", ["5", "nan", "-1"])
+    @pytest.mark.parametrize("decoder", decode.ROUTES)
+    def test_lambda_outside_the_unit_range_is_refused_on_every_route(
+            self, tmp_path, multihead_files, score_file, model_file, capsys,
+            decoder, lam):
+        # the division and eisner routes used to ignore it and write trees
+        _, conll = multihead_files
+        out = tmp_path / "pred.conll"
+        for source in (["--scores", score_file], ["--model", model_file]):
+            code = main(["parse", "--input", conll, *source, "--decoder",
+                         decoder, "--lambda", lam, "--out-dep", str(out)])
+            assert code == 1
+            assert capsys.readouterr().err.splitlines() == [
+                f"headspan parse: lam must lie in [0, 1], got {float(lam)}"]
+            assert not out.exists()
+
     def test_division_decoder(self, tmp_path, multihead_files, score_file,
                               capsys):
         _, conll = multihead_files

@@ -13,6 +13,7 @@ import inspect
 import random
 import sys
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from functools import lru_cache
 
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from headspan import decode
+from headspan import decode, division
 from headspan.decode import (
     BRUTE_FORCE_CAP,
     LEN_CAP,
@@ -629,7 +630,8 @@ class TestBatchedFills:
             for table in tables:
                 table.span += rng.normal(scale=0.5, size=table.span.shape)
             tokens = [t.tokens for t in trees]
-            got = decode.decode_joint_batch(tables, 0.5, tokens)
+            got = list(decode.decode_tables(
+                tokens, lambda k, w: tables[k].summary(w), "joint", 0.5))
             want = [decode_table(t, "joint", 0.5, toks)
                     for t, toks in zip(tables, tokens)]
             assert got == want
@@ -662,13 +664,57 @@ class TestBatchedFills:
         want = decode_table(table_of(7), "joint", 0.5, tokens)
         tracemalloc.start()
         try:
-            got = list(decode.decode_tables([tokens] * 200, table_of,
-                                            "joint", 0.5))
+            got = list(decode.decode_tables(
+                [tokens] * 200, lambda k, w: table_of(k).summary(w), "joint",
+                0.5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got[7] == want
         assert peak < 2 * decode._BATCH_BYTES
+
+    def test_a_refusal_in_a_batch_comes_in_its_turn(self, monkeypatch):
+        # the tree of the third of five sentences filled in one batch fails:
+        # the first two come first, then its error
+        tables = [random_score_table(np.random.default_rng(k), 6, self.VOCAB)
+                  for k in range(5)]
+        tokens = [Token(i, f"w{i}", "T") for i in range(1, 7)]
+        want = [decode_table(table, "joint", 0.5, tokens) for table in tables]
+        built = []
+
+        def third_refused(parts, toks):
+            built.append(parts)
+            if len(built) == 3:
+                raise ValueError("third tree refused")
+            return from_parts(parts, toks)
+
+        monkeypatch.setattr(division, "from_parts", third_refused)
+        got = decode.decode_tables(
+            [tokens] * 5, lambda k, w: tables[k].summary(w), "joint", 0.5)
+        assert [next(got), next(got)] == want[:2]
+        with pytest.raises(ValueError, match="^third tree refused$"):
+            next(got)
+
+    def test_each_batch_frees_its_charts_before_the_next_fill(self,
+                                                               monkeypatch):
+        # a batch of two 3-token sentences, then a lone 4-token one
+        tables = [random_score_table(np.random.default_rng(k), n, self.VOCAB)
+                  for k, n in enumerate((3, 3, 4))]
+        fill, filled = decode.fill_joint_chart, []
+
+        def tracked(best, arc):
+            assert [ref() for ref in filled] == [None] * len(filled)
+            charts = fill(best, arc)
+            filled.extend(weakref.ref(chart.inner) for chart in (
+                charts if isinstance(charts, list) else [charts]))
+            return charts
+
+        monkeypatch.setattr(decode, "fill_joint_chart", tracked)
+        sentences = [[Token(i, f"w{i}", "T") for i in range(1, t.n + 1)]
+                     for t in tables]
+        got = list(decode.decode_tables(
+            sentences, lambda k, w: tables[k].summary(w), "joint", 0.5))
+        assert len(got) == 3 and len(filled) == 3
 
     def test_decode_tables_match_decode_table(self, sample_fused,
                                               monkeypatch):
@@ -687,10 +733,11 @@ class TestBatchedFills:
             want = [decode_table(table, route, 0.4, tokens)
                     for tokens, table in zip(sentences, tables)]
             assert list(decode.decode_tables(
-                sentences, tables.__getitem__, route, 0.4)) == want
+                sentences, lambda k, w: tables[k].summary(w), route,
+                0.4)) == want
         tables[30].arc[1, 2] = np.nan
-        got = decode.decode_tables(sentences, tables.__getitem__, "joint",
-                                   0.4)
+        got = decode.decode_tables(
+            sentences, lambda k, w: tables[k].summary(w), "joint", 0.4)
         for _ in range(30):
             next(got)
         with pytest.raises(ScoreFileError,
@@ -942,8 +989,8 @@ class TestEdgesAndGuards:
         tables = [random_score_table(np.random.default_rng(k), 4, vocab)
                   for k in range(6)] + [table]
         tokens = [Token(i, f"w{i}", "T") for i in range(1, 5)]
-        got = decode.decode_tables([tokens] * 7, tables.__getitem__, route,
-                                   0.5)
+        got = decode.decode_tables(
+            [tokens] * 7, lambda k, w: tables[k].summary(w), route, 0.5)
         for _ in range(6):
             next(got)
         with pytest.raises(ScoreFileError, match=refused):

@@ -16,7 +16,6 @@ from headspan.errors import StructureError
 from headspan.fuse import (
     external_heads,
     fuse,
-    heads_of_spans,
     project_constituents,
     project_dependencies,
     validate,
@@ -51,14 +50,6 @@ def test_external_heads_basics():
     assert external_heads(heads, 6, 8) == [8]
     assert external_heads(heads, 1, 9) == [4]
     assert external_heads(heads, 6, 7) == [6, 7]
-
-
-def test_heads_of_spans_reports_every_constituent(multihead_pairs):
-    c, d = multihead_pairs[0]
-    table = heads_of_spans(c, d)
-    assert table[(5, 8)] == {5, 8}
-    assert table[(1, 3)] == {3}
-    assert table[(1, 9)] == {4}
 
 
 class TestDivisionOfMultiheadPhrases:

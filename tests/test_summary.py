@@ -207,7 +207,8 @@ class TestDenseSummaries:
             """How many results come before the refusal, and its message."""
             got = 0
             try:
-                for _ in decode_tables([tokens] * 4, tables.__getitem__,
+                for _ in decode_tables([tokens] * 4,
+                                       lambda k, w: tables[k].summary(w),
                                        route, 0.5):
                     got += 1
             except ScoreFileError as exc:
