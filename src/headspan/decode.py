@@ -7,46 +7,51 @@ Stern, Andreas & Klein (2017) and Kitaev & Klein (2018).
 ``decode_joint`` finds the best head-annotated tree under the interpolated
 objective: ``lam`` times the sum of labeled span scores of the binarized
 encoding plus ``1 - lam`` times the sum of arc scores and the root score.
-Its chart is indexed by (start, end, head) and scores each cell two ways:
-with the span acting as a complete dependent (a real category is then
-required on spans longer than one token) and as a continuation of a phrase
-still collecting dependents (the empty category is then allowed). The two
-differ by a per-span label constant, the summary's two best scores, so one
-inner score per cell serves both. Each merge of two adjacent cells realizes
-exactly one arc between their heads, so the dependency part is accumulated
-merge by merge.
+Its chart is indexed by (start, end, head) and scores each span two ways:
+as a complete dependent (a real category is then required on spans longer
+than one token) and as a continuation of a phrase still collecting
+dependents (the empty category is then allowed). The two differ by a
+per-span label constant, the summary's two best scores, added once when
+the span is finished. Each merge of two adjacent cells realizes exactly one
+arc between their heads, so the dependency part is accumulated merge by
+merge.
 
 The merge uses the hooks of Eisner & Satta (1999): the best way to attach
 a finished span (i, k) to an outside head h, max over its heads r of the
-span's score plus arc[r, h], does not depend on the continuation it joins.
-It is computed once when (i, k) is finished and stored in the chart slots
-of heads outside the span, which the inner scores never use.
+span's complete score plus arc[r, h], does not depend on the continuation
+it joins. It is computed once when (i, k) is finished. So every cell holds
+what the next merge reads: slot [i, j, h] the continuation score of (i, j)
+headed by h where i <= h <= j and the hook onto h elsewhere, and slot [j,
+i, h], in the half where no span lies (j > i), its complete score. A
+single token's [i, i, i] is both, as its label constants add nothing.
 
 The chart is filled one span length L at a time. Span (i, i+L-1) finds
 each of its operands at a fixed offset from i (N^2 + N + 1) in the
 C-ordered chart of side N = n + 1, so one strided view holds an operand for
 all n - L + 1 spans of the length. Their candidates form one (spans, L-1,
-L) array over split points k and heads h: the sum with the dependent on the
-left where h > k, on the right elsewhere, maxed over k. The hooks of the
-length are one max over a view of the arcs into the heads outside each
-span. Long lengths are taken in steps of a few spans, so that a step's
-arrays stay in cache. Time is O(n^4), sum over L of (n-L+1)(L-1)L
-candidates, with one Python iteration per length or step. Memory is O(n^3)
-at 12 bytes per cell, a float64 for the inner score or hook and an int32
-split point, plus the arrays of one step. The dependent's head is not
-stored; the walk back recomputes it from the hooks' inputs in O(n) per
-node and yields the derivation's parts: labeled spans, arcs and root.
+L) array over split points k and heads h, the sum of two views: the hook
+of the dependent's span and the continuation of the head's, maxed over k.
+Addition commutes, so each sum has the bits it had when the label
+constant was added at each candidate. The hooks of the length are one max
+over a view of the arcs into the heads outside each span. Long lengths are
+taken in steps of a few spans, so that a step's arrays stay in cache. Time
+is O(n^4), sum over L of (n-L+1)(L-1)L candidates, with one Python
+iteration per length or step. Memory is O(n^3) at 12 bytes per cell, a
+float64 for the continuation, hook or complete score and an int32 split
+point, plus the arrays of one step. The dependent's head is not stored;
+the walk back recomputes it from a complete slice and the arcs in O(n)
+per node and yields the derivation's parts: labeled spans, arcs and root.
 
 What a fill computes without the scores is its plan: per length, each
-operand's byte offset, shape and strides, the split-point mask and the
-index views of the readback and of the hook store, then the exact
-candidate count. A step's offsets are its length's plus its first span
-times the first stride, so a plan has one entry per length, not per step.
-Plans are built on first use, one per (n, step budget), and the last 32 are
-kept. A short sentence's fill is a few dozen numpy calls a length, so
-working out its views each time cost it about 30% at 3 to 16 tokens. At
-n = 240 a plan holds about 0.5 MB and builds in a few milliseconds, a
-fraction of a percent of that length's fill.
+operand's byte offset, shape and strides and the index views of the
+readback and of the hook store, then the exact candidate count. A step's
+offsets are its length's plus its first span times the first stride, so a
+plan has one entry per length, not per step. Plans are built on first
+use, one per (n, step budget), and the last 32 are kept. A short
+sentence's fill is a few dozen numpy calls a length, so working out its
+views each time cost it about 30% at 3 to 16 tokens. At n = 240 a plan
+holds about 0.5 MB and builds in a few milliseconds, a fraction of a
+percent of that length's fill.
 
 Sentences of one length can share those numpy calls: given a batch, the
 fill lays the charts one after another and gives every view a leading
@@ -94,7 +99,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import division
-from .errors import SizeGuardError
+from .errors import ScoreFileError, SizeGuardError
 from .fuse import fuse, project_constituents
 from .scoring import Parts, ScoreTable, SpanSummary
 from .trees import DependencyTree, HpsgTree, Token
@@ -104,32 +109,31 @@ from .trees import DependencyTree, HpsgTree, Token
 class JointChart:
     """Filled joint chart over spans (i, j) and heads h, indexed [i, j, h].
 
-    ``inner`` holds two kinds of score in one float64 array. At heads
-    inside the span (i <= h <= j) it is the best score of span (i, j)
-    headed by ``h`` without the span's own label: plus ``best_real[i, j]``
-    the span stands as a finished dependent (a real category on top), plus
-    ``best_any[i, j]`` it continues a phrase still collecting dependents
-    (the empty category allowed). A single token keeps its whole score in
-    ``inner`` and -0.0 as both constants. At heads outside the span it is
-    the hook: the best finished subtree of (i, j) attached as a dependent
-    of ``h``, max over r of its score headed by r plus ``arc[r, h]``.
-    ``split[i, j, h]`` is the boundary between dependent and continuation
-    of the best split; the dependent lies left of the head when h > split.
-    The dependent's own head is recomputed by :meth:`backpointer`, not
-    stored. ``candidates`` counts the (split, head) pairs the fill compared,
-    sum over lengths L of (n-L+1)(L-1)L: exact, and quartic in n.
+    ``cube`` holds three kinds of score in one float64 array. At heads
+    inside a span (i <= h <= j) ``cube[i, j, h]`` is the best score of
+    span (i, j) headed by ``h`` continuing a phrase still collecting
+    dependents, its best label of all on top (the empty category allowed);
+    ``cube[j, i, h]`` is the same span standing as a finished dependent,
+    its best real label on top. A single token's ``cube[i, i, i]`` is both.
+    At heads outside the span ``cube[i, j, h]`` is the hook: the best
+    finished subtree of (i, j) attached as a dependent of ``h``, max over r
+    of its complete score headed by r plus ``arc[r, h]``. Every other cell
+    is -inf. ``split[i, j, h]`` is the boundary between dependent and
+    continuation of the best split; the dependent lies left of the head
+    when h > split. The dependent's own head is recomputed by
+    :meth:`backpointer`, not stored. ``candidates`` counts the (split,
+    head) pairs the fill compared, sum over lengths L of (n-L+1)(L-1)L:
+    exact, and quartic in n.
     """
 
-    inner: np.ndarray
+    cube: np.ndarray
     split: np.ndarray
-    best_real: np.ndarray
-    best_any: np.ndarray
     arc: np.ndarray
     candidates: int
 
     def complete(self, i: int, j: int) -> np.ndarray:
         """Scores of span (i, j) as a finished dependent, heads i..j."""
-        return self.inner[i, j, i:j + 1] + self.best_real[i, j]
+        return self.cube[j, i, i:j + 1]
 
     def backpointer(self, i: int, j: int, h: int) -> tuple[int, int, int]:
         """(side, dependent head, split) of the best split of (i, j, h).
@@ -168,11 +172,11 @@ _I4 = np.dtype(np.int32)
 class _LengthPlan(NamedTuple):
     """How a fill takes the n - L + 1 spans of one length L, ``step`` at a
     time. ``offsets`` are byte offsets of the step that starts at span 1,
-    in the order done, split, a, b, any_b, any_a, real, arcs; a step
+    in the order done, split, a, b, label constants, complete, arcs; a step
     starting ``lo`` spans later adds ``lo`` times their first stride.
     ``full`` and ``last`` are the shapes of a full step and of the last one:
-    cell, operand, label constant, real constant and arcs. The index views
-    cover the whole length; a step slices its rows."""
+    cell, operand, label constant and arcs. The index views cover the whole
+    length; a step slices its rows."""
 
     length: int
     spans: int
@@ -180,7 +184,6 @@ class _LengthPlan(NamedTuple):
     offsets: tuple[int, ...]
     full: tuple[tuple[int, ...], ...]
     last: tuple[tuple[int, ...], ...]
-    mask: np.ndarray      # [k', h']: the dependent lies left (h' > k')
     rows: np.ndarray      # (step, 1) and (last step, 1) readback rows
     rows_last: np.ndarray
     heads_in: np.ndarray  # (L,) readback heads
@@ -211,33 +214,32 @@ def _fill_plan(n: int, budget: int) -> _FillPlan:
     step. Span (i, j) finds its operands at a fixed offset from i (N^2 + N
     + 1) in the C-ordered chart of side N = n + 1, so each operand of a step
     is one strided view, and a length's offsets are affine in its first
-    span. Its index arrays are views of four shared read-only ones."""
+    span. Its index arrays are views of three shared read-only ones."""
     size = n + 1
     idx = np.arange(1, size)
     cols = np.arange(size)
     # heads 1..n twice over: the n - L heads outside span (i, j), from j + 1
     # round to i - 1, are n - L consecutive entries from column j
     heads_twice = np.concatenate([idx, idx])
-    dep_left = cols[None, :n] > cols[:n, None]
-    for a in (idx, cols, heads_twice, dep_left):
+    for a in (idx, cols, heads_twice):
         a.flags.writeable = False
     diag = size * size + size + 1     # from span (i, j) to (i+1, j+1)
     chart = 8 * diag
     strides = (
-        (chart, 8),                          # done: inner[i', j', i'+h']
-        (4 * diag, 4),                       # split, the same cells
-        (chart, 8 * size, 8),                # a: inner[i', i'+k', i'+h']
-        (chart, 8 * size * size, 8),         # b: inner[i'+k'+1, j', i'+h']
-        (8 * (size + 1), 8 * size, 0),       # any_b: best_any[i'+k'+1, j']
-        (8 * (size + 1), 8, 0),              # any_a: best_any[i', i'+k']
-        (8 * (size + 1), 0),                 # real: best_real[i', j']
-        (8 * (2 * n + 1), 16 * n, 8),        # arcs: arc_twice[i'+r', j'+t]
+        (chart, 8),                  # done: cube[i', j', i'+h'], and
+                                     # complete: cube[j', i', i'+h']
+        (4 * diag, 4),               # split[i', j', i'+h']
+        (chart, 8 * size, 8),        # a: cube[i', i'+k', i'+h']
+        (chart, 8 * size * size, 8),  # b: cube[i'+k'+1, j', i'+h']
+        (16 * (size + 1), 0),        # best[i', j', 0], one entry apart
+                                     # from best[i', j', 1]
+        (8 * (2 * n + 1), 16 * n, 8),  # arcs: arc_twice[i'+r', j'+t]
     )
-    # from one chart of a batch to the next: inner, split, the best_any and
-    # best_real tables and arc_twice, in the order above
+    # from one chart of a batch to the next: cube, split, best and
+    # arc_twice, in the order above
     cube, square = size ** 3, size * size
-    batch_strides = (8 * cube, 4 * cube, 8 * cube, 8 * cube, 8 * square,
-                     8 * square, 8 * square, 16 * n * size)
+    batch_strides = (8 * cube, 4 * cube, 8 * cube, 8 * cube, 16 * square,
+                     16 * n * size)
     lengths = []
     candidates = 0
     for length in range(1, size):
@@ -247,15 +249,14 @@ def _fill_plan(n: int, budget: int) -> _FillPlan:
         cell = diag + (length - 1) * size
         offsets = (8 * cell, 4 * cell, 8 * diag,
                    8 * (diag + size * size + (length - 1) * size),
-                   8 * (2 * size + length), 8 * (size + 1),
-                   8 * (size + length), 8 * (2 * n + length))
-        shapes = [((c, length), (c, length - 1, length), (c, length - 1, 1),
-                   (c, 1), (c, length, n - length)) for c in (step, tail)]
+                   16 * (size + length), 8 * (length * square + size + 1),
+                   8 * (2 * n + length))
+        shapes = [((c, length), (c, length - 1, length), (c, 1),
+                   (c, length, n - length)) for c in (step, tail)]
         heads = np.ndarray((spans, n - length), idx.dtype, heads_twice,
                            8 * length, (8, 8))
         lengths.append(_LengthPlan(
-            length, spans, step, offsets, *shapes,
-            dep_left[:length - 1, :length], cols[:step, None],
+            length, spans, step, offsets, *shapes, cols[:step, None],
             cols[:tail, None], cols[:length], idx[:spans, None],
             idx[length - 1:, None], heads))
         candidates += spans * (length - 1) * length
@@ -278,34 +279,29 @@ def fill_joint_chart(best: np.ndarray, arc_m: np.ndarray
     n = best.shape[-2] - 1
     size = n + 1
     plan = _fill_plan(n, _STEP_CANDIDATES)
-    # C-ordered copies, as the plan's offsets count float64 entries
-    best_any = np.array(best[..., 0], dtype=np.float64, order="C")
-    best_real = np.array(best[..., 1], dtype=np.float64, order="C")
+    # C-ordered, as the plan's offsets count float64 entries
+    best = np.ascontiguousarray(best, dtype=np.float64)
     arc_twice = np.empty((*lead, size, 2 * n))
     arc_twice[..., :n] = arc_twice[..., n:] = arc_m[..., 1:]
-    inner = np.full((*lead, size, size, size), -np.inf)
+    cube = np.full((*lead, size, size, size), -np.inf)
     split = np.zeros((*lead, size, size, size), dtype=np.int32)
-    # a single token scores best_any either way; x + -0.0 == x for every
-    # float x, so its label constants add nothing, bit for bit
-    single = best_any.reshape(*lead, -1)[..., size + 1::size + 1]  # [i, i]
+    # a single token's [i, i, i] holds its best label score both ways
     diag = size * size + size + 1
-    inner.reshape(*lead, -1)[..., diag::diag] = single
-    single[:] = -0.0
-    best_real.reshape(*lead, -1)[..., size + 1::size + 1] = -0.0
+    cube.reshape(*lead, -1)[..., diag::diag] = \
+        best[..., 0].reshape(*lead, -1)[..., size + 1::size + 1]
     strides = plan.strides
     index: tuple = ()
     if lead:
         # the batch is one more axis of every view and index
         strides = tuple((b, *s) for b, s in zip(plan.batch_strides, strides))
         index = (np.arange(lead[0])[:, None, None],)
-    s_done, s_split, s_a, s_b, s_any_b, s_any_a, s_real, s_arcs = strides
-    chart_step, table_step = plan.strides[0][0], plan.strides[6][0]
-    split_step, arc_step = plan.strides[1][0], plan.strides[7][0]
+    s_done, s_split, s_a, s_b, s_best, s_arcs = strides
+    chart_step, best_step = plan.strides[0][0], plan.strides[4][0]
+    split_step, arc_step = plan.strides[1][0], plan.strides[5][0]
 
     for lp in plan.lengths:
         length, spans, step = lp.length, lp.spans, lp.step
-        o_done, o_split, o_a, o_b, o_any_b, o_any_a, o_real, o_arcs = \
-            lp.offsets
+        o_done, o_split, o_a, o_b, o_best, o_complete, o_arcs = lp.offsets
         for lo in range(0, spans, step):
             # spans (i', i'+L-1) for i' = lo+1..lo+step, heads i'+h'
             if step == spans:
@@ -320,50 +316,42 @@ def fill_joint_chart(best: np.ndarray, arc_m: np.ndarray
                     lp.heads[lo:hi]
             if lead:
                 shapes = [(*lead, *shape) for shape in shapes]
-            cell, operand, constant, one, outside = shapes
-            done = np.ndarray(cell, _F8, inner, o_done + lo * chart_step,
-                              s_done)
+            cell, operand, one, outside = shapes
+            shift = lo * chart_step
+            complete = np.ndarray(cell, _F8, cube, o_complete + shift, s_done)
             if length > 1:
                 # axes: (chart,) span, split k = i'+k', head h = i'+h'. a =
-                # inner[i', k, h] is the hook of (i', k) where h > k and its
-                # inner score where h <= k; b = inner[k+1, j, h] is the hook
-                # of (k+1, j) where h <= k and its inner score where h > k.
+                # cube[i', k, h] is the hook of (i', k) where h > k and its
+                # continuation where h <= k; b = cube[k+1, j, h] is the hook
+                # of (k+1, j) where h <= k and its continuation where h > k.
                 # argmax keeps the first k among ties.
-                a = np.ndarray(operand, _F8, inner, o_a + lo * chart_step,
-                               s_a)
-                b = np.ndarray(operand, _F8, inner, o_b + lo * chart_step,
-                               s_b).copy()
-                any_b = np.ndarray(constant, _F8, best_any,
-                                   o_any_b + lo * table_step, s_any_b)
-                any_a = np.ndarray(constant, _F8, best_any,
-                                   o_any_a + lo * table_step, s_any_a)
-                left = a + (b + any_b)
-                right = b + (a + any_a)
-                del b
-                np.copyto(right, left, where=lp.mask)
-                del left
-                ks = right.argmax(axis=-2)
-                done[:] = right[(*index, rows, ks, lp.heads_in)]
-                del right
+                cand = (np.ndarray(operand, _F8, cube, o_a + shift, s_a)
+                        + np.ndarray(operand, _F8, cube, o_b + shift, s_b))
+                ks = cand.argmax(axis=-2)
+                done = cand[(*index, rows, ks, lp.heads_in)]
+                del cand
                 np.add(ks, starts, out=np.ndarray(
                     cell, _I4, split, o_split + lo * split_step, s_split))
+                # plus each span's label constants, best[i', j', 0] to
+                # continue and best[i', j', 1] to stand complete
+                at = o_best + lo * best_step
+                np.add(done, np.ndarray(one, _F8, best, at, s_best),
+                       out=np.ndarray(cell, _F8, cube, o_done + shift, s_done))
+                np.add(done, np.ndarray(one, _F8, best, at + 8, s_best),
+                       out=complete)
             if length < n:
                 # hooks onto the heads outside each span: max over r' of the
                 # span's complete score headed by i'+r' plus arc[i'+r', h]
-                real = np.ndarray(one, _F8, best_real,
-                                  o_real + lo * table_step, s_real)
                 arcs = np.ndarray(outside, _F8, arc_twice,
                                   o_arcs + lo * arc_step, s_arcs)
-                hooks = ((done + real)[..., None] + arcs).max(axis=-2)
-                inner[(*index, starts, ends, heads)] = hooks
+                hooks = (complete[..., None] + arcs).max(axis=-2)
+                cube[(*index, starts, ends, heads)] = hooks
 
     if not lead:
-        return JointChart(inner=inner, split=split, best_real=best_real,
-                          best_any=best_any, arc=arc_m,
+        return JointChart(cube=cube, split=split, arc=arc_m,
                           candidates=plan.candidates)
-    return [JointChart(inner=inner[b], split=split[b],
-                       best_real=best_real[b], best_any=best_any[b],
-                       arc=arc_m[b], candidates=plan.candidates)
+    return [JointChart(cube=cube[b], split=split[b], arc=arc_m[b],
+                       candidates=plan.candidates)
             for b in range(lead[0])]
 
 
@@ -592,8 +580,10 @@ def decode_eisner(table: ScoreTable | SpanSummary,
 
 
 ROUTES = ("joint", "division", "eisner")
-# longest sentence for the joint chart: 12 (n+1)^3 bytes, 168 MB at 240,
-# plus the fill's arrays of one step; a decode peaks at 180 MB there
+# longest sentence for the joint chart: 12 (n+1)^3 bytes, 168 MB at 240, a
+# float64 cube of continuation, hook and complete scores and an int32 cube
+# of split points, plus the fill's arrays of one step; a decode peaks at
+# 180 MB there
 LEN_CAP = 240
 # bytes of one batch's charts, summaries and mixed arc scores: a few dozen
 # sentences of 16 tokens, a few hundred of 9
@@ -618,16 +608,24 @@ def decode_table(table, route: str, lam: float,
                               lambda _, w: table.summary(w), route, lam))
 
 
+def _finite(result, score: float):
+    """``result``, refused when its decoded ``score`` is not finite: finite
+    scores can still sum past the float range."""
+    if not np.isfinite(score):
+        raise ScoreFileError(f"non-finite decoded score {score}")
+    return result
+
+
 def _span_route(summary_of: Callable, k: int, tokens: Sequence[Token]
                 ) -> tuple[HpsgTree, list[str]]:
     """Sentence k through the span decoder: heads from the ``H_`` marks
     where the labels carry them, else from the best projective arcs."""
     summary = summary_of(k, 1.0)
-    spans, _ = decode_division(summary)
+    spans = _finite(*decode_division(summary))
     if summary.vocab.has_marks():
         return division.from_division(spans, tokens)
     # bare labels mark no head daughter: the heads come from the arcs
-    deps, _ = decode_eisner(summary_of(k, 0.0), tokens)
+    deps = _finite(*decode_eisner(summary_of(k, 0.0), tokens))
     brackets = project_constituents(division.from_parts((spans, [], 0),
                                                         tokens))
     tree, report = fuse(brackets, deps)
@@ -647,12 +645,13 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
     record the fallback and any head-recovery flags or residual spans.
     Joint decodes within ``LEN_CAP`` go one length at a time, in fills of
     ``batch_size(n)`` charts, so that only one batch's summaries are held;
-    the others go one by one. Scores with a non-finite value are refused:
-    finite weights can still sum to an infinite score. So are those that
-    leave no label for the sentence span on the routes that label it. A
-    sentence's error is raised when its turn comes, after the results of
-    every sentence before it, so a caller that counts the results knows
-    which sentence was refused; only an error of a fill ends it at once."""
+    the others go one by one. Scores with a non-finite value are refused,
+    and so is a decoded score that is not finite: finite weights can still
+    sum to one. So are scores that leave no label for the sentence span on
+    the routes that label it. A sentence's error is raised when its turn
+    comes, after the results of every sentence before it, so a caller that
+    counts the results knows which sentence was refused; only an error of a
+    fill ends it at once."""
     if route not in ROUTES:
         raise ValueError(f"route must be one of {ROUTES}, got {route!r}")
     if not 0.0 <= lam <= 1.0:
@@ -668,7 +667,8 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
                   f"decoder"] if route == "joint" else [])
         try:
             if route == "eisner":
-                results[k] = decode_eisner(summary_of(k, 0.0), tokens)[0], []
+                results[k] = _finite(*decode_eisner(summary_of(k, 0.0),
+                                                    tokens)), []
             else:
                 tree, flags = _span_route(summary_of, k, tokens)
                 results[k] = tree, notes + flags
@@ -694,7 +694,7 @@ def decode_tables(sentences: Sequence[Sequence[Token]],
                                           np.stack([s.arc for _, s in ready]))
             for (k, summary), chart in zip(ready, charts):
                 try:
-                    parts, _ = decode_joint_mixed(summary, chart)
+                    parts = _finite(*decode_joint_mixed(summary, chart))
                     results[k] = division.from_parts(parts, sentences[k]), []
                 except Exception as exc:
                     results[k] = exc

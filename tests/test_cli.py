@@ -21,7 +21,8 @@ from headspan import cli, decode
 from headspan.cli import main
 from headspan.fuse import project_dependencies
 from headspan.linear import LinearModel
-from headspan.scoring import CategoryVocab, oracle_scores, write_scores
+from headspan.scoring import (CategoryVocab, oracle_scores, read_scores,
+                              write_scores)
 from headspan.synth import random_score_table
 from headspan.treebank import read_bracketed, read_conll, read_hpsg
 
@@ -145,6 +146,27 @@ class TestParse:
             assert capsys.readouterr().err.splitlines() == [
                 f"headspan parse: lam must lie in [0, 1], got {float(lam)}"]
             assert not out.exists()
+
+    @pytest.mark.parametrize("decoder", decode.ROUTES)
+    def test_scores_whose_best_tree_sums_past_the_float_range_exit_2(
+            self, tmp_path, multihead_files, score_file, capsys, decoder):
+        # every entry of sentence 2 is finite; the score of its best tree
+        # is not
+        _, conll = multihead_files
+        with open(score_file, encoding="utf-8") as fh:
+            tables = read_scores(fh)
+        for part in (tables[1].span, tables[1].arc):
+            part[part != 0] = 1e308
+        scores = tmp_path / "huge.txt"
+        with open(scores, "w", encoding="utf-8") as fh:
+            write_scores(tables, fh)
+        out = tmp_path / "pred.conll"
+        code = main(["parse", "--input", conll, "--scores", str(scores),
+                     "--decoder", decoder, "--out-dep", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: sentence 2: non-finite decoded score inf"]
+        assert not out.exists()
 
     def test_division_decoder(self, tmp_path, multihead_files, score_file,
                               capsys):
@@ -642,6 +664,22 @@ class TestTrainAndModelParse:
         assert code == 2
         assert err.splitlines() == [
             "headspan parse: sentence 1: non-finite values in span scores"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("decoder", decode.ROUTES)
+    def test_weights_whose_best_tree_sums_past_the_float_range_exit_2(
+            self, tmp_path, data_dir, model_file, capsys, decoder):
+        # at 1e307 a weight every span and arc score is finite, and the
+        # summary takes them; the score of the best tree is not
+        model = tmp_path / "big.bin"
+        rewrite_model(model_file, model, lambda w: np.full_like(w, 1e307))
+        out = tmp_path / "parsed.conll"
+        code = main(["parse", "--input", str(data_dir / "multihead.conll"),
+                     "--model", str(model), "--decoder", decoder,
+                     "--out-dep", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan parse: sentence 1: non-finite decoded score inf"]
         assert not out.exists()
 
     def test_non_finite_score_on_a_losing_label_exits_2(

@@ -318,8 +318,8 @@ def assert_chart_matches_reference(span_m, arc_m):
             heads = slice(i, j + 1)
             assert chart.complete(i, j).tobytes() == \
                 want_c[i, j, heads].tobytes(), (i, j)
-            partial = chart.inner[i, j, heads] + chart.best_any[i, j]
-            assert partial.tobytes() == want_p[i, j, heads].tobytes(), (i, j)
+            assert chart.cube[i, j, heads].tobytes() == \
+                want_p[i, j, heads].tobytes(), (i, j)
             if i == j:
                 continue
             for h in range(i, j + 1):
@@ -453,6 +453,22 @@ def reference_eisner_chart(arc, root):
     return (c_left, c_right, i_left, i_right, bp_i, bp_cl, bp_cr), totals
 
 
+def joint_layout(inner, span_m):
+    """The per-cell loop's (inner, hook) chart in the fill's layout: each
+    span's continuation in its slots [i, j, i..j], its complete score in
+    [j, i, i..j], its hooks where they are."""
+    n = span_m.shape[0] - 1
+    best_any = span_m.max(axis=2)
+    best_real = span_m[:, :, 1:].max(axis=2)
+    cube = inner.copy()
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            heads = slice(i, j + 1)
+            cube[i, j, heads] = inner[i, j, heads] + best_any[i, j]
+            cube[j, i, heads] = inner[i, j, heads] + best_real[i, j]
+    return cube
+
+
 def assert_same_bits(got, want):
     """Equal shape, dtype and bits: -0.0 and 0.0 count as different."""
     assert got.dtype == want.dtype and got.shape == want.shape
@@ -474,7 +490,7 @@ def assert_fills_match_per_cell_loops(table: ScoreTable, lam: float):
     chart = fill_joint_chart(table.summary(lam).best, mixed.arc)
     want_inner, want_split = reference_fill_joint_chart(mixed.span,
                                                         mixed.arc)
-    assert_same_bits(chart.inner, want_inner)
+    assert_same_bits(chart.cube, joint_layout(want_inner, mixed.span))
     assert_same_bits(chart.split, want_split)
     assert chart.candidates == quartic_count(table.n)
     for got, want in zip(_division_chart(table.summary(lam).best[..., 0]),
@@ -576,7 +592,7 @@ def assert_batch_fills_match_single(tables: list, lam: float):
     assert len(charts) == len(tables)
     for m, got in zip(mixed, charts):
         want = fill_joint_chart(label_constants(m.span), m.arc)
-        for name in ("inner", "split", "best_real", "best_any", "arc"):
+        for name in ("cube", "split", "arc"):
             assert_same_bits(getattr(got, name), getattr(want, name))
         assert got.candidates == want.candidates
 
@@ -705,7 +721,7 @@ class TestBatchedFills:
         def tracked(best, arc):
             assert [ref() for ref in filled] == [None] * len(filled)
             charts = fill(best, arc)
-            filled.extend(weakref.ref(chart.inner) for chart in (
+            filled.extend(weakref.ref(chart.cube) for chart in (
                 charts if isinstance(charts, list) else [charts]))
             return charts
 
@@ -743,6 +759,27 @@ class TestBatchedFills:
         with pytest.raises(ScoreFileError,
                            match="^non-finite values in arc scores$"):
             next(got)
+
+
+class TestChartLayout:
+    def test_the_fill_writes_only_the_slots_of_spans(self):
+        # span (i, j) owns [i, j, h] for every head and [j, i, i..j]; every
+        # other cell, index 0 included, stays -inf
+        rng = np.random.default_rng(103)
+        vocab = CategoryVocab(["A", "B"])
+        for n in range(1, 13):
+            mixed = [random_score_table(rng, n, vocab).summary(0.5)
+                     for _ in range(2)]
+            charts = [fill_joint_chart(m.best, m.arc) for m in mixed]
+            charts += fill_joint_chart(np.stack([m.best for m in mixed]),
+                                       np.stack([m.arc for m in mixed]))
+            used = np.zeros((n + 1,) * 3, dtype=bool)
+            for i in range(1, n + 1):
+                for j in range(i, n + 1):
+                    used[i, j, 1:] = used[j, i, i:j + 1] = True
+            for chart in charts:
+                assert np.isfinite(chart.cube[used]).all(), n
+                assert (chart.cube[~used] == -np.inf).all(), n
 
 
 class TestCandidateCount:
@@ -785,15 +822,16 @@ class TestFillPlan:
     def test_plan_arrays_are_read_only(self):
         plan = decode._fill_plan(6, decode._STEP_CANDIDATES)
         for lp in plan.lengths:
-            for a in (lp.mask, lp.rows, lp.rows_last, lp.heads_in, lp.starts,
-                      lp.ends, lp.heads):
+            for a in (lp.rows, lp.rows_last, lp.heads_in, lp.starts, lp.ends,
+                      lp.heads):
                 assert not a.flags.writeable
 
 
 class TestChartMemory:
     def test_fill_peak_stays_near_the_chart(self):
-        # 12 bytes per cell plus the per-width temporaries; a second
-        # (j, i, h) chart would take it to about 2x
+        # 12 bytes per cell plus the per-width temporaries. The complete
+        # scores share the cube, in its (j, i) half: a cube of their own
+        # would take the peak to about 20 bytes per cell, past the bound
         n = 100
         mixed = random_score_table(np.random.default_rng(67), n,
                                    CategoryVocab(["A", "B"])).summary(0.5)
