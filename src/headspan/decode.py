@@ -33,24 +33,22 @@ L) array over split points k and heads h, the sum of two views: the hook
 of the dependent's span and the continuation of the head's, maxed over k.
 Addition commutes, so each sum has the bits it had when the label
 constant was added at each candidate. The hooks of the length are one max
-over a view of the arcs into the heads outside each span. Long lengths are
-taken in steps of a few spans, so that a step's arrays stay in cache. Time
-is O(n^4), sum over L of (n-L+1)(L-1)L candidates, with one Python
-iteration per length or step. Memory is O(n^3) at 12 bytes per cell, a
-float64 for the continuation, hook or complete score and an int32 split
-point, plus the arrays of one step. The dependent's head is not stored;
-the walk back recomputes it from a complete slice and the arcs in O(n)
-per node and yields the derivation's parts: labeled spans, arcs and root.
+over a view of the arcs into the heads outside each span. Time is O(n^4),
+sum over L of (n-L+1)(L-1)L candidates, with one Python iteration per
+length. Memory is O(n^3) at 12 bytes per cell, a float64 for the
+continuation, hook or complete score and an int32 split point, plus the
+arrays of one length, at most 4n^3/27 float64 candidates (L near 2n/3).
+The dependent's head is not stored; the walk back recomputes it from a
+complete slice and the arcs in O(n) per node and yields the derivation's
+parts: labeled spans, arcs and root.
 
 What a fill computes without the scores is its plan: per length, each
 operand's byte offset, shape and strides and the index views of the
-readback and of the hook store, then the exact candidate count. A step's
-offsets are its length's plus its first span times the first stride, so a
-plan has one entry per length, not per step. Plans are built on first
-use, one per (n, step budget), and the last 32 are kept. A short
+readback and of the hook store, then the exact candidate count. Plans
+are built on first use, one per n, and the last 32 are kept. A short
 sentence's fill is a few dozen numpy calls a length, so working out its
 views each time cost it about 30% at 3 to 16 tokens. At n = 240 a plan
-holds about 0.5 MB and builds in a few milliseconds, a fraction of a
+holds about 0.3 MB and builds in a few milliseconds, a fraction of a
 percent of that length's fill.
 
 Sentences of one length can share those numpy calls: given a batch, the
@@ -59,12 +57,10 @@ batch axis, one more stride, and the readback and hook store one more
 index array. A single sentence takes the same plan without the batch axis.
 ``decode_tables`` decodes a list of sentences a length at a time, filling
 at most ``batch_size(n)`` charts together: as many as keep their summaries
-and charts within ``_BATCH_BYTES`` (4 MB), which at every length up to
-``LEN_CAP`` also keeps each length whole within the step budget. Measured
-by ``tools/fill_timing.py --batch``, a batch of 8 fills a sentence of 3 to
-16 tokens 2 to 5 times faster than one at a time, and a batch of 2 about
-1.2 times at 40 to 48 tokens. The budget leaves one chart a fill from 54
-tokens.
+and charts within ``_BATCH_BYTES`` (4 MB). Measured by
+``tools/fill_timing.py --batch``, a batch of 8 fills a sentence of 3 to 16
+tokens 2 to 5 times faster than one at a time, and a batch of 2 about 1.2
+times at 40 to 48 tokens. From 54 tokens a fill takes one chart.
 
 ``decode_division`` is a plain span-label CKY over the same tables (arcs
 ignored), ``decode_eisner`` a first-order projective dependency decoder
@@ -161,31 +157,20 @@ def _view(a: np.ndarray, offset: int, shape: tuple, strides: tuple
                       [s * size for s in strides])
 
 
-# candidates per step of the joint fill: the spans of one length are taken
-# in groups whose few float64 arrays of this many entries (0.5 MB each) stay
-# in a core's cache; at 240 tokens whole lengths ran 2x slower
-_STEP_CANDIDATES = 1 << 16
 _F8 = np.dtype(np.float64)
 _I4 = np.dtype(np.int32)
 
 
 class _LengthPlan(NamedTuple):
-    """How a fill takes the n - L + 1 spans of one length L, ``step`` at a
-    time. ``offsets`` are byte offsets of the step that starts at span 1,
-    in the order done, split, a, b, label constants, complete, arcs; a step
-    starting ``lo`` spans later adds ``lo`` times their first stride.
-    ``full`` and ``last`` are the shapes of a full step and of the last one:
-    cell, operand, label constant and arcs. The index views cover the whole
-    length; a step slices its rows."""
+    """How a fill takes the n - L + 1 spans of one length L, all in one
+    set of views. ``offsets`` are byte offsets in the order done, split, a,
+    b, label constants, complete, arcs; ``shapes`` those of a cell, an
+    operand, a label constant and the arcs."""
 
     length: int
-    spans: int
-    step: int
     offsets: tuple[int, ...]
-    full: tuple[tuple[int, ...], ...]
-    last: tuple[tuple[int, ...], ...]
-    rows: np.ndarray      # (step, 1) and (last step, 1) readback rows
-    rows_last: np.ndarray
+    shapes: tuple[tuple[int, ...], ...]
+    rows: np.ndarray      # (spans, 1) readback rows
     heads_in: np.ndarray  # (L,) readback heads
     starts: np.ndarray    # (spans, 1) first token of each span
     ends: np.ndarray      # (spans, 1) last token of each span
@@ -204,17 +189,16 @@ class _FillPlan(NamedTuple):
     candidates: int
 
 
-# plans kept, each for one (n, step budget); under 1 MB at n = 240
+# plans kept, each for one n; under 1 MB at n = 240
 _PLANS_KEPT = 32
 
 
 @functools.lru_cache(maxsize=_PLANS_KEPT)
-def _fill_plan(n: int, budget: int) -> _FillPlan:
-    """The fill plan of length-n sentences with ``budget`` candidates per
-    step. Span (i, j) finds its operands at a fixed offset from i (N^2 + N
-    + 1) in the C-ordered chart of side N = n + 1, so each operand of a step
-    is one strided view, and a length's offsets are affine in its first
-    span. Its index arrays are views of three shared read-only ones."""
+def _fill_plan(n: int) -> _FillPlan:
+    """The fill plan of length-n sentences. Span (i, j) finds its operands
+    at a fixed offset from i (N^2 + N + 1) in the C-ordered chart of side
+    N = n + 1, so each operand of a length is one strided view. Its index
+    arrays are views of three shared read-only ones."""
     size = n + 1
     idx = np.arange(1, size)
     cols = np.arange(size)
@@ -244,21 +228,18 @@ def _fill_plan(n: int, budget: int) -> _FillPlan:
     candidates = 0
     for length in range(1, size):
         spans = n - length + 1
-        step = min(spans, max(1, budget // (length * length)))
-        tail = spans - (spans - 1) // step * step
         cell = diag + (length - 1) * size
         offsets = (8 * cell, 4 * cell, 8 * diag,
                    8 * (diag + size * size + (length - 1) * size),
                    16 * (size + length), 8 * (length * square + size + 1),
                    8 * (2 * n + length))
-        shapes = [((c, length), (c, length - 1, length), (c, 1),
-                   (c, length, n - length)) for c in (step, tail)]
+        shapes = ((spans, length), (spans, length - 1, length), (spans, 1),
+                  (spans, length, n - length))
         heads = np.ndarray((spans, n - length), idx.dtype, heads_twice,
                            8 * length, (8, 8))
         lengths.append(_LengthPlan(
-            length, spans, step, offsets, *shapes, cols[:step, None],
-            cols[:tail, None], cols[:length], idx[:spans, None],
-            idx[length - 1:, None], heads))
+            length, offsets, shapes, cols[:spans, None], cols[:length],
+            idx[:spans, None], idx[length - 1:, None], heads))
         candidates += spans * (length - 1) * length
     return _FillPlan(tuple(lengths), strides, batch_strides, candidates)
 
@@ -278,7 +259,7 @@ def fill_joint_chart(best: np.ndarray, arc_m: np.ndarray
     lead = best.shape[:-3]              # () or (batch,)
     n = best.shape[-2] - 1
     size = n + 1
-    plan = _fill_plan(n, _STEP_CANDIDATES)
+    plan = _fill_plan(n)
     # C-ordered, as the plan's offsets count float64 entries
     best = np.ascontiguousarray(best, dtype=np.float64)
     arc_twice = np.empty((*lead, size, 2 * n))
@@ -296,56 +277,39 @@ def fill_joint_chart(best: np.ndarray, arc_m: np.ndarray
         strides = tuple((b, *s) for b, s in zip(plan.batch_strides, strides))
         index = (np.arange(lead[0])[:, None, None],)
     s_done, s_split, s_a, s_b, s_best, s_arcs = strides
-    chart_step, best_step = plan.strides[0][0], plan.strides[4][0]
-    split_step, arc_step = plan.strides[1][0], plan.strides[5][0]
 
     for lp in plan.lengths:
-        length, spans, step = lp.length, lp.spans, lp.step
+        # spans (i', i'+L-1) for i' = 1..n-L+1, heads i'+h'
+        length = lp.length
         o_done, o_split, o_a, o_b, o_best, o_complete, o_arcs = lp.offsets
-        for lo in range(0, spans, step):
-            # spans (i', i'+L-1) for i' = lo+1..lo+step, heads i'+h'
-            if step == spans:
-                # the whole length at once, as short sentences take it
-                shapes, rows = lp.full, lp.rows
-                starts, ends, heads = lp.starts, lp.ends, lp.heads
-            else:
-                hi = lo + step
-                shapes, rows = ((lp.full, lp.rows) if hi <= spans
-                                else (lp.last, lp.rows_last))
-                starts, ends, heads = lp.starts[lo:hi], lp.ends[lo:hi], \
-                    lp.heads[lo:hi]
-            if lead:
-                shapes = [(*lead, *shape) for shape in shapes]
-            cell, operand, one, outside = shapes
-            shift = lo * chart_step
-            complete = np.ndarray(cell, _F8, cube, o_complete + shift, s_done)
-            if length > 1:
-                # axes: (chart,) span, split k = i'+k', head h = i'+h'. a =
-                # cube[i', k, h] is the hook of (i', k) where h > k and its
-                # continuation where h <= k; b = cube[k+1, j, h] is the hook
-                # of (k+1, j) where h <= k and its continuation where h > k.
-                # argmax keeps the first k among ties.
-                cand = (np.ndarray(operand, _F8, cube, o_a + shift, s_a)
-                        + np.ndarray(operand, _F8, cube, o_b + shift, s_b))
-                ks = cand.argmax(axis=-2)
-                done = cand[(*index, rows, ks, lp.heads_in)]
-                del cand
-                np.add(ks, starts, out=np.ndarray(
-                    cell, _I4, split, o_split + lo * split_step, s_split))
-                # plus each span's label constants, best[i', j', 0] to
-                # continue and best[i', j', 1] to stand complete
-                at = o_best + lo * best_step
-                np.add(done, np.ndarray(one, _F8, best, at, s_best),
-                       out=np.ndarray(cell, _F8, cube, o_done + shift, s_done))
-                np.add(done, np.ndarray(one, _F8, best, at + 8, s_best),
-                       out=complete)
-            if length < n:
-                # hooks onto the heads outside each span: max over r' of the
-                # span's complete score headed by i'+r' plus arc[i'+r', h]
-                arcs = np.ndarray(outside, _F8, arc_twice,
-                                  o_arcs + lo * arc_step, s_arcs)
-                hooks = (complete[..., None] + arcs).max(axis=-2)
-                cube[(*index, starts, ends, heads)] = hooks
+        cell, operand, one, outside = (
+            [(*lead, *shape) for shape in lp.shapes] if lead else lp.shapes)
+        complete = np.ndarray(cell, _F8, cube, o_complete, s_done)
+        if length > 1:
+            # axes: (chart,) span, split k = i'+k', head h = i'+h'. a =
+            # cube[i', k, h] is the hook of (i', k) where h > k and its
+            # continuation where h <= k; b = cube[k+1, j, h] is the hook of
+            # (k+1, j) where h <= k and its continuation where h > k.
+            # argmax keeps the first k among ties.
+            cand = (np.ndarray(operand, _F8, cube, o_a, s_a)
+                    + np.ndarray(operand, _F8, cube, o_b, s_b))
+            ks = cand.argmax(axis=-2)
+            done = cand[(*index, lp.rows, ks, lp.heads_in)]
+            del cand
+            np.add(ks, lp.starts,
+                   out=np.ndarray(cell, _I4, split, o_split, s_split))
+            # plus each span's label constants, best[i', j', 0] to continue
+            # and best[i', j', 1] to stand complete
+            np.add(done, np.ndarray(one, _F8, best, o_best, s_best),
+                   out=np.ndarray(cell, _F8, cube, o_done, s_done))
+            np.add(done, np.ndarray(one, _F8, best, o_best + 8, s_best),
+                   out=complete)
+        if length < n:
+            # hooks onto the heads outside each span: max over r' of the
+            # span's complete score headed by i'+r' plus arc[i'+r', h]
+            arcs = np.ndarray(outside, _F8, arc_twice, o_arcs, s_arcs)
+            hooks = (complete[..., None] + arcs).max(axis=-2)
+            cube[(*index, lp.starts, lp.ends, lp.heads)] = hooks
 
     if not lead:
         return JointChart(cube=cube, split=split, arc=arc_m,
@@ -582,8 +546,8 @@ def decode_eisner(table: ScoreTable | SpanSummary,
 ROUTES = ("joint", "division", "eisner")
 # longest sentence for the joint chart: 12 (n+1)^3 bytes, 168 MB at 240, a
 # float64 cube of continuation, hook and complete scores and an int32 cube
-# of split points, plus the fill's arrays of one step; a decode peaks at
-# 180 MB there
+# of split points, plus the fill's arrays of one span length; a decode
+# peaks at 205 MB there
 LEN_CAP = 240
 # bytes of one batch's charts, summaries and mixed arc scores: a few dozen
 # sentences of 16 tokens, a few hundred of 9
@@ -593,9 +557,7 @@ _BATCH_BYTES = 1 << 22
 def batch_size(n: int) -> int:
     """How many length-n charts one fill takes: as many as keep the charts,
     their summaries (two scores and two ids a span) and arcs within
-    ``_BATCH_BYTES``. Up to ``LEN_CAP`` that also keeps the largest
-    length's candidates, (n-L+1)(L-1)L per chart, within the step budget,
-    so that no length of a batch is cut into steps."""
+    ``_BATCH_BYTES``."""
     per_chart = 8 * (n + 1) ** 2 * 5 + 12 * (n + 1) ** 3
     return max(1, _BATCH_BYTES // per_chart)
 

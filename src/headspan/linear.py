@@ -59,11 +59,17 @@ from .division import binarize_head_outward, to_division  # noqa: F401
 from .fuse import project_constituents, project_dependencies
 from .decode import (
     LEN_CAP,
+    _finite,
     decode_division,
     decode_joint_mixed,
     decode_tables,
 )
-from .errors import ModelFileError, SizeGuardError, StructureError
+from .errors import (
+    ModelFileError,
+    ScoreFileError,
+    SizeGuardError,
+    StructureError,
+)
 from .scoring import (
     CategoryVocab,
     ScoreTable,
@@ -655,6 +661,9 @@ def _count_difference(gold: np.ndarray, pred: np.ndarray
     return idx[delta != 0], delta[delta != 0]
 
 
+# finite weights can sum past the float range: the summary or the decode
+# then refuses the sentence, and numpy's overflow warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                  dev: Sequence[HpsgTree] | None = None
                  ) -> tuple[LinearModel, list[dict]]:
@@ -665,7 +674,9 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     reproducible. Returns the trained model (averaged weights; the best dev
     epoch's weights when ``dev`` is given) and one history record per epoch
     with the hinge objective, the update count, and dev scores when
-    available.
+    available. A sentence whose scores or decoded score are not finite is
+    refused, named by its epoch and its ordinal among ``trees`` then
+    ``dev``.
     """
     if config is None:
         config = TrainConfig()
@@ -695,7 +706,8 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                   for h in model.hashes_many(sentences[lo:hi])]
     dev_hashes = all_hashes[len(trees):]
     prepared = []
-    for tree, hashes, gold in zip(trees, all_hashes, golds):
+    for ordinal, (tree, hashes, gold) in enumerate(
+            zip(trees, all_hashes, golds), start=1):
         n = len(tree)
         # the gold cells, which earn no loss, as flat cells and label ids,
         # and the raw scores summarize gives them each epoch
@@ -703,7 +715,7 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
                          dtype=np.int64),
                 np.array([vocab.index(label) for _, _, label in gold[0]],
                          dtype=np.int64), np.zeros(len(gold[0])))
-        prepared.append((tree.tokens, hashes, gold,
+        prepared.append((ordinal, tree.tokens, hashes, gold,
                          model.feature_counts(tree.tokens, *gold, hashes),
                          loss))
 
@@ -722,16 +734,21 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         objective = 0.0
         updates = 0
         rng.shuffle(prepared)
-        for tokens, hashes, gold, gold_counts, loss in prepared:
+        for ordinal, tokens, hashes, gold, gold_counts, loss in prepared:
             n = len(tokens)
-            arc, root = model._dep_scores(hashes, n)
-            aug = summarize(vocab, n, model._span_blocks(hashes, n), arc,
-                            root, lam, loss)
-            if division_mode:
-                spans, pred_score = decode_division(aug)
-                pred = (spans, [], 0)
-            else:
-                pred, pred_score = decode_joint_mixed(aug)
+            try:
+                arc, root = model._dep_scores(hashes, n)
+                aug = summarize(vocab, n, model._span_blocks(hashes, n),
+                                arc, root, lam, loss)
+                if division_mode:
+                    spans, pred_score = decode_division(aug)
+                    pred = (spans, [], 0)
+                else:
+                    pred, pred_score = decode_joint_mixed(aug)
+                _finite(pred, pred_score)
+            except ScoreFileError as exc:
+                raise ScoreFileError(
+                    f"epoch {epoch}, sentence {ordinal}: {exc}") from None
             # the gold score, summed as parts_score sums it
             _, g_arcs, g_root = gold
             dep = (sum(arc[c, h] for c, h in g_arcs) + root[g_root]
@@ -752,7 +769,16 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
         if dev is not None:
             snap = LinearModel(vocab=vocab, dim=config.dim, mode=config.mode,
                                lam=config.lam, weights=avg.snapshot(w))
-            f1, uas = _dev_scores(snap, dev, dev_hashes, dev_gold)
+            pred_dev: list[HpsgTree] = []
+            try:
+                for tree, _ in decode_many(snap, [t.tokens for t in dev],
+                                           hashes=dev_hashes):
+                    pred_dev.append(tree)
+            except ScoreFileError as exc:
+                raise ScoreFileError(
+                    f"epoch {epoch}, sentence "
+                    f"{len(trees) + len(pred_dev) + 1}: {exc}") from None
+            f1, uas = _dev_scores(pred_dev, dev_gold)
             record["dev_f1"] = f1
             record["dev_uas"] = uas
             if f1 + uas > best_dev:
@@ -771,13 +797,10 @@ def train_linear(trees: Sequence[HpsgTree], config: TrainConfig | None = None,
     return model, history
 
 
-def _dev_scores(model: LinearModel, dev: Sequence[HpsgTree],
-                hashes: list[Hashes], gold: tuple[list, list]
+def _dev_scores(pred: Sequence[HpsgTree], gold: tuple[list, list]
                 ) -> tuple[float, float]:
-    """Bracket F1 and UAS of ``model`` on the held-out trees, against
-    their projections ``gold`` made once for every epoch."""
-    pred = [tree for tree, _ in decode_many(
-        model, [t.tokens for t in dev], hashes=hashes)]
+    """Bracket F1 and UAS of the held-out trees ``pred``, against their
+    gold projections ``gold`` made once for every epoch."""
     rep = evaluate.bracket_f1(gold[0], [project_constituents(t) for t in pred])
     rep2 = evaluate.attachment_scores(
         gold[1], [project_dependencies(t) for t in pred])

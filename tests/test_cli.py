@@ -10,6 +10,7 @@ import pickle
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,24 @@ class TestTrainAndModelParse:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             f"headspan train: --holdout must be at least 0, got {holdout}"]
+        assert not path.exists()
+
+    def test_overflowing_weights_name_the_epoch_and_sentence(
+            self, tmp_path, data_dir, capsys):
+        # a huge step lets the weights sum past the float range: one line
+        # names the sentence refused, and numpy warns of nothing
+        path = tmp_path / "m.bin"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["train",
+                         "--const", str(data_dir / "sample.brackets"),
+                         "--conll", str(data_dir / "sample.conll"),
+                         "--model-out", str(path), "--epochs", "3",
+                         "--step", "1e307", "--dim", "4096"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "headspan train: epoch 1, sentence 78: non-finite values in "
+            "span scores"]
         assert not path.exists()
 
     @pytest.mark.parametrize("flag, value, message", [

@@ -530,27 +530,6 @@ class TestWidthFillsMatchPerCellLoops:
             for lam in (0.0, 0.5, 1.0):
                 assert_fills_match_per_cell_loops(table, lam)
 
-    def test_spans_of_a_length_taken_in_small_steps(self, monkeypatch):
-        # long sentences fill each length in several steps; make every
-        # length of a short sentence do so. Plans are kept per step budget
-        # too, so those that other tests made for these lengths are not
-        # reused here
-        monkeypatch.setattr(decode, "_STEP_CANDIDATES", 8)
-        rng = np.random.default_rng(71)
-        for n in range(1, 17):
-            table = random_score_table(rng, n, self.VOCAB)
-            assert_fills_match_per_cell_loops(tied(table), 0.5)
-            hits = decode._fill_plan.cache_info().hits
-            plan = decode._fill_plan(n, 8)
-            # the plan the fills above used, made under this budget
-            assert decode._fill_plan.cache_info().hits == hits + 1
-            steps = sum(-(-lp.spans // lp.step) for lp in plan.lengths)
-            assert len(plan.lengths) == n
-            assert steps > n or n < 4
-        # n = 16: 2 steps of 8 single tokens, 8 of 2 spans, then one span
-        # a step, 14 + 13 + ... + 1
-        assert steps == 2 + 8 + 105
-
     def test_long_tables(self):
         rng = np.random.default_rng(53)
         for n in (70, 120):
@@ -610,15 +589,6 @@ class TestBatchedFills:
                 assert_batch_fills_match_single([tied(t) for t in tables],
                                                 lam)
 
-    def test_steps_of_a_few_spans(self, monkeypatch):
-        # a batch whose lengths are cut into steps, as long sentences are
-        monkeypatch.setattr(decode, "_STEP_CANDIDATES", 8)
-        rng = np.random.default_rng(89)
-        for n in (1, 2, 5, 9, 16):
-            tables = [tied(random_score_table(rng, n, self.VOCAB))
-                      for _ in range(3)]
-            assert_batch_fills_match_single(tables, 0.5)
-
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data(), n=st.integers(1, 8), size=st.integers(1, 5),
            lam=st.sampled_from([0.0, 0.5, 1.0]))
@@ -652,14 +622,9 @@ class TestBatchedFills:
                     for t, toks in zip(tables, tokens)]
             assert got == want
 
-    def test_batch_sizes_keep_whole_lengths_and_the_byte_budget(self):
+    def test_batch_sizes_keep_to_the_byte_budget(self):
         for n in range(1, 64):
             size = decode.batch_size(n)
-            plan = decode._fill_plan(n, decode._STEP_CANDIDATES)
-            assert all(lp.step == lp.spans for lp in plan.lengths)
-            assert size == 1 or max(
-                size * lp.spans * lp.length ** 2 for lp in plan.lengths
-            ) <= decode._STEP_CANDIDATES
             # the chart, and two scores, two ids and the arcs of each span
             chart = 8 * (n + 1) ** 2 * 5 + 12 * (n + 1) ** 3
             assert size == 1 or size * chart <= decode._BATCH_BYTES
@@ -801,17 +766,15 @@ class TestCandidateCount:
 
 
 class TestFillPlan:
-    def test_plans_are_kept_per_length_and_step_budget(self):
-        budget = decode._STEP_CANDIDATES
-        assert decode._fill_plan(9, budget) is decode._fill_plan(9, budget)
-        assert decode._fill_plan(9, 8) is not decode._fill_plan(9, budget)
+    def test_plans_are_kept_per_length(self):
+        assert decode._fill_plan(9) is decode._fill_plan(9)
+        assert decode._fill_plan(10) is not decode._fill_plan(9)
         assert decode._fill_plan.cache_info().maxsize == decode._PLANS_KEPT
 
     def test_plan_at_the_length_cap_holds_under_a_megabyte(self):
         tracemalloc.start()
         try:
-            plan = decode._fill_plan.__wrapped__(LEN_CAP,
-                                                 decode._STEP_CANDIDATES)
+            plan = decode._fill_plan.__wrapped__(LEN_CAP)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -820,10 +783,9 @@ class TestFillPlan:
         assert held < 2 ** 20
 
     def test_plan_arrays_are_read_only(self):
-        plan = decode._fill_plan(6, decode._STEP_CANDIDATES)
+        plan = decode._fill_plan(6)
         for lp in plan.lengths:
-            for a in (lp.rows, lp.rows_last, lp.heads_in, lp.starts, lp.ends,
-                      lp.heads):
+            for a in (lp.rows, lp.heads_in, lp.starts, lp.ends, lp.heads):
                 assert not a.flags.writeable
 
 

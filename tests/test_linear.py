@@ -1061,6 +1061,45 @@ class TestTraining:
             assert len(pred) == len(gold)
             project_constituents(pred).validate()
 
+    @pytest.mark.parametrize("mode", ["joint", "division"])
+    def test_a_refusal_names_the_epoch_and_the_sentence(self, tiny_corpus,
+                                                         mode, monkeypatch):
+        # the one sentence of its length decodes to an infinite score; the
+        # shuffle puts it anywhere in the epoch, but the refusal counts it
+        # in input order
+        lengths = [len(t) for t in tiny_corpus]
+        ordinal = next(k for k, n in enumerate(lengths, start=1)
+                       if lengths.count(n) == 1)
+        name = "decode_division" if mode == "division" else \
+            "decode_joint_mixed"
+        real = getattr(linear, name)
+
+        def overflowing(summary):
+            parts, score = real(summary)
+            return parts, (np.inf if summary.n == lengths[ordinal - 1]
+                           else score)
+
+        monkeypatch.setattr(linear, name, overflowing)
+        with pytest.raises(ScoreFileError, match=(
+                f"^epoch 1, sentence {ordinal}: non-finite decoded score "
+                f"inf$")):
+            train_linear(tiny_corpus, TrainConfig(epochs=2, dim=2 ** 12,
+                                                  mode=mode, seed=13))
+
+    def test_a_refused_held_out_sentence_counts_after_the_training_ones(
+            self, tiny_corpus, monkeypatch):
+        real = linear.decode_many
+
+        def second_refused(model, sentences, **kwargs):
+            yield next(real(model, sentences, **kwargs))
+            raise ScoreFileError("non-finite values in span scores")
+
+        monkeypatch.setattr(linear, "decode_many", second_refused)
+        with pytest.raises(ScoreFileError, match=(
+                "^epoch 1, sentence 22: non-finite values in span scores$")):
+            train_linear(tiny_corpus[:20], TrainConfig(epochs=2, dim=2 ** 12),
+                         dev=tiny_corpus[20:])
+
     def test_joint_training_builds_no_tree(self, sample_fused, monkeypatch):
         # each loss-augmented decode yields parts, which the update counts
         built = []

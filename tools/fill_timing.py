@@ -93,13 +93,15 @@ for n in map(int, sys.argv[1].split(",")):
     build = held = None
     if hasattr(decode, "_fill_plan"):
         make = decode._fill_plan.__wrapped__
-        budget = decode._STEP_CANDIDATES
+        # a revision that cut long lengths into steps planned per step budget
+        key = ((n, decode._STEP_CANDIDATES)
+               if hasattr(decode, "_STEP_CANDIDATES") else (n,))
         t = time.perf_counter()
         for _ in range(repeats):
-            make(n, budget)
+            make(*key)
         build = (time.perf_counter() - t) / repeats * 1e3
         tracemalloc.start()
-        plan = make(n, budget)
+        plan = make(*key)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.stop()
         del plan
